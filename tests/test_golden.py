@@ -1,0 +1,130 @@
+"""Byte-for-byte golden gate over the command line.
+
+Every case runs the CLI in-process from a scratch copy of tests/golden/inputs
+with relative paths (the domain header and the construct/decompose stdout
+embed the paths they were given) and compares its exit code, its stdout and
+every file it wrote against tests/golden/expected/<case>/.
+
+The corpus is fixed and includes known defects on purpose: the absorption in
+decompose --mode simple --domain (worst_rel_err 1.0) and the SumRule that
+loses the closed form of a support-weighted member (psi(0) = -inf).  A change
+that moves these bytes must say which and why; regenerate the expected files
+with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from reinhardt.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+EXPECTED = GOLDEN / "expected"
+
+CASES = {
+    "probe_f0_diverges": ["probe", "f0.json", "--point", "0.8", "0.8"],
+    "probe_f0_converges": ["probe", "f0.json", "--point", "0.5", "0.5"],
+    "probe_g3": ["probe", "g3.json", "--point", "0.3", "0.3", "0.3", "-K", "32"],
+    "domain_f0": ["domain", "f0.json", "--grid=-1:1:5"],
+    "domain_g3": ["domain", "g3.json", "--grid=-1:1:3", "-K", "32"],
+    "domain_wedge_real": ["domain", "wedge_real.json", "--grid=-1:1:5"],
+    "domain_sw40": ["domain", "sw40.json", "--grid=0:50:2"],
+    "check_f0": ["check", "f0.json", "--grid=-1:1:3"],
+    "check_g3": ["check", "g3.json", "--grid=-1:1:3", "-K", "32"],
+    "check_wedge_real": ["check", "wedge_real.json", "--grid=-1:1:3", "--epsilon", "0.1"],
+    "cfunc_f0": ["cfunc", "f0.json", "--grid-t", "21"],
+    "cfunc_wedge_real": ["cfunc", "wedge_real.json", "--grid-t", "11", "--delta", "0.05"],
+    "support_wedge": ["support", "--domain", "wedge.json", "--direction", "0.3", "0.7"],
+    "support_triangle": ["support", "--domain", "triangle.json", "--direction", "0.37", "0.63"],
+    "envelope": ["envelope", "--samples", "samples.json", "--direction", "0.25", "0.75"],
+    "construct_wedge": [
+        "construct", "--domain", "wedge.json", "--directions", "dirs25.json",
+        "--per-row", "8", "--out", "out/wedge_real.json",
+    ],
+    "construct_triangle": [
+        "construct", "--domain", "triangle.json", "--directions", "dirs11.json",
+        "--per-row", "4", "--out", "out/triangle_real.json",
+    ],
+    "slice_radius_f0": ["slice-radius", "f0.json", "--point", "1.0", "0.5"],
+    "slice_radius_wedge_real": ["slice-radius", "wedge_real.json", "--point", "1.0", "0.5"],
+    "decompose_elementary_f0": [
+        "decompose", "f0.json", "--mode", "elementary", "--directions", "dirs11.json",
+        "-K", "32", "--out", "out/parts",
+    ],
+    "decompose_simple_estimate_f0": [
+        "decompose", "f0.json", "--mode", "simple", "--directions", "dirs11.json",
+        "--estimate-domain", "-K", "32", "--out", "out/parts",
+    ],
+    "decompose_simple_domain_wedge_real": [
+        "decompose", "wedge_real.json", "--mode", "simple", "--directions", "dirs5.json",
+        "--domain", "triangle.json", "-K", "32", "--out", "out/parts",
+    ],
+    "decompose_simple_domain_f0_absorption": [
+        "decompose", "f0.json", "--mode", "simple", "--directions", "dirs5.json",
+        "--domain", "box_caps_minus1.json", "-K", "64", "--out", "out/parts",
+    ],
+}
+
+
+def run_case(argv) -> dict:
+    """Exit code, stdout and written files of one in-process CLI run."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(INPUTS, work, dirs_exist_ok=True)
+        os.chdir(work)
+        out = Path("out")
+        out.mkdir()
+        try:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv)
+            produced = {
+                "exit_code": f"{code}\n".encode(),
+                "stdout": stdout.getvalue().encode("utf-8"),
+            }
+            for path in sorted(out.rglob("*")):
+                if path.is_file():
+                    produced[path.as_posix()] = path.read_bytes()
+        finally:
+            os.chdir(cwd)
+    return produced
+
+
+def read_expected(name: str) -> dict:
+    root = EXPECTED / name
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name):
+    produced = run_case(CASES[name])
+    expected = read_expected(name)
+    assert sorted(produced) == sorted(expected)
+    for key in expected:
+        assert produced[key] == expected[key], f"{name}: {key} differs"
+
+
+def regenerate() -> None:
+    shutil.rmtree(EXPECTED, ignore_errors=True)
+    for name, argv in sorted(CASES.items()):
+        for key, data in run_case(argv).items():
+            target = EXPECTED / name / key
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(data)
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
