@@ -7,8 +7,8 @@ estimate slice radii, and cross-check the estimator against the brute-force
 probe.  Runs are seedless and outputs carry the resolved configuration, so
 identical inputs produce byte-identical outputs.
 
-Exit codes: 0 success, 2 malformed input (files or flags), 3 infeasible or
-empty-domain conditions.
+Exit codes: 0 success, 2 malformed input (files, flags or non-finite
+numbers), 3 infeasible or empty-domain conditions.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from math import inf
 
@@ -42,6 +43,7 @@ from .hadamard import (
     classify,
     direction_functional,
     slice_radius,
+    tail_window,
 )
 from .multiindex import SimplexDirection, uniform_directions_2d
 from .oracle import DEFAULT_MARGIN, agreement_grid, probe
@@ -56,63 +58,44 @@ class InputError(ValueError):
     """Bad file or flag; the message names the offender."""
 
 
-def _fail_input(what: str) -> InputError:
-    return InputError(what)
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise _fail_input(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail_input(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_series(path: str) -> SeriesSpec:
+_FILE_KINDS = {SeriesSpec: "series", HDomain: "H-domain", SampledFunction: "samples"}
+
+
+def _load(path: str, cls):
+    """Series, H-domain or samples file; any malformed content is an InputError."""
+    data = _load_json(path)
     try:
-        return SeriesSpec.from_json(_load_json(path))
+        return cls.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise _fail_input(f"{path} is not a valid series file: {exc}") from exc
-
-
-def _load_domain(path: str) -> HDomain:
-    try:
-        return HDomain.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise _fail_input(f"{path} is not a valid H-domain file: {exc}") from exc
-
-
-def _load_samples(path: str) -> SampledFunction:
-    try:
-        return SampledFunction.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise _fail_input(f"{path} is not a valid samples file: {exc}") from exc
+        raise InputError(f"{path} is not a valid {_FILE_KINDS[cls]} file: {exc}") from exc
 
 
 def _load_directions(path: str) -> list[SimplexDirection]:
     data = _load_json(path)
     raw = data.get("directions") if isinstance(data, dict) else data
     if not isinstance(raw, list) or not raw:
-        raise _fail_input(f"{path} must hold a non-empty 'directions' list")
+        raise InputError(f"{path} must hold a non-empty 'directions' list")
     try:
         return [SimplexDirection(tuple(d)) for d in raw]
     except (TypeError, ValueError) as exc:
-        raise _fail_input(f"{path} holds a malformed direction: {exc}") from exc
+        raise InputError(f"{path} holds a malformed direction: {exc}") from exc
 
 
 def _direction_from_flag(values, flag: str) -> SimplexDirection:
     try:
         return SimplexDirection(tuple(values))
     except ValueError as exc:
-        raise _fail_input(f"{flag} is not a simplex direction: {exc}") from exc
+        raise InputError(f"{flag} is not a simplex direction: {exc}") from exc
 
 
 def _parse_grid(spec: str, dimension: int):
@@ -121,27 +104,29 @@ def _parse_grid(spec: str, dimension: int):
     if len(parts) == 1:
         parts = parts * dimension
     if len(parts) != dimension:
-        raise _fail_input(
+        raise InputError(
             f"--grid has {len(parts)} axes but the input has dimension {dimension}"
         )
     axes = []
     for p in parts:
         bits = p.split(":")
         if len(bits) != 3:
-            raise _fail_input(f"--grid axis {p!r} is not lo:hi:count")
+            raise InputError(f"--grid axis {p!r} is not lo:hi:count")
         try:
             lo, hi, count = float(bits[0]), float(bits[1]), int(bits[2])
         except ValueError as exc:
-            raise _fail_input(f"--grid axis {p!r}: {exc}") from exc
+            raise InputError(f"--grid axis {p!r}: {exc}") from exc
         if count < 1:
-            raise _fail_input(f"--grid axis {p!r} needs count >= 1")
+            raise InputError(f"--grid axis {p!r} needs count >= 1")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InputError(f"--grid axis {p!r} needs finite bounds")
         if count == 1:
             axes.append([lo])
         else:
             axes.append([lo + i * (hi - lo) / (count - 1) for i in range(count)])
     total = math.prod(len(a) for a in axes)
     if total > GRID_POINT_CAP:
-        raise _fail_input(f"--grid would produce {total} points (cap {GRID_POINT_CAP})")
+        raise InputError(f"--grid would produce {total} points (cap {GRID_POINT_CAP})")
     return [tuple(p) for p in itertools.product(*axes)]
 
 
@@ -155,17 +140,12 @@ def _json_scalar(value: float):
     return value
 
 
-def _emit_json(payload: dict, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(payload, out_path):
+    """Write a JSON payload (dict) or CSV lines (list) to out_path or stdout."""
+    if isinstance(payload, dict):
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        sys.stdout.write(text)
-
-
-def _emit_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
+        text = "\n".join(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -174,9 +154,9 @@ def _emit_lines(lines, out_path):
 
 
 def _cmd_probe(args) -> int:
-    series = _load_series(args.series)
+    series = _load(args.series, SeriesSpec)
     verdict = probe(series, args.point, args.degree, args.margin)
-    _emit_json(
+    _emit(
         {
             "command": "probe",
             "config": {"degree": args.degree, "margin": args.margin},
@@ -193,7 +173,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_domain(args) -> int:
-    series = _load_series(args.series)
+    series = _load(args.series, SeriesSpec)
     points = _parse_grid(args.grid, series.dimension)
     lines = [
         f"# command=domain degree={args.degree} epsilon={args.epsilon}",
@@ -204,21 +184,21 @@ def _cmd_domain(args) -> int:
         verdict = classify(series, p, args.degree, args.epsilon)
         coords = ",".join(repr(x) for x in p)
         lines.append(f"{coords},{verdict.membership.value},{verdict.value!r}")
-    _emit_lines(lines, args.out)
+    _emit(lines, args.out)
     return 0
 
 
 def _cmd_cfunc(args) -> int:
-    series = _load_series(args.series)
+    series = _load(args.series, SeriesSpec)
     if args.directions:
         directions = _load_directions(args.directions)
     elif args.grid_t:
         if series.dimension != 2:
-            raise _fail_input("--grid-t applies to dimension 2 only; use --directions")
+            raise InputError("--grid-t applies to dimension 2 only; use --directions")
         directions = uniform_directions_2d(args.grid_t)
     else:
-        raise _fail_input("cfunc needs --directions or --grid-t")
-    lo = (args.degree + 1) // 2
+        raise InputError("cfunc needs --directions or --grid-t")
+    lo = tail_window(args.degree).start
     values = []
     used_delta = None
     for alpha in directions:
@@ -231,15 +211,15 @@ def _cmd_cfunc(args) -> int:
         values.append(direction_functional(series, window))
     payload = SampledFunction(tuple(directions), tuple(values)).to_json()
     payload["config"] = {"degree": args.degree, "delta": used_delta}
-    _emit_json(payload, args.out)
+    _emit(payload, args.out)
     return 0
 
 
 def _cmd_support(args) -> int:
-    domain = _load_domain(args.domain)
+    domain = _load(args.domain, HDomain)
     alpha = _direction_from_flag(args.direction, "--direction")
     value = support_value(domain, alpha)
-    _emit_json(
+    _emit(
         {
             "command": "support",
             "config": {},
@@ -252,10 +232,10 @@ def _cmd_support(args) -> int:
 
 
 def _cmd_envelope(args) -> int:
-    samples = _load_samples(args.samples)
+    samples = _load(args.samples, SampledFunction)
     alpha = _direction_from_flag(args.direction, "--direction")
     value = convex_closure_value(samples, alpha)
-    _emit_json(
+    _emit(
         {
             "command": "envelope",
             "config": {},
@@ -268,11 +248,11 @@ def _cmd_envelope(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    domain = _load_domain(args.domain)
+    domain = _load(args.domain, HDomain)
     directions = _load_directions(args.directions)
     series = series_for_domain(domain, directions, per_row=args.per_row)
     series.save(args.out)
-    _emit_json(
+    _emit(
         {
             "command": "construct",
             "config": {"per_row": args.per_row},
@@ -286,14 +266,10 @@ def _cmd_construct(args) -> int:
 
 def _telescoping_error(dec, max_degree: int) -> float:
     """Worst relative gap in sum(parts) == sum(g rows) + f_M/M, coefficient-wise."""
+    degrees = range(1, max_degree + 1)
+
     def table(series):
-        out = {}
-        for k in range(1, max_degree + 1):
-            for j in series.supported_indices(k):
-                c = series.coefficient(j)
-                if c != 0:
-                    out[j] = out.get(j, 0.0j) + c
-        return out
+        return {j: c for j, c in series.terms(degrees) if c != 0}
 
     lhs: dict = {}
     for part in dec.parts:
@@ -316,82 +292,64 @@ def _telescoping_error(dec, max_degree: int) -> float:
 
 
 def _cmd_decompose(args) -> int:
-    import os
-
-    series = _load_series(args.series)
+    series = _load(args.series, SeriesSpec)
     directions = _load_directions(args.directions)
     os.makedirs(args.out, exist_ok=True)
+    if args.mode == "elementary":
+        dec = decompose_elementary(series, directions, args.degree)
+    else:
+        if args.domain:
+            domain = _load(args.domain, HDomain)
+        elif args.estimate_domain:
+            domain = estimate_domain(series, directions, args.degree)
+        else:
+            raise InputError("decompose --mode simple needs --domain or --estimate-domain")
+        dec = decompose_simple(series, domain, directions, args.degree)
+    part_files = []
+    for n, part in enumerate(dec.parts):
+        name = f"part_{n:03d}.json"
+        part.series.save(os.path.join(args.out, name))
+        part_files.append(name)
     manifest = {
         "command": "decompose",
         "mode": args.mode,
         "config": {"degree": args.degree},
         "directions": [list(d.coords) for d in directions],
+        "parts": part_files,
     }
     if args.mode == "elementary":
-        dec = decompose_elementary(series, directions, args.degree)
-        part_files = []
-        offsets = []
-        halfspaces = []
-        for n, part in enumerate(dec.parts):
-            name = f"part_{n:03d}.json"
-            part.series.save(os.path.join(args.out, name))
-            part_files.append(name)
-            offsets.append(_json_scalar(part.level))
-            halfspaces.append(part.halfspace.to_json() if part.halfspace else None)
         routed = sum(len(p.series.rule.table) for p in dec.parts)
-        occurring = sum(
-            1
-            for k in range(1, args.degree + 1)
-            for j in series.supported_indices(k)
-            if series.coefficient(j) != 0
-        )
+        occurring = sum(1 for _, c in series.terms(range(1, args.degree + 1)) if c != 0)
         manifest.update(
             {
-                "parts": part_files,
-                "offsets": offsets,
-                "halfspaces": halfspaces,
+                "offsets": [_json_scalar(p.level) for p in dec.parts],
+                "halfspaces": [p.halfspace.to_json() if p.halfspace else None for p in dec.parts],
                 "constant": [dec.constant_part.real, dec.constant_part.imag],
                 "exactness": {"routed": routed, "occurring": occurring, "ok": routed == occurring},
             }
         )
     else:
-        if args.domain:
-            domain = _load_domain(args.domain)
-        elif args.estimate_domain:
-            domain = estimate_domain(series, directions, args.degree)
-        else:
-            raise _fail_input("decompose --mode simple needs --domain or --estimate-domain")
-        dec = decompose_simple(series, domain, directions, args.degree)
-        part_files = []
-        wedges = []
-        for n, part in enumerate(dec.parts):
-            name = f"part_{n:03d}.json"
-            part.series.save(os.path.join(args.out, name))
-            part_files.append(name)
-            wedges.append(
-                [part.wedge[0].to_json(), part.wedge[1].to_json()] if part.wedge else None
-            )
         worst = _telescoping_error(dec, args.degree)
         manifest.update(
             {
-                "parts": part_files,
-                "wedges": wedges,
+                "wedges": [
+                    [p.wedge[0].to_json(), p.wedge[1].to_json()] if p.wedge else None
+                    for p in dec.parts
+                ],
                 "halfspaces": [h.to_json() for h in dec.halfspaces],
                 "exactness": {"worst_rel_err": worst, "ok": worst <= 1e-12},
             }
         )
     manifest_path = os.path.join(args.out, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _emit_json({"command": "decompose", "manifest": manifest_path}, None)
+    _emit(manifest, manifest_path)
+    _emit({"command": "decompose", "manifest": manifest_path}, None)
     return 0
 
 
 def _cmd_slice_radius(args) -> int:
-    series = _load_series(args.series)
+    series = _load(args.series, SeriesSpec)
     value = slice_radius(series, args.point, args.degree)
-    _emit_json(
+    _emit(
         {
             "command": "slice-radius",
             "config": {"degree": args.degree},
@@ -404,10 +362,10 @@ def _cmd_slice_radius(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    series = _load_series(args.series)
+    series = _load(args.series, SeriesSpec)
     points = _parse_grid(args.grid, series.dimension)
     report = agreement_grid(series, points, args.degree, args.epsilon, args.margin)
-    _emit_json(
+    _emit(
         {
             "command": "check",
             "config": {

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import inf
 
 from .convex import HDomain, support_value
-from .multiindex import MultiIndex, SimplexDirection, nearest_index_of_degree, project
+from .multiindex import MultiIndex, SimplexDirection, as_direction, as_directions, project
 from .series import SeriesSpec, SupportWeighted
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 BASE_DEGREE = 8  # keeps the starting projection error 2N/8 moderate
-_DISTINCT_TOL = 1e-10
 
 
 class EmptyWindow(ValueError):
@@ -43,24 +41,6 @@ class EmptyWindow(ValueError):
 
 class InfiniteSupport(ValueError):
     """A prescribed direction has infinite support value on the domain."""
-
-
-def _check_directions(directions) -> tuple[SimplexDirection, ...]:
-    dirs = tuple(
-        d if isinstance(d, SimplexDirection) else SimplexDirection(tuple(d))
-        for d in directions
-    )
-    if not dirs:
-        raise ValueError("need at least one direction")
-    dim = dirs[0].dimension
-    for d in dirs:
-        if d.dimension != dim:
-            raise ValueError("directions have mixed dimensions")
-    for i in range(len(dirs)):
-        for j in range(i):
-            if dirs[i].l1_distance(dirs[j]) <= _DISTINCT_TOL:
-                raise ValueError("directions must be pairwise distinct")
-    return dirs
 
 
 @dataclass(frozen=True)
@@ -84,20 +64,16 @@ def build_family(directions, per_row: int, base: int = BASE_DEGREE, stride: int 
 
     Every slot owns a unique degree, so all indices are distinct without any
     discard step; the slot index is the nearest lattice direction of that
-    degree, hence |J/|J| - alpha_n|_l1 < 2N/|J| along each row.
+    degree, hence |J/|J| - alpha_n|_l1 < 2N/|J| along each row.  The slots
+    are those of the support-weighted rule over the same directions.
     """
-    dirs = _check_directions(directions)
-    if per_row < 1:
-        raise ValueError("per_row must be >= 1")
-    m = len(dirs)
-    rows = []
-    for n in range(1, m + 1):
-        row = []
-        for k in range(1, per_row + 1):
-            degree = base + (n - 1) * stride + (k - 1) * m * stride
-            row.append(nearest_index_of_degree(dirs[n - 1], degree))
-        rows.append(tuple(row))
-    return IndexFamily(dirs, tuple(rows))
+    dirs = as_directions(directions)
+    slots = SupportWeighted(dirs, (0.0,) * len(dirs), per_row, base=base, stride=stride)
+    rows = tuple(
+        tuple(slots.index_at(n, k) for k in range(1, per_row + 1))
+        for n in range(1, slots.rows + 1)
+    )
+    return IndexFamily(dirs, rows)
 
 
 def band_radius(dimension: int, band: int) -> float:
@@ -120,7 +96,7 @@ def extremal_sequence(series: SeriesSpec, alpha, max_degree: int) -> list[MultiI
     """
     if max_degree < 8:
         raise ValueError("max_degree must be >= 8")
-    alpha = alpha if isinstance(alpha, SimplexDirection) else SimplexDirection(tuple(alpha))
+    alpha = as_direction(alpha)
     if alpha.dimension != series.dimension:
         raise ValueError("direction dimension does not match the series")
     out: list[MultiIndex] = []
@@ -128,10 +104,7 @@ def extremal_sequence(series: SeriesSpec, alpha, max_degree: int) -> list[MultiI
     while band <= max_degree:
         radius = band_radius(series.dimension, band)
         best = None  # (-value, distance, index)
-        for j in series.supported_indices(band):
-            v = series.log_abs_coeff_normalized(j)
-            if v == -inf:
-                continue
+        for j, v in series.log_terms(range(band, band + 1)):
             dist = project(j).l1_distance(alpha)
             if dist > radius:
                 continue
@@ -160,7 +133,7 @@ def series_for_domain(
     Raises EmptyDomain for an infeasible region and InfiniteSupport when a
     prescribed direction lies outside the effective domain of h.
     """
-    dirs = _check_directions(directions)
+    dirs = as_directions(directions)
     if dirs[0].dimension != domain.dimension:
         raise ValueError("direction dimension does not match the domain")
     values = []

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .multiindex import SimplexDirection
+from .multiindex import SimplexDirection, as_direction, as_directions
 
 __all__ = [
     "EmptyDomain",
@@ -39,16 +39,11 @@ PIVOT_TOL = 1e-9
 FEASIBILITY_TOL = 1e-7
 MAX_DIMENSION = 16
 MAX_CONSTRAINTS = 10_000
-_DISTINCT_TOL = 1e-10
 _ITERATION_CAP = 100_000
 
 
 class EmptyDomain(ValueError):
     """The constraint region is infeasible."""
-
-
-def _as_direction(value) -> SimplexDirection:
-    return value if isinstance(value, SimplexDirection) else SimplexDirection(tuple(value))
 
 
 @dataclass(frozen=True)
@@ -59,7 +54,7 @@ class HalfSpace:
     offset: float
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", _as_direction(self.normal))
+        object.__setattr__(self, "normal", as_direction(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
         if not math.isfinite(self.offset):
             raise ValueError("half-space offset must be finite")
@@ -139,25 +134,13 @@ class SampledFunction:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "directions", tuple(_as_direction(d) for d in self.directions)
-        )
+        object.__setattr__(self, "directions", as_directions(self.directions))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.directions:
-            raise ValueError("sampled function needs at least one direction")
         if len(self.directions) != len(self.values):
             raise ValueError("directions and values must have equal length")
-        dim = self.directions[0].dimension
-        for d in self.directions:
-            if d.dimension != dim:
-                raise ValueError("sampled directions have mixed dimensions")
         for v in self.values:
             if v == -inf or math.isnan(v):
                 raise ValueError("sampled values must not be -inf or NaN")
-        for i in range(len(self.directions)):
-            for j in range(i):
-                if self.directions[i].l1_distance(self.directions[j]) <= _DISTINCT_TOL:
-                    raise ValueError("sampled directions must be pairwise distinct")
 
     @property
     def dimension(self) -> int:
@@ -347,7 +330,7 @@ def support_value(domain: HDomain, alpha) -> float:
     +inf when the region is unbounded in the direction alpha (a value, not an
     error); EmptyDomain when the region is infeasible.
     """
-    alpha = _as_direction(alpha)
+    alpha = as_direction(alpha)
     result = lp_maximize(alpha.coords, domain)
     if result.status == "infeasible":
         raise EmptyDomain("the half-space intersection is empty")
@@ -364,7 +347,7 @@ def convex_closure_value(f: SampledFunction, alpha) -> float:
     homogeneous.  +inf samples impose no constraint; with no finite samples
     the value is +inf for every nonzero direction.
     """
-    alpha = _as_direction(alpha)
+    alpha = as_direction(alpha)
     if alpha.dimension != f.dimension:
         raise ValueError("direction dimension does not match the sampled function")
     rows = [(d.coords, v) for d, v in f.finite_samples()]
@@ -385,7 +368,7 @@ def reduce_to_dense_subset(domain: HDomain, dense) -> HDomain:
     """
     kept = []
     for alpha in dense:
-        alpha = _as_direction(alpha)
+        alpha = as_direction(alpha)
         value = support_value(domain, alpha)
         if math.isfinite(value):
             kept.append(HalfSpace(alpha, value))

@@ -31,8 +31,8 @@ from typing import Optional
 
 from .construct import series_for_domain
 from .convex import HalfSpace, HDomain, SampledFunction, reduce_to_dense_subset
-from .hadamard import DirectionWindow, Membership, classify, direction_functional
-from .multiindex import MultiIndex, SimplexDirection, project
+from .hadamard import DirectionWindow, Membership, classify, direction_functional, tail_window
+from .multiindex import MultiIndex, SimplexDirection, as_directions, project
 from .series import ExplicitTable, SeriesSpec, SumRule
 
 __all__ = [
@@ -49,9 +49,6 @@ __all__ = [
     "sum_domain_check",
 ]
 
-_DISTINCT_TOL = 1e-10
-
-
 class NeedTwoDirections(ValueError):
     """Wedge decompositions need at least two distinct directions."""
 
@@ -62,20 +59,6 @@ class SupportsOverlap(ValueError):
     def __init__(self, index: MultiIndex):
         super().__init__(f"parts share the monomial at {index.entries}")
         self.index = index
-
-
-def _check_directions(directions) -> tuple[SimplexDirection, ...]:
-    dirs = tuple(
-        d if isinstance(d, SimplexDirection) else SimplexDirection(tuple(d))
-        for d in directions
-    )
-    if not dirs:
-        raise ValueError("need at least one direction")
-    for i in range(len(dirs)):
-        for j in range(i):
-            if dirs[i].l1_distance(dirs[j]) <= _DISTINCT_TOL:
-                raise ValueError("directions must be pairwise distinct")
-    return dirs
 
 
 def route_index(index: MultiIndex, directions) -> int:
@@ -128,31 +111,29 @@ def decompose_elementary(
     into the row tables unchanged.  The constant term is reported separately
     unless absorb_constant moves it into row 0.
     """
-    dirs = _check_directions(directions)
+    dirs = as_directions(directions)
     if dirs[0].dimension != series.dimension:
         raise ValueError("direction dimension does not match the series")
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     tables: list[dict[MultiIndex, complex]] = [{} for _ in dirs]
     assignment: dict[MultiIndex, int] = {}
-    for k in range(1, max_degree + 1):
-        for j in series.supported_indices(k):
-            row = route_index(j, dirs)
-            assignment[j] = row
-            c = series.coefficient(j)
-            if c != 0:
-                tables[row][j] = c
+    for j, c in series.terms(range(1, max_degree + 1)):
+        row = route_index(j, dirs)
+        assignment[j] = row
+        if c != 0:
+            tables[row][j] = c
     constant = series.constant_term()
     if absorb_constant and constant != 0:
         tables[0][series.zero_index] = constant
         constant = 0.0j
 
-    lo = (max_degree + 1) // 2
+    window = tail_window(max_degree)
     parts = []
     for n, alpha in enumerate(dirs):
         level = -inf
         for j in tables[n]:
-            if lo <= j.degree <= max_degree:
+            if j.degree in window:
                 v = series.log_abs_coeff_normalized(j)
                 if v > level:
                     level = v
@@ -186,18 +167,6 @@ class SimpleDecomposition:
     truncation: int
 
 
-def _row_table(rule, row: int, max_degree: int) -> dict[MultiIndex, complex]:
-    """Coefficients of one family row, truncated to the working degree."""
-    out: dict[MultiIndex, complex] = {}
-    for slot in range(1, rule.per_row + 1):
-        degree = rule.degree_of(row, slot)
-        if degree > max_degree:
-            break
-        j = rule.index_at(row, slot)
-        out[j] = rule.coefficient(j)
-    return out
-
-
 def decompose_simple(
     series: SeriesSpec,
     domain: HDomain,
@@ -211,7 +180,7 @@ def decompose_simple(
     rule language stays closed and the telescoping identity
     sum(sigma_n) = sum(g_n) + f_M/M holds coefficient for coefficient.
     """
-    dirs = _check_directions(directions)
+    dirs = as_directions(directions)
     if len(dirs) < 2:
         raise NeedTwoDirections("wedges need at least two distinct directions")
     eld = decompose_elementary(series, dirs, max_degree)
@@ -221,11 +190,11 @@ def decompose_simple(
     halfspaces = tuple(
         HalfSpace(dirs[n], f_rule.values[n]) for n in range(m)
     )
-    f_tables = [_row_table(f_rule, n + 1, max_degree) for n in range(m)]
     f_rows = tuple(
         SeriesSpec(series.dimension, f_rule.row(n + 1), label=f"realizing row {n}")
         for n in range(m)
     )
+    f_tables = [dict(f.terms(range(1, max_degree + 1))) for f in f_rows]
     g_rows = tuple(p.series for p in eld.parts)
 
     parts = []
@@ -256,16 +225,6 @@ class SumDomainReport:
     containment_only: bool
 
 
-def _occurring_upto(series: SeriesSpec, max_degree: int) -> dict[MultiIndex, complex]:
-    out = {}
-    for k in range(1, max_degree + 1):
-        for j in series.supported_indices(k):
-            c = series.coefficient(j)
-            if c != 0:
-                out[j] = c
-    return out
-
-
 def sum_domain_check(
     parts,
     max_degree: int,
@@ -286,22 +245,19 @@ def sum_domain_check(
     if not parts:
         raise ValueError("need at least one part")
     dim = parts[0].dimension
-    seen: dict[MultiIndex, int] = {}
-    for idx, p in enumerate(parts):
+    seen: set[MultiIndex] = set()
+    for p in parts:
         if p.dimension != dim:
             raise ValueError("parts have mixed dimensions")
-        for j in _occurring_upto(p, max_degree):
+        for j, c in p.terms(range(1, max_degree + 1)):
+            if c == 0:
+                continue
             if j in seen:
                 raise SupportsOverlap(j)
-            seen[j] = idx
+            seen.add(j)
     total = SeriesSpec(dim, SumRule([p.rule for p in parts]), label="sum of parts")
 
-    lo = (max_degree + 1) // 2
-    tail_occupied = any(
-        total.coefficient(j) != 0
-        for k in range(lo, max_degree + 1)
-        for j in total.supported_indices(k)
-    )
+    tail_occupied = any(c != 0 for _, c in total.terms(tail_window(max_degree)))
 
     points = 0
     decisive = 0
@@ -344,10 +300,10 @@ def estimate_domain(
     direction), carves the region of the samples, and reduces it back to
     supporting half-spaces on the same directions.
     """
-    dirs = _check_directions(directions)
+    dirs = as_directions(directions)
     if delta is None:
         delta = max(0.02, 2.0 * series.dimension / max_degree)
-    lo = (max_degree + 1) // 2
+    lo = tail_window(max_degree).start
     sampled_dirs = []
     values = []
     for alpha in dirs:

@@ -22,7 +22,7 @@ from enum import Enum
 from math import inf
 
 from .convex import HalfSpace
-from .multiindex import SimplexDirection, project
+from .multiindex import SimplexDirection, as_direction, project
 from .series import SeriesSpec
 
 __all__ = [
@@ -76,8 +76,7 @@ class DirectionWindow:
     degree_range: tuple[int, int]
 
     def __post_init__(self):
-        if not isinstance(self.center, SimplexDirection):
-            object.__setattr__(self, "center", SimplexDirection(tuple(self.center)))
+        object.__setattr__(self, "center", as_direction(self.center))
         object.__setattr__(self, "degree_range", tuple(self.degree_range))
         lo, hi = self.degree_range
         if not 0.0 < self.radius <= 2.0:
@@ -88,12 +87,9 @@ class DirectionWindow:
     @classmethod
     def default(cls, center, max_degree: int = DEFAULT_MAX_DEGREE):
         """Tail-window default: radius max(0.02, 2N/sqrt(K)), degrees [ceil(K/2), K]."""
-        if not isinstance(center, SimplexDirection):
-            center = SimplexDirection(tuple(center))
-        n = center.dimension
-        radius = max(0.02, 2.0 * n / math.sqrt(max_degree))
-        lo = (max_degree + 1) // 2
-        return cls(center, radius, (lo, max_degree))
+        center = as_direction(center)
+        radius = max(0.02, 2.0 * center.dimension / math.sqrt(max_degree))
+        return cls(center, radius, (tail_window(max_degree).start, max_degree))
 
 
 def tail_window(max_degree: int) -> range:
@@ -114,18 +110,12 @@ def hadamard_indicator(series: SeriesSpec, point, max_degree: int = DEFAULT_MAX_
     """
     if max_degree < 8:
         raise ValueError("max_degree must be >= 8")
-    point = tuple(float(x) for x in point)
-    if len(point) != series.dimension:
-        raise ValueError("point dimension does not match the series")
+    point = series._check_point(point)
     best = -inf
-    for k in tail_window(max_degree):
-        for j in series.supported_indices(k):
-            v = series.log_abs_coeff_normalized(j)
-            if v == -inf:
-                continue
-            t = _dot(project(j).coords, point) + v
-            if t > best:
-                best = t
+    for j, v in series.log_terms(tail_window(max_degree)):
+        t = _dot(project(j).coords, point) + v
+        if t > best:
+            best = t
     return best
 
 
@@ -136,7 +126,7 @@ def classify(
     epsilon: float = DEFAULT_EPSILON,
 ) -> MembershipVerdict:
     """Three-way membership of a log-point in the estimated convergence region."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be > 0")
     value = hadamard_indicator(series, point, max_degree)
     if value < -epsilon:
@@ -159,15 +149,9 @@ def direction_functional(series: SeriesSpec, window: DirectionWindow) -> float:
         raise ValueError("window center dimension does not match the series")
     lo, hi = window.degree_range
     best = -inf
-    for k in range(lo, hi + 1):
-        for j in series.supported_indices(k):
-            v = series.log_abs_coeff_normalized(j)
-            if v == -inf:
-                continue
-            if project(j).l1_distance(window.center) > window.radius:
-                continue
-            if v > best:
-                best = v
+    for j, v in series.log_terms(range(lo, hi + 1)):
+        if project(j).l1_distance(window.center) <= window.radius and v > best:
+            best = v
     return inf if best == -inf else -best
 
 
@@ -189,22 +173,18 @@ def elementary_halfspace(
     collected: list[tuple[SimplexDirection, float]] = []
     entry_sums = [0] * series.dimension
     degree_sum = 0
-    for k in tail_window(max_degree):
-        for j in series.supported_indices(k):
-            v = series.log_abs_coeff_normalized(j)
-            if v == -inf:
-                continue
-            pj = project(j)
-            for prev, _ in collected:
-                if prev.l1_distance(pj) > max_diameter:
-                    raise NotElementary(
-                        f"tail projections spread {prev.coords} .. {pj.coords}; "
-                        f"diameter exceeds {max_diameter}"
-                    )
-            collected.append((pj, v))
-            for i, e in enumerate(j.entries):
-                entry_sums[i] += e
-            degree_sum += k
+    for j, v in series.log_terms(tail_window(max_degree)):
+        pj = project(j)
+        for prev, _ in collected:
+            if prev.l1_distance(pj) > max_diameter:
+                raise NotElementary(
+                    f"tail projections spread {prev.coords} .. {pj.coords}; "
+                    f"diameter exceeds {max_diameter}"
+                )
+        collected.append((pj, v))
+        for i, e in enumerate(j.entries):
+            entry_sums[i] += e
+        degree_sum += j.degree
     if not collected:
         raise NotElementary("no supported index in the tail degree window")
     normal = SimplexDirection(tuple(s / degree_sum for s in entry_sums))

@@ -19,6 +19,8 @@ __all__ = [
     "MultiIndex",
     "SimplexDirection",
     "ZeroIndexNotProjectable",
+    "as_direction",
+    "as_directions",
     "degree_count",
     "enumerate_degree",
     "nearest_index_of_degree",
@@ -28,6 +30,7 @@ __all__ = [
 
 _INT64_MAX = 2**63 - 1
 _SIMPLEX_SUM_TOL = 1e-12
+_DISTINCT_TOL = 1e-10
 
 
 class ZeroIndexNotProjectable(ValueError):
@@ -102,6 +105,30 @@ class SimplexDirection:
 
     def __repr__(self):
         return f"SimplexDirection({self.coords!r})"
+
+
+def as_direction(value) -> SimplexDirection:
+    return value if isinstance(value, SimplexDirection) else SimplexDirection(tuple(value))
+
+
+def as_directions(values) -> tuple[SimplexDirection, ...]:
+    """Non-empty direction set of one dimension, pairwise l1 distance > 1e-10.
+
+    The pairwise test is quadratic on purpose: comparing neighbours after a
+    sort would miss close pairs that are not adjacent in the sort order.
+    """
+    dirs = tuple(as_direction(v) for v in values)
+    if not dirs:
+        raise ValueError("need at least one direction")
+    dim = dirs[0].dimension
+    for d in dirs:
+        if d.dimension != dim:
+            raise ValueError("directions have mixed dimensions")
+    for i in range(len(dirs)):
+        for j in range(i):
+            if dirs[i].l1_distance(dirs[j]) <= _DISTINCT_TOL:
+                raise ValueError("directions must be pairwise distinct")
+    return dirs
 
 
 @lru_cache(maxsize=None)

@@ -49,21 +49,13 @@ class ProbeVerdict:
 
 def block_sums(series: SeriesSpec, point, max_degree: int) -> list[float]:
     """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree."""
-    r = tuple(float(x) for x in point)
-    if len(r) != series.dimension:
-        raise ValueError("point dimension does not match the series")
-    for x in r:
-        if x < 0.0:
-            raise ValueError("probe points must have non-negative coordinates")
-    out = [abs(series.constant_term())]
-    for k in range(1, max_degree + 1):
-        terms = []
-        for j in series.supported_indices(k):
-            mag = abs(series.coefficient(j))
-            if mag:
-                terms.append(mag * _power(r, j))
-        out.append(fsum(terms) if terms else 0.0)
-    return out
+    r = series._check_point(point, radius=True)
+    blocks = [[abs(series.constant_term())]] + [[] for _ in range(max_degree)]
+    for j, c in series.terms(range(1, max_degree + 1)):
+        mag = abs(c)
+        if mag:
+            blocks[j.degree].append(mag * _power(r, j))
+    return [fsum(b) for b in blocks]
 
 
 def probe(

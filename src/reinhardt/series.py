@@ -21,7 +21,7 @@ from math import fsum, inf, log
 
 from .multiindex import (
     MultiIndex,
-    SimplexDirection,
+    as_directions,
     enumerate_degree,
     nearest_index_of_degree,
 )
@@ -37,19 +37,12 @@ __all__ = [
     "SupportWeighted",
 ]
 
-_DISTINCT_TOL = 1e-10
-
-
 class DimensionMismatch(ValueError):
     """Index or component dimension does not match the series dimension."""
 
 
 def _as_multiindex(value) -> MultiIndex:
     return value if isinstance(value, MultiIndex) else MultiIndex(tuple(value))
-
-
-def _as_direction(value) -> SimplexDirection:
-    return value if isinstance(value, SimplexDirection) else SimplexDirection(tuple(value))
 
 
 def _complex_to_json(c: complex) -> list[float]:
@@ -236,20 +229,10 @@ class SupportWeighted(CoefficientRule):
     kind = "support_weighted"
 
     def __init__(self, directions, values, per_row: int, base: int = 8, stride: int = 1):
-        directions = tuple(_as_direction(d) for d in directions)
+        directions = as_directions(directions)
         values = tuple(float(v) for v in values)
-        if not directions:
-            raise ValueError("support-weighted rule needs at least one direction")
         if len(directions) != len(values):
             raise ValueError("directions and values must have equal length")
-        dim = directions[0].dimension
-        for d in directions:
-            if d.dimension != dim:
-                raise DimensionMismatch("support directions have mixed dimensions")
-        for i in range(len(directions)):
-            for j in range(i):
-                if directions[i].l1_distance(directions[j]) <= _DISTINCT_TOL:
-                    raise ValueError("support directions must be pairwise distinct")
         for v in values:
             if not math.isfinite(v):
                 raise ValueError("support weights must be finite")
@@ -447,16 +430,23 @@ class SeriesSpec:
             )
         return index
 
-    def _check_point(self, point, positive=False) -> tuple[float, ...]:
+    def _check_point(self, point, radius=False, positive=False) -> tuple[float, ...]:
+        """Point of the series dimension with finite coordinates.
+
+        Log-points may have any real coordinates; radius points need
+        coordinates >= 0 and positive points coordinates > 0.
+        """
         point = tuple(float(x) for x in point)
         if len(point) != self.dimension:
             raise DimensionMismatch(
                 f"point has dimension {len(point)}, series has {self.dimension}"
             )
         for x in point:
+            if not math.isfinite(x):
+                raise ValueError("point coordinates must be finite")
             if positive and not x > 0.0:
                 raise ValueError("point coordinates must be > 0")
-            if not positive and x < 0.0:
+            if radius and x < 0.0:
                 raise ValueError("point coordinates must be >= 0")
         return point
 
@@ -479,24 +469,43 @@ class SeriesSpec:
     def supported_indices(self, degree: int):
         return self.rule.supported_indices(self.dimension, degree)
 
+    def terms(self, degrees: range):
+        """(J, c_J) for every supported J with |J| in degrees, zeros included.
+
+        Degrees come in the order given and indices in rule order within a
+        degree.  Together with log_terms this is the only truncation scan:
+        every estimator, decomposer and the probe read the coefficients
+        through it.
+        """
+        for k in degrees:
+            for j in self.supported_indices(k):
+                yield j, self.coefficient(j)
+
+    def log_terms(self, degrees: range):
+        """(J, log|c_J|/|J|) over the same scan, vanishing coefficients skipped."""
+        for k in degrees:
+            for j in self.supported_indices(k):
+                v = self.log_abs_coeff_normalized(j)
+                if v != -inf:
+                    yield j, v
+
     def partial_sum_abs(self, point, max_degree: int) -> float:
         """sum of |c_J| r^J over 0 <= |J| <= max_degree; +inf on overflow.
 
         Accumulated with exact summation, so the value depends only on the
         multiset of terms, not on enumeration order.
         """
-        r = self._check_point(point)
-        terms = [abs(self.constant_term())]
-        for k in range(1, max_degree + 1):
-            for j in self.supported_indices(k):
-                mag = abs(self.rule.coefficient(j))
-                if mag == 0.0:
-                    continue
-                t = mag * _power(r, j)
-                if math.isinf(t):
-                    return inf
-                terms.append(t)
-        return fsum(terms)
+        r = self._check_point(point, radius=True)
+        parts = [abs(self.constant_term())]
+        for j, c in self.terms(range(1, max_degree + 1)):
+            mag = abs(c)
+            if mag == 0.0:
+                continue
+            t = mag * _power(r, j)
+            if math.isinf(t):
+                return inf
+            parts.append(t)
+        return fsum(parts)
 
     def slice_coefficients(self, point, max_degree: int) -> list[complex]:
         """a_k = sum of c_J r^J over |J| = k, for k = 0..max_degree.
@@ -505,12 +514,9 @@ class SeriesSpec:
         restricting to the ray through r and combining like powers.
         """
         r = self._check_point(point, positive=True)
-        out = [self.constant_term()]
-        for k in range(1, max_degree + 1):
-            total = 0.0j
-            for j in self.supported_indices(k):
-                total += self.rule.coefficient(j) * _power(r, j)
-            out.append(total)
+        out = [self.constant_term()] + [0.0j] * max_degree
+        for j, c in self.terms(range(1, max_degree + 1)):
+            out[j.degree] += c * _power(r, j)
         return out
 
     def to_json(self) -> dict:

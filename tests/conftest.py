@@ -18,6 +18,7 @@ from reinhardt import (
     RayGeometric,
     SeriesSpec,
     SumRule,
+    enumerate_degree,
     uniform_directions_2d,
 )
 
@@ -88,6 +89,19 @@ def coeff_table(series, max_degree):
             if c != 0:
                 out[j] = c
     return out
+
+
+def brute_force_coefficients(series, degrees):
+    """Every lattice index of the degrees with its coefficient, off the rule.
+
+    Scans the whole lattice shell instead of the rule's supported indices, so
+    it checks SeriesSpec.terms/log_terms without sharing their enumeration.
+    """
+    return {
+        j: series.rule.coefficient(j)
+        for k in degrees
+        for j in enumerate_degree(series.dimension, k)
+    }
 
 
 def vertex_support_oracle(rows, objective):

@@ -242,3 +242,22 @@ def test_probe_deterministic_bytes(capsys, files):
     _, b = run(capsys, ["probe", files["f0"], "--point", "0.8", "0.8"])
     assert a == b
     assert json.loads(a)["result"]["class"] == "diverges"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["domain", "f0", "--grid=nan:nan:2"],
+        ["domain", "f0", "--grid=-1:1:3", "--epsilon", "nan"],
+        ["probe", "f0", "--point", "nan", "0.5"],
+        ["probe", "f0", "--point", "inf", "0.5"],
+        ["check", "f0", "--grid=0:inf:2"],
+    ],
+)
+def test_non_finite_numbers_exit_2(capsys, files, argv):
+    argv = [files[a] if a in files else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -195,3 +195,16 @@ def test_slice_consistency_with_classify(full_geom, f_zero):
                 assert rad >= 1.0 - 0.05
             elif verdict.membership is Membership.OUTSIDE:
                 assert rad <= 1.0 + 0.05
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, -math.inf), (0.0, -math.inf)])
+def test_non_finite_points_are_rejected(f_zero, point):
+    with pytest.raises(ValueError, match="finite"):
+        classify(f_zero, point)
+    with pytest.raises(ValueError, match="finite"):
+        hadamard_indicator(f_zero, point)
+
+
+def test_nan_epsilon_is_rejected(f_zero):
+    with pytest.raises(ValueError, match="epsilon"):
+        classify(f_zero, (-0.5, -0.5), epsilon=math.nan)

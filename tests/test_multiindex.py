@@ -125,3 +125,46 @@ def test_simplex_direction_validation():
         SimplexDirection((-0.1, 1.1))
     d = SimplexDirection((0.25, 0.75))
     assert d.l1_distance(SimplexDirection((0.75, 0.25))) == pytest.approx(1.0)
+
+
+BAD_DIRECTION_SETS = {
+    "empty": ([], "at least one direction"),
+    "mixed_dimensions": ([(0.5, 0.5), (0.2, 0.3, 0.5)], "mixed dimensions"),
+    "within_1e-10": ([(0.5, 0.5), (0.5 + 4e-11, 0.5 - 4e-11)], "pairwise distinct"),
+}
+
+
+def _direction_entry_points():
+    from reinhardt import (
+        FullGeometric,
+        HalfSpace,
+        HDomain,
+        SampledFunction,
+        SeriesSpec,
+        SupportWeighted,
+        build_family,
+        decompose_elementary,
+        decompose_simple,
+        estimate_domain,
+        series_for_domain,
+    )
+
+    series = SeriesSpec(2, FullGeometric())
+    box = HDomain(2, (HalfSpace((1.0, 0.0), 0.0), HalfSpace((0.0, 1.0), 0.0)))
+    return {
+        "SupportWeighted": lambda d: SupportWeighted(d, [0.0] * len(d), per_row=2),
+        "SampledFunction": lambda d: SampledFunction(tuple(d), (0.0,) * len(d)),
+        "build_family": lambda d: build_family(d, per_row=2),
+        "series_for_domain": lambda d: series_for_domain(box, d, per_row=2),
+        "decompose_elementary": lambda d: decompose_elementary(series, d, 16),
+        "decompose_simple": lambda d: decompose_simple(series, box, d, 16),
+        "estimate_domain": lambda d: estimate_domain(series, d, 16),
+    }
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DIRECTION_SETS))
+@pytest.mark.parametrize("entry", sorted(_direction_entry_points()))
+def test_direction_sets_are_validated_at_every_entry_point(entry, bad):
+    directions, message = BAD_DIRECTION_SETS[bad]
+    with pytest.raises(ValueError, match=message):
+        _direction_entry_points()[entry](directions)

@@ -124,3 +124,11 @@ def test_estimator_probe_never_contradict(full_geom, ray_diag, f_zero, wedge_dom
                 assert outcome is not ProbeOutcome.DIVERGES, (series.label, s)
             if verdict.membership is Membership.OUTSIDE:
                 assert outcome is not ProbeOutcome.CONVERGES, (series.label, s)
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.5), (math.inf, 0.5)])
+def test_non_finite_probe_points_are_rejected(f_zero, point):
+    with pytest.raises(ValueError, match="finite"):
+        probe(f_zero, point)
+    with pytest.raises(ValueError, match="finite"):
+        block_sums(f_zero, point, 32)

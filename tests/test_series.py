@@ -15,6 +15,8 @@ from reinhardt import (
     SupportWeighted,
 )
 
+from conftest import brute_force_coefficients
+
 LN2 = math.log(2.0)
 
 
@@ -182,3 +184,60 @@ def test_zero_index_constant_term(full_geom, ray_diag):
     assert full_geom.constant_term() == 1.0
     assert ray_diag.constant_term() == 0.0
     assert full_geom.zero_index == MultiIndex((0, 0))
+
+
+ITERATOR_RULES = {
+    "full_geometric": FullGeometric(),
+    "ray_geometric": RayGeometric((1, 2), 1.5),
+    "explicit_table_with_zero": ExplicitTable({(1, 2): 3.0, (2, 2): 0.0, (4, 1): -2.0j}),
+    # (2, 2) is supported by all three members and cancels to zero there
+    "sum_overlapping": SumRule(
+        [FullGeometric(), RayGeometric((1, 1), 2.0), ExplicitTable({(2, 2): -5.0})]
+    ),
+    "support_weighted": SupportWeighted([(0.5, 0.5), (1.0, 0.0)], [0.3, -0.2], per_row=4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ITERATOR_RULES))
+def test_terms_and_log_terms_match_brute_force(kind):
+    series = SeriesSpec(2, ITERATOR_RULES[kind])
+    degrees = range(1, 17)
+    brute = brute_force_coefficients(series, degrees)
+    occurring = {j for j, c in brute.items() if c != 0}
+
+    terms = list(series.terms(degrees))
+    table = dict(terms)
+    assert len(table) == len(terms)  # every index once, overlaps merged
+    assert [j.degree for j, _ in terms] == sorted(j.degree for j, _ in terms)
+    assert occurring <= set(table)
+    for j, c in table.items():
+        assert c == brute[j]
+
+    logs = dict(series.log_terms(degrees))
+    assert set(logs) == occurring
+    for j, v in logs.items():
+        assert v == pytest.approx(math.log(abs(brute[j])) / j.degree, abs=1e-12)
+
+
+def test_terms_keep_supported_zeros_that_log_terms_skip():
+    table = SeriesSpec(2, ITERATOR_RULES["explicit_table_with_zero"])
+    assert dict(table.terms(range(4, 5)))[MultiIndex((2, 2))] == 0.0
+    assert MultiIndex((2, 2)) not in dict(table.log_terms(range(4, 5)))
+    summed = SeriesSpec(2, ITERATOR_RULES["sum_overlapping"])
+    assert dict(summed.terms(range(4, 5)))[MultiIndex((2, 2))] == 0.0
+    assert MultiIndex((2, 2)) not in dict(summed.log_terms(range(4, 5)))
+
+
+def test_log_terms_are_exact_for_support_weighted_rows():
+    series = SeriesSpec(2, SupportWeighted([(0.5, 0.5)], [40.0], per_row=64))
+    values = [v for _, v in series.log_terms(range(1, 72))]
+    assert len(values) == 64
+    assert all(v == -40.0 for v in values)  # exp(-40 |J|) itself underflows
+
+
+def test_points_must_be_finite(full_geom):
+    for point in [(math.nan, 0.5), (math.inf, 0.5)]:
+        with pytest.raises(ValueError, match="finite"):
+            full_geom.partial_sum_abs(point, 16)
+        with pytest.raises(ValueError):
+            full_geom.slice_coefficients(point, 16)
