@@ -107,7 +107,7 @@ def _parse_grid(spec: str, dimension: int):
         raise InputError(
             f"--grid has {len(parts)} axes but the input has dimension {dimension}"
         )
-    axes = []
+    specs = []
     for p in parts:
         bits = p.split(":")
         if len(bits) != 3:
@@ -120,13 +120,14 @@ def _parse_grid(spec: str, dimension: int):
             raise InputError(f"--grid axis {p!r} needs count >= 1")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InputError(f"--grid axis {p!r} needs finite bounds")
-        if count == 1:
-            axes.append([lo])
-        else:
-            axes.append([lo + i * (hi - lo) / (count - 1) for i in range(count)])
-    total = math.prod(len(a) for a in axes)
+        specs.append((lo, hi, count))
+    total = math.prod(count for _, _, count in specs)
     if total > GRID_POINT_CAP:
         raise InputError(f"--grid would produce {total} points (cap {GRID_POINT_CAP})")
+    axes = [
+        [lo + i * (hi - lo) / (count - 1) for i in range(count)] if count > 1 else [lo]
+        for lo, hi, count in specs
+    ]
     return [tuple(p) for p in itertools.product(*axes)]
 
 
@@ -215,32 +216,16 @@ def _cmd_cfunc(args) -> int:
     return 0
 
 
-def _cmd_support(args) -> int:
-    domain = _load(args.domain, HDomain)
+def _cmd_direction_value(args) -> int:
+    """support and envelope: a file-backed function evaluated at one direction."""
+    source = _load(args.source, args.file_type)
     alpha = _direction_from_flag(args.direction, "--direction")
-    value = support_value(domain, alpha)
     _emit(
         {
-            "command": "support",
+            "command": args.command,
             "config": {},
             "direction": list(alpha.coords),
-            "value": _json_scalar(value),
-        },
-        args.out,
-    )
-    return 0
-
-
-def _cmd_envelope(args) -> int:
-    samples = _load(args.samples, SampledFunction)
-    alpha = _direction_from_flag(args.direction, "--direction")
-    value = convex_closure_value(samples, alpha)
-    _emit(
-        {
-            "command": "envelope",
-            "config": {},
-            "direction": list(alpha.coords),
-            "value": _json_scalar(value),
+            "value": _json_scalar(args.evaluate(source, alpha)),
         },
         args.out,
     )
@@ -269,7 +254,7 @@ def _telescoping_error(dec, max_degree: int) -> float:
     degrees = range(1, max_degree + 1)
 
     def table(series):
-        return {j: c for j, c in series.terms(degrees) if c != 0}
+        return {j: c for j, c, _ in series.terms(degrees) if c != 0}
 
     lhs: dict = {}
     for part in dec.parts:
@@ -319,7 +304,7 @@ def _cmd_decompose(args) -> int:
     }
     if args.mode == "elementary":
         routed = sum(len(p.series.rule.table) for p in dec.parts)
-        occurring = sum(1 for _, c in series.terms(range(1, args.degree + 1)) if c != 0)
+        occurring = sum(1 for _, c, _ in series.terms(range(1, args.degree + 1)) if c != 0)
         manifest.update(
             {
                 "offsets": [_json_scalar(p.level) for p in dec.parts],
@@ -421,17 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_cfunc)
 
-    p = sub.add_parser("support", help="support function of an H-domain")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--direction", type=float, nargs="+", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_support)
-
-    p = sub.add_parser("envelope", help="convex closure of sampled values")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--direction", type=float, nargs="+", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_envelope)
+    for name, flag, file_type, evaluate, help_text in (
+        ("support", "--domain", HDomain, support_value, "support function of an H-domain"),
+        ("envelope", "--samples", SampledFunction, convex_closure_value,
+         "convex closure of sampled values"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(flag, dest="source", required=True)
+        p.add_argument("--direction", type=float, nargs="+", required=True)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_direction_value, file_type=file_type, evaluate=evaluate)
 
     p = sub.add_parser("construct", help="realizing series for an H-domain")
     p.add_argument("--domain", required=True)

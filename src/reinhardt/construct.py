@@ -104,9 +104,9 @@ def extremal_sequence(series: SeriesSpec, alpha, max_degree: int) -> list[MultiI
     while band <= max_degree:
         radius = band_radius(series.dimension, band)
         best = None  # (-value, distance, index)
-        for j, v in series.log_terms(range(band, band + 1)):
+        for j, _, v in series.terms(range(band, band + 1)):
             dist = project(j).l1_distance(alpha)
-            if dist > radius:
+            if v == -math.inf or dist > radius:
                 continue
             key = (-v, dist, j)
             if best is None or key < best:

@@ -117,26 +117,23 @@ def decompose_elementary(
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     tables: list[dict[MultiIndex, complex]] = [{} for _ in dirs]
+    levels = [-inf] * len(dirs)
     assignment: dict[MultiIndex, int] = {}
-    for j, c in series.terms(range(1, max_degree + 1)):
+    window_start = tail_window(max_degree).start
+    for j, c, v in series.terms(range(1, max_degree + 1)):
         row = route_index(j, dirs)
         assignment[j] = row
         if c != 0:
             tables[row][j] = c
+            if j.degree >= window_start and v > levels[row]:
+                levels[row] = v
     constant = series.constant_term()
     if absorb_constant and constant != 0:
         tables[0][series.zero_index] = constant
         constant = 0.0j
 
-    window = tail_window(max_degree)
     parts = []
-    for n, alpha in enumerate(dirs):
-        level = -inf
-        for j in tables[n]:
-            if j.degree in window:
-                v = series.log_abs_coeff_normalized(j)
-                if v > level:
-                    level = v
+    for n, (alpha, level) in enumerate(zip(dirs, levels)):
         if level == -inf:
             level = inf
             halfspace = None
@@ -194,7 +191,7 @@ def decompose_simple(
         SeriesSpec(series.dimension, f_rule.row(n + 1), label=f"realizing row {n}")
         for n in range(m)
     )
-    f_tables = [dict(f.terms(range(1, max_degree + 1))) for f in f_rows]
+    f_tables = [{j: c for j, c, _ in f.terms(range(1, max_degree + 1))} for f in f_rows]
     g_rows = tuple(p.series for p in eld.parts)
 
     parts = []
@@ -249,7 +246,7 @@ def sum_domain_check(
     for p in parts:
         if p.dimension != dim:
             raise ValueError("parts have mixed dimensions")
-        for j, c in p.terms(range(1, max_degree + 1)):
+        for j, c, _ in p.terms(range(1, max_degree + 1)):
             if c == 0:
                 continue
             if j in seen:
@@ -257,7 +254,7 @@ def sum_domain_check(
             seen.add(j)
     total = SeriesSpec(dim, SumRule([p.rule for p in parts]), label="sum of parts")
 
-    tail_occupied = any(c != 0 for _, c in total.terms(tail_window(max_degree)))
+    tail_occupied = any(c != 0 for _, c, _ in total.terms(tail_window(max_degree)))
 
     points = 0
     decisive = 0

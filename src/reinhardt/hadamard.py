@@ -112,7 +112,7 @@ def hadamard_indicator(series: SeriesSpec, point, max_degree: int = DEFAULT_MAX_
         raise ValueError("max_degree must be >= 8")
     point = series._check_point(point)
     best = -inf
-    for j, v in series.log_terms(tail_window(max_degree)):
+    for j, _, v in series.terms(tail_window(max_degree)):
         t = _dot(project(j).coords, point) + v
         if t > best:
             best = t
@@ -149,7 +149,7 @@ def direction_functional(series: SeriesSpec, window: DirectionWindow) -> float:
         raise ValueError("window center dimension does not match the series")
     lo, hi = window.degree_range
     best = -inf
-    for j, v in series.log_terms(range(lo, hi + 1)):
+    for j, _, v in series.terms(range(lo, hi + 1)):
         if project(j).l1_distance(window.center) <= window.radius and v > best:
             best = v
     return inf if best == -inf else -best
@@ -173,7 +173,9 @@ def elementary_halfspace(
     collected: list[tuple[SimplexDirection, float]] = []
     entry_sums = [0] * series.dimension
     degree_sum = 0
-    for j, v in series.log_terms(tail_window(max_degree)):
+    for j, _, v in series.terms(tail_window(max_degree)):
+        if v == -inf:
+            continue
         pj = project(j)
         for prev, _ in collected:
             if prev.l1_distance(pj) > max_diameter:

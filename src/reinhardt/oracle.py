@@ -51,7 +51,7 @@ def block_sums(series: SeriesSpec, point, max_degree: int) -> list[float]:
     """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree."""
     r = series._check_point(point, radius=True)
     blocks = [[abs(series.constant_term())]] + [[] for _ in range(max_degree)]
-    for j, c in series.terms(range(1, max_degree + 1)):
+    for j, c, _ in series.terms(range(1, max_degree + 1)):
         mag = abs(c)
         if mag:
             blocks[j.degree].append(mag * _power(r, j))

@@ -7,9 +7,9 @@ support-weighted index families, and index-wise sums) so that series
 specifications serialize to JSON and command-line runs reproduce exactly.
 
 Coefficient magnitudes enter the geometry only through log|c_J| / |J|, so
-every rule reports that quantity directly wherever a closed form exists:
-exp(-|J| h) underflows to zero near |J| ~ 700/h, while -h is exact at every
-degree.
+every rule's one scan, terms, reports that quantity next to c_J, in closed
+form wherever one exists: exp(-|J| h) underflows to zero near |J| ~ 700/h,
+while -h is exact at every degree.
 """
 
 from __future__ import annotations
@@ -56,8 +56,22 @@ def _complex_from_json(value) -> complex:
     return complex(re, im)
 
 
+def _log_abs_over(c: complex, degree: int) -> float:
+    """log|c| / degree for a rule without a closed form; -inf for zero."""
+    mag = abs(c)
+    if mag == 0.0:
+        return -inf
+    if math.isinf(mag):
+        return inf
+    return log(mag) / degree
+
+
 class CoefficientRule:
-    """Total assignment of a complex coefficient to every multi-index."""
+    """Total assignment of a complex coefficient to every multi-index.
+
+    terms is the one scan; coefficient stays an independent per-index
+    reference with its own membership test.
+    """
 
     kind = "abstract"
 
@@ -67,18 +81,23 @@ class CoefficientRule:
     def coefficient(self, index: MultiIndex) -> complex:
         raise NotImplementedError
 
+    def terms(self, dimension: int, degree: int):
+        """(J, c_J, log|c_J|/|J|) for the supported J of a degree >= 1.
+
+        Indices come in lexicographic order; supported zeros carry -inf.
+        """
+        raise NotImplementedError
+
     def supported_indices(self, dimension: int, degree: int):
         """Indices of the given degree where the coefficient may be nonzero."""
-        raise NotImplementedError
+        return tuple(j for j, _, _ in self.terms(dimension, degree))
 
     def log_abs_normalized(self, index: MultiIndex) -> float:
         """log|c_J| / |J|; -inf for a vanishing coefficient."""
-        mag = abs(self.coefficient(index))
-        if mag == 0.0:
-            return -inf
-        if math.isinf(mag):
-            return inf
-        return log(mag) / index.degree
+        for j, _, v in self.terms(index.dimension, index.degree):
+            if j == index:
+                return v
+        return -inf
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -95,11 +114,8 @@ class FullGeometric(CoefficientRule):
     def coefficient(self, index: MultiIndex) -> complex:
         return 1.0 + 0.0j
 
-    def supported_indices(self, dimension: int, degree: int):
-        return enumerate_degree(dimension, degree)
-
-    def log_abs_normalized(self, index: MultiIndex) -> float:
-        return 0.0
+    def terms(self, dimension: int, degree: int):
+        return ((j, 1.0 + 0.0j, 0.0) for j in enumerate_degree(dimension, degree))
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -140,30 +156,24 @@ class RayGeometric(CoefficientRule):
                     return None
         return k if k is not None and k >= 1 else None
 
-    def coefficient(self, index: MultiIndex) -> complex:
-        k = self._multiple(index)
-        if k is None:
-            return 0.0j
+    def _value(self, k: int) -> complex:
         try:
             return self.ratio**k
         except OverflowError:
             return complex(inf, 0.0)
 
-    def log_abs_normalized(self, index: MultiIndex) -> float:
-        if self._multiple(index) is None:
-            return -inf
-        mag = abs(self.ratio)
-        if mag == 0.0:
-            return -inf
-        # log|ratio**k| / (k |J0|) collapses to a degree-free constant
-        return log(mag) / self.direction.degree
+    def coefficient(self, index: MultiIndex) -> complex:
+        k = self._multiple(index)
+        return 0.0j if k is None else self._value(k)
 
-    def supported_indices(self, dimension: int, degree: int):
-        self.check_dimension(dimension)
+    def terms(self, dimension: int, degree: int):
         q, r = divmod(degree, self.direction.degree)
         if r or q < 1:
             return ()
-        return (self.direction.scaled(q),)
+        mag = abs(self.ratio)
+        # log|ratio**q| / (q |J0|) collapses to a degree-free constant
+        v = log(mag) / self.direction.degree if mag else -inf
+        return ((self.direction.scaled(q), self._value(q), v),)
 
     def to_json(self) -> dict:
         return {
@@ -190,10 +200,11 @@ class ExplicitTable(CoefficientRule):
             items[j] = complex(c)
         self.table = items
         self._dimension = dim
-        by_degree: dict[int, list[MultiIndex]] = {}
-        for j in items:
-            by_degree.setdefault(j.degree, []).append(j)
-        self._by_degree = {k: tuple(sorted(v)) for k, v in by_degree.items()}
+        by_degree: dict[int, list] = {}
+        for j, c in sorted(items.items()):
+            if j.degree:
+                by_degree.setdefault(j.degree, []).append((j, c, _log_abs_over(c, j.degree)))
+        self._by_degree = {k: tuple(v) for k, v in by_degree.items()}
 
     def check_dimension(self, dimension: int) -> None:
         if self._dimension is not None and self._dimension != dimension:
@@ -204,7 +215,7 @@ class ExplicitTable(CoefficientRule):
     def coefficient(self, index: MultiIndex) -> complex:
         return self.table.get(index, 0.0j)
 
-    def supported_indices(self, dimension: int, degree: int):
+    def terms(self, dimension: int, degree: int):
         return self._by_degree.get(degree, ())
 
     def to_json(self) -> dict:
@@ -299,27 +310,25 @@ class SupportWeighted(CoefficientRule):
                 f"series has {dimension}"
             )
 
+    @staticmethod
+    def _value(degree: int, h: float) -> complex:
+        try:
+            return complex(math.exp(-degree * h))
+        except OverflowError:
+            return complex(inf, 0.0)
+
     def coefficient(self, index: MultiIndex) -> complex:
         slot = self.slot_of_degree(index.degree)
         if slot is None or self.index_at(*slot) != index:
             return 0.0j
-        try:
-            return complex(math.exp(-index.degree * self.values[slot[0] - 1]))
-        except OverflowError:
-            return complex(inf, 0.0)
+        return self._value(index.degree, self.values[slot[0] - 1])
 
-    def log_abs_normalized(self, index: MultiIndex) -> float:
-        slot = self.slot_of_degree(index.degree)
-        if slot is None or self.index_at(*slot) != index:
-            return -inf
-        return -self.values[slot[0] - 1]
-
-    def supported_indices(self, dimension: int, degree: int):
-        self.check_dimension(dimension)
+    def terms(self, dimension: int, degree: int):
         slot = self.slot_of_degree(degree)
         if slot is None:
             return ()
-        return (self.index_at(*slot),)
+        h = self.values[slot[0] - 1]
+        return ((self.index_at(*slot), self._value(degree, h), -h),)
 
     def to_json(self) -> dict:
         dirs = [list(d.coords) for d in self.directions]
@@ -356,11 +365,26 @@ class SumRule(CoefficientRule):
     def coefficient(self, index: MultiIndex) -> complex:
         return sum((m.coefficient(index) for m in self.members), 0.0j)
 
-    def supported_indices(self, dimension: int, degree: int):
-        seen: set[MultiIndex] = set()
+    def terms(self, dimension: int, degree: int):
+        """Member blocks merged by index, coefficients summed as coefficient does.
+
+        An index where exactly one member has a log above -inf keeps that
+        member's log; log|sum|/|J| is used only where two or more are nonzero.
+        """
+        merged: dict[MultiIndex, list] = {}
         for m in self.members:
-            seen.update(m.supported_indices(dimension, degree))
-        return tuple(sorted(seen))
+            for j, c, v in m.terms(dimension, degree):
+                entry = merged.setdefault(j, [0.0j, -inf, 0])
+                entry[0] += c
+                if v != -inf:
+                    entry[1] = v
+                    entry[2] += 1
+        # a list, not tuple(generator): growing tuples by resizing fills the
+        # interpreter's per-size tuple free lists and raises peak memory
+        return [
+            (j, c, v if n < 2 else _log_abs_over(c, degree))
+            for j, (c, v, n) in sorted(merged.items(), key=lambda item: item[0].entries)
+        ]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "members": [m.to_json() for m in self.members]}
@@ -470,24 +494,15 @@ class SeriesSpec:
         return self.rule.supported_indices(self.dimension, degree)
 
     def terms(self, degrees: range):
-        """(J, c_J) for every supported J with |J| in degrees, zeros included.
+        """(J, c_J, log|c_J|/|J|) for every supported J with |J| in degrees.
 
-        Degrees come in the order given and indices in rule order within a
-        degree.  Together with log_terms this is the only truncation scan:
-        every estimator, decomposer and the probe read the coefficients
-        through it.
+        Supported zeros are included with log -inf.  Degrees (all >= 1) come
+        in the order given and indices in lexicographic order within a
+        degree.  This is the only truncation scan: every estimator,
+        decomposer and the probe read the coefficients through it.
         """
         for k in degrees:
-            for j in self.supported_indices(k):
-                yield j, self.coefficient(j)
-
-    def log_terms(self, degrees: range):
-        """(J, log|c_J|/|J|) over the same scan, vanishing coefficients skipped."""
-        for k in degrees:
-            for j in self.supported_indices(k):
-                v = self.log_abs_coeff_normalized(j)
-                if v != -inf:
-                    yield j, v
+            yield from self.rule.terms(self.dimension, k)
 
     def partial_sum_abs(self, point, max_degree: int) -> float:
         """sum of |c_J| r^J over 0 <= |J| <= max_degree; +inf on overflow.
@@ -497,7 +512,7 @@ class SeriesSpec:
         """
         r = self._check_point(point, radius=True)
         parts = [abs(self.constant_term())]
-        for j, c in self.terms(range(1, max_degree + 1)):
+        for j, c, _ in self.terms(range(1, max_degree + 1)):
             mag = abs(c)
             if mag == 0.0:
                 continue
@@ -515,7 +530,7 @@ class SeriesSpec:
         """
         r = self._check_point(point, positive=True)
         out = [self.constant_term()] + [0.0j] * max_degree
-        for j, c in self.terms(range(1, max_degree + 1)):
+        for j, c, _ in self.terms(range(1, max_degree + 1)):
             out[j.degree] += c * _power(r, j)
         return out
 

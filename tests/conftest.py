@@ -95,7 +95,7 @@ def brute_force_coefficients(series, degrees):
     """Every lattice index of the degrees with its coefficient, off the rule.
 
     Scans the whole lattice shell instead of the rule's supported indices, so
-    it checks SeriesSpec.terms/log_terms without sharing their enumeration.
+    it checks SeriesSpec.terms without sharing its enumeration.
     """
     return {
         j: series.rule.coefficient(j)

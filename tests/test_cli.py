@@ -217,6 +217,14 @@ def test_input_errors_exit_2(tmp_path, capsys, files):
     assert "--grid" in err
 
 
+def test_grid_cap_is_checked_before_any_axis_is_built(capsys, files):
+    # 10^9 points per axis would exhaust memory if the axes were built first
+    code = main(["domain", files["full_geom"], "--grid=0:1:1000000000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{10**18} points" in err
+
+
 def test_infinite_support_exits_3(tmp_path, capsys, files):
     from reinhardt import HalfSpace, HDomain
 

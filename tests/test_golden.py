@@ -5,13 +5,12 @@ with relative paths (the domain header and the construct/decompose stdout
 embed the paths they were given) and compares its exit code, its stdout and
 every file it wrote against tests/golden/expected/<case>/.
 
-The corpus is fixed and includes known defects on purpose: the absorption in
-decompose --mode simple --domain (worst_rel_err 1.0) and the SumRule that
-loses the closed form of a support-weighted member (psi(0) = -inf).  A change
-that moves these bytes must say which and why; regenerate the expected files
-with
+The corpus is fixed and includes a known defect on purpose: the absorption
+in decompose --mode simple --domain (worst_rel_err 1.0).  A change that moves
+these bytes must say which and why; regenerate the expected files of the
+named cases, or of every case when none is named, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 import contextlib
@@ -117,14 +116,20 @@ def test_golden_bytes(name):
         assert produced[key] == expected[key], f"{name}: {key} differs"
 
 
-def regenerate() -> None:
-    shutil.rmtree(EXPECTED, ignore_errors=True)
-    for name, argv in sorted(CASES.items()):
-        for key, data in run_case(argv).items():
+def regenerate(names) -> None:
+    """Rewrite the expected files of the named cases; all of them when none is named."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case: {', '.join(unknown)}")
+    if not names:
+        shutil.rmtree(EXPECTED, ignore_errors=True)
+    for name in names or sorted(CASES):
+        shutil.rmtree(EXPECTED / name, ignore_errors=True)
+        for key, data in run_case(CASES[name]).items():
             target = EXPECTED / name / key
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(data)
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    regenerate(sys.argv[1:])

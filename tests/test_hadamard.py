@@ -11,6 +11,8 @@ from reinhardt import (
     NotElementary,
     RayGeometric,
     SeriesSpec,
+    SumRule,
+    SupportWeighted,
     classify,
     direction_functional,
     elementary_halfspace,
@@ -33,6 +35,15 @@ def test_indicator_examples(full_geom, ray_diag):
     assert hadamard_indicator(full_geom, (0.05, -3.0)) == pytest.approx(0.05, abs=1e-12)
     # every supported diagonal term contributes exactly ln2/2
     assert hadamard_indicator(ray_diag, (0.0, 0.0)) == pytest.approx(LN2 / 2, abs=1e-15)
+
+
+def test_sum_keeps_the_closed_form_log_of_a_support_weighted_member():
+    # exp(-40 |J|) is 0 at every degree of the K = 64 window; the log -40 is not
+    series = SeriesSpec(2, SumRule([SupportWeighted([(0.5, 0.5)], [40.0], per_row=64)]))
+    assert hadamard_indicator(series, (0.0, 0.0)) == -40.0
+    verdict = classify(series, (50.0, 50.0))
+    assert verdict.membership is Membership.OUTSIDE
+    assert verdict.value == 10.0
 
 
 def test_indicator_matches_max_rule_on_grid(full_geom):

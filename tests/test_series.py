@@ -13,6 +13,7 @@ from reinhardt import (
     SeriesSpec,
     SumRule,
     SupportWeighted,
+    hadamard_indicator,
 )
 
 from conftest import brute_force_coefficients
@@ -206,33 +207,65 @@ def test_terms_and_log_terms_match_brute_force(kind):
     occurring = {j for j, c in brute.items() if c != 0}
 
     terms = list(series.terms(degrees))
-    table = dict(terms)
+    table = {j: (c, v) for j, c, v in terms}
     assert len(table) == len(terms)  # every index once, overlaps merged
-    assert [j.degree for j, _ in terms] == sorted(j.degree for j, _ in terms)
+    assert [j for j, _, _ in terms] == sorted(table, key=lambda j: (j.degree, j.entries))
     assert occurring <= set(table)
-    for j, c in table.items():
+    assert {j for j, (_, v) in table.items() if v != -math.inf} == occurring
+    for j, (c, v) in table.items():
         assert c == brute[j]
+        assert series.log_abs_coeff_normalized(j) == v
+        if c == 0:
+            assert v == -math.inf
+        else:
+            assert v == pytest.approx(math.log(abs(c)) / j.degree, abs=1e-12)
+    for k in degrees:
+        assert series.supported_indices(k) == tuple(j for j in table if j.degree == k)
 
-    logs = dict(series.log_terms(degrees))
-    assert set(logs) == occurring
-    for j, v in logs.items():
-        assert v == pytest.approx(math.log(abs(brute[j])) / j.degree, abs=1e-12)
 
-
-def test_terms_keep_supported_zeros_that_log_terms_skip():
-    table = SeriesSpec(2, ITERATOR_RULES["explicit_table_with_zero"])
-    assert dict(table.terms(range(4, 5)))[MultiIndex((2, 2))] == 0.0
-    assert MultiIndex((2, 2)) not in dict(table.log_terms(range(4, 5)))
-    summed = SeriesSpec(2, ITERATOR_RULES["sum_overlapping"])
-    assert dict(summed.terms(range(4, 5)))[MultiIndex((2, 2))] == 0.0
-    assert MultiIndex((2, 2)) not in dict(summed.log_terms(range(4, 5)))
+def test_terms_give_supported_zeros_a_log_of_minus_inf():
+    for kind in ("explicit_table_with_zero", "sum_overlapping"):
+        series = SeriesSpec(2, ITERATOR_RULES[kind])
+        table = {j: (c, v) for j, c, v in series.terms(range(4, 5))}
+        assert table[MultiIndex((2, 2))] == (0.0, -math.inf)
 
 
 def test_log_terms_are_exact_for_support_weighted_rows():
-    series = SeriesSpec(2, SupportWeighted([(0.5, 0.5)], [40.0], per_row=64))
-    values = [v for _, v in series.log_terms(range(1, 72))]
-    assert len(values) == 64
-    assert all(v == -40.0 for v in values)  # exp(-40 |J|) itself underflows
+    row = SupportWeighted([(0.5, 0.5)], [40.0], per_row=64)
+    for rule in (row, SumRule([row])):
+        terms = list(SeriesSpec(2, rule).terms(range(1, 72)))
+        assert len(terms) == 64
+        assert all(v == -40.0 for _, _, v in terms)
+        # exp(-40 |J|) itself underflows to 0 from |J| = 19 on
+        assert [j.degree for j, c, _ in terms if c == 0.0] == list(range(19, 72))
+
+
+SUMMED_RULES = {
+    **ITERATOR_RULES,
+    "support_weighted_h40": SupportWeighted([(0.5, 0.5)], [40.0], per_row=64),
+}
+# at (0, 100) the h = 40 row of the two-row rule below attains the max
+PSI_POINTS = [(0.0, 0.0), (1.0, -2.0), (-3.0, 7.0), (0.25, 0.25), (50.0, 50.0), (0.0, 100.0)]
+
+
+@pytest.mark.parametrize("kind", sorted(SUMMED_RULES))
+def test_sum_of_one_rule_has_the_rules_indicator(kind):
+    rule = SUMMED_RULES[kind]
+    alone, summed = SeriesSpec(2, rule), SeriesSpec(2, SumRule([rule]))
+    for max_degree in (8, 64):
+        for s in PSI_POINTS:
+            psi = hadamard_indicator(alone, s, max_degree)
+            assert hadamard_indicator(summed, s, max_degree) == psi
+
+
+def test_sum_of_rows_has_the_max_of_their_indicators():
+    w = SupportWeighted([(0.5, 0.5), (1.0, 0.0)], [40.0, -3.0], per_row=64)
+    rows = [SeriesSpec(2, w.row(n)) for n in (1, 2)]
+    summed = SeriesSpec(2, SumRule([w.row(1), w.row(2)]))
+    for s in PSI_POINTS:
+        best = max(hadamard_indicator(r, s, 64) for r in rows)
+        assert hadamard_indicator(summed, s, 64) == best
+        assert best == hadamard_indicator(SeriesSpec(2, w), s, 64)
 
 
 def test_points_must_be_finite(full_geom):
