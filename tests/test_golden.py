@@ -37,6 +37,8 @@ CASES = {
     "domain_g3": ["domain", "g3.json", "--grid=-1:1:3", "-K", "32"],
     "domain_wedge_real": ["domain", "wedge_real.json", "--grid=-1:1:5"],
     "domain_sw40": ["domain", "sw40.json", "--grid=0:50:2"],
+    "domain_g3_k48": ["domain", "g3.json", "--grid=-1:0.4:3", "-K", "48"],
+    "domain_poly_empty_window": ["domain", "poly.json", "--grid=-1:1:3"],
     "check_f0": ["check", "f0.json", "--grid=-1:1:3"],
     "check_g3": ["check", "g3.json", "--grid=-1:1:3", "-K", "32"],
     "check_wedge_real": ["check", "wedge_real.json", "--grid=-1:1:3", "--epsilon", "0.1"],
