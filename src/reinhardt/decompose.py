@@ -164,6 +164,11 @@ class SimpleDecomposition:
     truncation: int
 
 
+def _scaled(c: complex, t: float) -> complex:
+    """c * t, except that an overflowed inf + 0j scales to inf + 0j, not inf + nanj."""
+    return c * t if abs(c) < inf else complex(c.real * t, c.imag * t)
+
+
 def decompose_simple(
     series: SeriesSpec,
     domain: HDomain,
@@ -199,13 +204,13 @@ def decompose_simple(
         combined = dict(eld.parts[n].series.rule.table)
         scale = 1.0 / (n + 1)
         for j, c in f_tables[n].items():
-            combined[j] = combined.get(j, 0.0j) + c * scale
+            combined[j] = combined.get(j, 0.0j) + _scaled(c, scale)
         if n == 0:
             rule = ExplicitTable(combined)
             wedge = None
         else:
             prev_scale = 1.0 / n
-            negated = {j: -c * prev_scale for j, c in f_tables[n - 1].items()}
+            negated = {j: _scaled(-c, prev_scale) for j, c in f_tables[n - 1].items()}
             rule = SumRule([ExplicitTable(combined), ExplicitTable(negated)])
             wedge = (halfspaces[n], halfspaces[n - 1])
         part_series = SeriesSpec(series.dimension, rule, label=f"wedge part {n}")

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from math import inf
 
+import numpy as np
+
 from .convex import HalfSpace
 from .multiindex import SimplexDirection, as_direction, project
 from .series import SeriesSpec
@@ -97,26 +99,26 @@ def tail_window(max_degree: int) -> range:
     return range((max_degree + 1) // 2, max_degree + 1)
 
 
-def _dot(coords, point) -> float:
-    return sum(a * x for a, x in zip(coords, point))
-
-
 def hadamard_indicator(series: SeriesSpec, point, max_degree: int = DEFAULT_MAX_DEGREE) -> float:
     """Tail-window maximum of <J/|J|, s> + log|c_J|/|J| over supported J.
 
     Negative values witness absolute convergence of the series at
     exp(point), positive values divergence.  -inf means the rule has no
     surviving coefficient in the window (a polynomial at this truncation).
+
+    Evaluated on the series' memoized log_table of the window: the inner
+    products accumulate column by column, left to right from 0.0, exactly
+    as a per-term loop would, and the maximum skips NaN terms as that
+    loop's comparison did.
     """
     if max_degree < 8:
         raise ValueError("max_degree must be >= 8")
     point = series._check_point(point)
-    best = -inf
-    for j, _, v in series.terms(tail_window(max_degree)):
-        t = _dot(project(j).coords, point) + v
-        if t > best:
-            best = t
-    return best
+    projections, logs = series.log_table(tail_window(max_degree))
+    acc = 0.0 + projections[0] * point[0]
+    for row, x in zip(projections[1:], point[1:]):
+        acc = acc + row * x
+    return float(np.fmax.reduce(acc + logs, initial=-inf))
 
 
 def classify(

@@ -14,10 +14,13 @@ while -h is exact at every degree.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum, inf, log
+
+import numpy as np
 
 from .multiindex import (
     MultiIndex,
@@ -47,6 +50,14 @@ def _as_multiindex(value) -> MultiIndex:
 
 def _complex_to_json(c: complex) -> list[float]:
     return [c.real, c.imag]
+
+
+def _no_nan(c) -> complex:
+    """c as a complex; NaN parts are rejected, +-inf (overflow) is kept."""
+    c = complex(c)
+    if cmath.isnan(c):
+        raise ValueError(f"coefficient {c} has a NaN component")
+    return c
 
 
 def _complex_from_json(value) -> complex:
@@ -131,7 +142,7 @@ class RayGeometric(CoefficientRule):
         if direction.degree == 0:
             raise ValueError("ray direction must be a nonzero multi-index")
         self.direction = direction
-        self.ratio = complex(ratio)
+        self.ratio = _no_nan(ratio)
 
     def check_dimension(self, dimension: int) -> None:
         if self.direction.dimension != dimension:
@@ -197,7 +208,7 @@ class ExplicitTable(CoefficientRule):
                 dim = j.dimension
             elif j.dimension != dim:
                 raise DimensionMismatch("table indices have mixed dimensions")
-            items[j] = complex(c)
+            items[j] = _no_nan(c)
         self.table = items
         self._dimension = dim
         by_degree: dict[int, list] = {}
@@ -440,6 +451,7 @@ class SeriesSpec:
     dimension: int
     rule: CoefficientRule
     label: str = ""
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -503,6 +515,23 @@ class SeriesSpec:
         """
         for k in degrees:
             yield from self.rule.terms(self.dimension, k)
+
+    def log_table(self, degrees: range):
+        """The terms scan as read-only arrays (projections, logs), built once.
+
+        projections is N x M with column J / |J|, rounded exactly as project
+        rounds it; logs holds the M matching log|c_J|/|J|.  Memoized per
+        degree range for the lifetime of this series.
+        """
+        table = self._tables.get(degrees)
+        if table is None:
+            rows = [(j.entries, v) for j, _, v in self.terms(degrees)]
+            entries = np.array([e for e, _ in rows], dtype=np.int64).reshape(-1, self.dimension)
+            projections = (entries / entries.sum(axis=1, keepdims=True)).T.copy()
+            logs = np.array([v for _, v in rows], dtype=np.float64)
+            projections.flags.writeable = logs.flags.writeable = False
+            table = self._tables[degrees] = (projections, logs)
+        return table
 
     def partial_sum_abs(self, point, max_degree: int) -> float:
         """sum of |c_J| r^J over 0 <= |J| <= max_degree; +inf on overflow.

@@ -19,8 +19,10 @@ from reinhardt import (
     SeriesSpec,
     SumRule,
     enumerate_degree,
+    project,
     uniform_directions_2d,
 )
+from reinhardt.hadamard import tail_window
 
 LN2 = math.log(2.0)
 
@@ -102,6 +104,24 @@ def brute_force_coefficients(series, degrees):
         for k in degrees
         for j in enumerate_degree(series.dimension, k)
     }
+
+
+def brute_force_indicator(series, point, max_degree):
+    """Tail-window maximum of <J/|J|, s> + log|c_J|/|J|, one term at a time.
+
+    The per-term loop that the array kernel replaced: each inner product is
+    summed left to right from 0.0, and the strict comparison skips NaN terms.
+    """
+    point = tuple(float(x) for x in point)
+    best = -math.inf
+    for j, _, v in series.terms(tail_window(max_degree)):
+        acc = 0.0
+        for a, x in zip(project(j).coords, point):
+            acc = acc + a * x
+        t = acc + v
+        if t > best:
+            best = t
+    return best
 
 
 def vertex_support_oracle(rows, objective):

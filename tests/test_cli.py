@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -269,3 +270,20 @@ def test_non_finite_numbers_exit_2(capsys, files, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        {"kind": "ray_geometric", "direction": [1, 1], "ratio": [math.nan, 0.0]},
+        {"kind": "explicit_table", "indices": [[1, 0], [4, 4]], "values": [1.0, math.nan]},
+    ],
+)
+def test_nan_coefficients_exit_2(capsys, tmp_path, rule):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"dimension": 2, "rule": rule}))  # json writes NaN
+    code = main(["domain", str(path), "--grid=0:0:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "NaN" in captured.err

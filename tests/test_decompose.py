@@ -1,9 +1,12 @@
+import cmath
 import math
 
 import pytest
 
 from reinhardt import (
     ExplicitTable,
+    HalfSpace,
+    HDomain,
     MultiIndex,
     NeedTwoDirections,
     SeriesSpec,
@@ -202,3 +205,19 @@ def test_estimate_domain_recovers_the_wedge(f_zero, wedge_domain):
         assert abs(
             support_value(estimated, alpha) - support_value(wedge_domain, alpha)
         ) <= 0.05
+
+
+def test_overflowed_wedge_entries_stay_free_of_nan(f_zero):
+    # offsets -30 overflow exp(30 |J|) in the realizing rows to inf + 0j
+    domain = HDomain(2, (HalfSpace((1.0, 0.0), -30.0), HalfSpace((0.0, 1.0), -30.0)))
+    dec = decompose_simple(f_zero, domain, uniform_directions_2d(5), 64)
+    values = [
+        c
+        for part in dec.parts
+        for member in getattr(part.series.rule, "members", (part.series.rule,))
+        for c in member.table.values()
+    ]
+    assert any(cmath.isinf(c) for c in values)
+    assert not any(cmath.isnan(c) for c in values)
+    for part in dec.parts:
+        assert SeriesSpec.from_json(part.series.to_json()).to_json() == part.series.to_json()

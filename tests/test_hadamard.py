@@ -19,7 +19,9 @@ from reinhardt import (
     hadamard_indicator,
     slice_radius,
 )
-from conftest import LN2
+from reinhardt.hadamard import tail_window
+from reinhardt.multiindex import degree_count
+from conftest import LN2, brute_force_indicator
 
 INF = math.inf
 
@@ -219,3 +221,79 @@ def test_non_finite_points_are_rejected(f_zero, point):
 def test_nan_epsilon_is_rejected(f_zero):
     with pytest.raises(ValueError, match="epsilon"):
         classify(f_zero, (-0.5, -0.5), epsilon=math.nan)
+
+
+def _index(degree, dimension, lead=0):
+    """A degree-`degree` index with its bulk on coordinate `lead`."""
+    entries = [1] * dimension
+    entries[lead % dimension] = degree - (dimension - 1)
+    return tuple(entries)
+
+
+def _differential_rules(n):
+    """Every rule kind at dimension n, with the edge values the kernel must keep."""
+    diag, axis = (1.0 / n,) * n, (1.0,) + (0.0,) * (n - 1)
+    ray = tuple(range(1, n + 1))
+    table = {
+        _index(d, n, d): c
+        for d, c in [(3, 1.5), (5, 3.0), (6, 0.0), (9, -2.0j), (40, 0.0), (100, 7.0)]
+    }
+    sw_dirs, sw_values = ((diag, axis), (0.3, -0.2)) if n > 1 else ((axis,), (0.3,))
+    weighted = SupportWeighted(sw_dirs, sw_values, per_row=80, base=4)
+    return {
+        "full_geometric": FullGeometric(),
+        "ray_geometric": RayGeometric(ray, 1.5 - 0.5j),
+        "ray_geometric_zero_ratio": RayGeometric(ray, 0.0),
+        "explicit_table_with_zeros": ExplicitTable(table),
+        "explicit_table_with_inf": ExplicitTable({**table, _index(6, n, 1): INF}),
+        "explicit_table_empty_window": ExplicitTable({_index(3, n): 2.0, (0,) * n: 1.0}),
+        "support_weighted": weighted,
+        "support_weighted_h0": SupportWeighted([diag], [0.0], per_row=130, base=1),
+        "sum_dense": SumRule([FullGeometric(), RayGeometric((1,) * n, 2.0), ExplicitTable(table)]),
+        # the opposite infinities cancel to a NaN log, which the maximum skips
+        "sum_nan_log": SumRule(
+            [weighted, ExplicitTable({_index(6, n): INF}), ExplicitTable({_index(6, n): -INF})]
+        ),
+    }
+
+
+DENSE = {"full_geometric", "sum_dense"}
+DIFFERENTIAL_DEGREES = (8, 9, 64, 128)
+
+
+def _differential_points(n):
+    rng = random.Random(n)
+    values = [-0.0, 0.0, 1e300, -1e300, 0.3, -2.5, 7.0]
+    points = [(-0.0,) * n, (0.0,) * n, (1e300,) * n, (-1e300,) * n]
+    points.append(tuple((1e300, -1e300, -0.0)[i % 3] for i in range(n)))
+    points += [tuple(rng.choice(values) for _ in range(n)) for _ in range(3)]
+    points += [tuple(rng.uniform(-3.0, 3.0) for _ in range(n)) for _ in range(2)]
+    return points
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", sorted(_differential_rules(1)))
+def test_indicator_matches_the_per_term_loop_bit_for_bit(kind, n):
+    series = SeriesSpec(n, _differential_rules(n)[kind])
+    for max_degree in DIFFERENTIAL_DEGREES:
+        # the dense rules visit every lattice index; cap the brute-force work
+        if kind in DENSE and degree_count(n + 1, max_degree) > 50_000:
+            continue
+        for s in _differential_points(n):
+            want = brute_force_indicator(series, s, max_degree)
+            got = hadamard_indicator(series, s, max_degree)
+            assert type(got) is float
+            assert got == want, (max_degree, s)
+            assert math.copysign(1.0, got) == math.copysign(1.0, want), (max_degree, s)
+
+
+def test_differential_rules_reach_their_edge_values():
+    series = {kind: SeriesSpec(2, rule) for kind, rule in _differential_rules(2).items()}
+    logs = {kind: s.log_table(tail_window(8))[1] for kind, s in series.items()}
+    assert -INF in logs["ray_geometric_zero_ratio"]
+    assert -INF in logs["explicit_table_with_zeros"] and INF in logs["explicit_table_with_inf"]
+    assert len(logs["explicit_table_empty_window"]) == 0
+    assert all(math.copysign(1.0, v) == -1.0 and v == 0.0 for v in logs["support_weighted_h0"])
+    assert any(math.isnan(v) for v in logs["sum_nan_log"])
+    assert hadamard_indicator(series["explicit_table_with_inf"], (0.0, 0.0), 8) == INF
+    assert hadamard_indicator(series["explicit_table_empty_window"], (0.0, 0.0), 8) == -INF

@@ -1,0 +1,75 @@
+"""Property tests for the exact identities of the tail-window indicator.
+
+The projections J/|J| sum to 1 and are non-negative, so psi-hat commutes
+with translation along (1, ..., 1) and is monotone in every coordinate; the
+full geometric series is symmetric under permuting the coordinates.
+Examples are derandomized, so every run draws the same cases.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reinhardt import (
+    ExplicitTable,
+    FullGeometric,
+    RayGeometric,
+    SeriesSpec,
+    SumRule,
+    SupportWeighted,
+    hadamard_indicator,
+)
+
+K = 32
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+SERIES = {
+    "f0": SeriesSpec(2, SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])),
+    "g3": SeriesSpec(3, FullGeometric()),
+    "ray3": SeriesSpec(3, RayGeometric((1, 2, 1), -0.5 + 2.0j)),
+    "weighted2": SeriesSpec(
+        2, SupportWeighted([(0.5, 0.5), (1.0, 0.0), (0.2, 0.8)], [0.3, -0.2, 40.0], per_row=16)
+    ),
+    "table3": SeriesSpec(3, ExplicitTable({(20, 1, 2): 3.0, (5, 5, 6): -1e-8j, (0, 0, 30): 0.5})),
+}
+
+coordinate = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+
+
+def points(n):
+    return st.tuples(*[coordinate] * n)
+
+
+@st.composite
+def series_and_point(draw):
+    name = draw(st.sampled_from(sorted(SERIES)))
+    series = SERIES[name]
+    return series, draw(points(series.dimension))
+
+
+@PROPERTY_SETTINGS
+@given(series_and_point(), coordinate)
+def test_translation_covariance(case, t):
+    series, s = case
+    shifted = tuple(x + t for x in s)
+    psi, psi_shifted = hadamard_indicator(series, s, K), hadamard_indicator(series, shifted, K)
+    tolerance = 1e-12 * (1.0 + abs(t) + max(abs(x) for x in s))
+    assert abs(psi_shifted - (psi + t)) <= tolerance
+
+
+@PROPERTY_SETTINGS
+@given(series_and_point(), st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=3, max_size=3))
+def test_monotone_in_every_coordinate(case, steps):
+    series, s = case
+    larger = tuple(x + d for x, d in zip(s, steps))
+    assert hadamard_indicator(series, s, K) <= hadamard_indicator(series, larger, K)
+
+
+@PROPERTY_SETTINGS
+@given(points(3))
+def test_full_geometric_is_symmetric_under_permutations(s):
+    psi = hadamard_indicator(SERIES["g3"], s, K)
+    tolerance = 1e-12 * (1.0 + max(abs(x) for x in s))
+    for perm in itertools.permutations(s):
+        assert abs(hadamard_indicator(SERIES["g3"], perm, K) - psi) <= tolerance

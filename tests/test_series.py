@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 
 import pytest
 
@@ -13,8 +15,10 @@ from reinhardt import (
     SeriesSpec,
     SumRule,
     SupportWeighted,
+    classify,
     hadamard_indicator,
 )
+from reinhardt.hadamard import tail_window
 
 from conftest import brute_force_coefficients
 
@@ -274,3 +278,80 @@ def test_points_must_be_finite(full_geom):
             full_geom.partial_sum_abs(point, 16)
         with pytest.raises(ValueError):
             full_geom.slice_coefficients(point, 16)
+
+
+def _counting_terms(monkeypatch, rule):
+    calls = []
+    original = rule.terms
+
+    def terms(dimension, degree):
+        calls.append(degree)
+        return original(dimension, degree)
+
+    monkeypatch.setattr(rule, "terms", terms)
+    return calls
+
+
+def test_log_table_is_built_once_per_series_and_window(monkeypatch):
+    rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
+    series = SeriesSpec(2, rule, "f0")
+    before = (repr(series), series.to_json())
+    calls = _counting_terms(monkeypatch, rule)
+
+    first = classify(series, (0.1, -0.2), max_degree=16)
+    assert len(calls) == len(tail_window(16))
+    calls.clear()
+    assert classify(series, (0.1, -0.2), max_degree=16) == first
+    classify(series, (-1.0, 0.5), max_degree=16)
+    assert calls == []
+
+    classify(series, (0.1, -0.2), max_degree=32)
+    assert calls == list(tail_window(32))
+    assert series.log_table(tail_window(32)) is series.log_table(tail_window(32))
+    assert series.log_table(tail_window(32)) is not series.log_table(tail_window(16))
+
+    calls.clear()
+    other = SeriesSpec(2, rule, "f0")
+    assert classify(other, (0.1, -0.2), max_degree=16) == first
+    assert calls == list(tail_window(16))
+
+    assert (repr(series), series.to_json()) == before
+    assert "_tables" not in repr(series)
+    ref = weakref.ref(series)
+    del series
+    gc.collect()
+    assert ref() is None
+
+
+def test_log_table_arrays_are_read_only(full_geom):
+    projections, logs = full_geom.log_table(tail_window(8))
+    assert projections.shape == (2, len(logs)) == (2, sum(k + 1 for k in tail_window(8)))
+    for a in (projections, logs):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExplicitTable({(1, 0): math.nan}),
+        lambda: ExplicitTable({(1, 0): 1.0, (0, 2): complex(0.0, math.nan)}),
+        lambda: RayGeometric((1, 1), math.nan),
+        lambda: RayGeometric((1, 1), complex(2.0, math.nan)),
+        lambda: SeriesSpec.from_json(
+            {"dimension": 2, "rule": {"kind": "ray_geometric", "direction": [1, 1],
+                                      "ratio": [math.nan, 0.0]}}
+        ),
+    ],
+)
+def test_nan_coefficients_are_rejected(make):
+    with pytest.raises(ValueError, match="NaN"):
+        make()
+
+
+def test_infinite_coefficients_stay_accepted():
+    # +-inf encodes an overflowed coefficient
+    table = SeriesSpec(2, ExplicitTable({(4, 4): math.inf, (2, 6): -math.inf}))
+    assert hadamard_indicator(table, (0.0, 0.0), 8) == math.inf
+    ray = SeriesSpec(2, RayGeometric((1, 1), complex(math.inf, 0.0)))
+    assert hadamard_indicator(ray, (-5.0, -5.0), 8) == math.inf
