@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
+# Phase one declares the region empty when the artificials it cannot drive
+# out still sum to more than FEASIBILITY_TOL times their sum at the start,
+# which is the sum of |rhs| over the rows with a negative right-hand side.
 FEASIBILITY_TOL = 1e-7
 MAX_DIMENSION = 16
 MAX_CONSTRAINTS = 10_000
@@ -178,59 +181,67 @@ class LpResult:
     value: float
     witness: Optional[np.ndarray]
     status: str  # "optimal" | "unbounded" | "infeasible"
+    phase1_pivots: int = 0  # driving basic artificials out included
+    phase2_pivots: int = 0
 
 
-def _pivot(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int):
+def _pivot(T: np.ndarray, rhs: np.ndarray, basis: list, row: int, col: int):
+    """Pivot on (row, col) as one rank-1 update over the pivot row's nonzeros.
+
+    Each entry gets the multiply and subtract of a per-row sweep, and rows
+    with a zero in the pivot column stay untouched, as in that sweep.  The
+    columns skipped could only flip the sign of a zero in T, which no
+    decision reads; rhs and the witness stay exact.
+    """
     piv = T[row, col]
-    T[row] /= piv
-    rhs[row] /= piv
-    for i in range(T.shape[0]):
-        if i == row:
-            continue
-        f = T[i, col]
-        if f != 0.0:
-            T[i] -= f * T[row]
-            rhs[i] -= f * rhs[row]
+    prow = T[row]
+    prow /= piv
+    r = rhs[row] / piv
+    rhs[row] = r
+    f = T[:, col].copy()
+    f[row] = 0.0
+    live = f != 0.0
+    cols = prow.nonzero()[0]
+    block = T.take(cols, axis=1)
+    np.subtract(block, np.multiply.outer(f, block[row]), out=block, where=live[:, None])
+    T[:, cols] = block
+    np.subtract(rhs, f * r, out=rhs, where=live)
     basis[row] = col
 
 
 def _simplex_min(T, rhs, basis, cost, allowed):
     """Minimize cost over the current basic feasible system with Bland's rule.
 
-    Returns (objective value, status); status is "optimal" or "unbounded".
+    Returns (status, pivots), status "optimal" or "unbounded".  The reduced
+    costs live in the last row of T; basic columns are exact unit vectors, so
+    pricing reads only the rows with a nonzero basic cost.
     """
-    m = rhs.size
-    red = cost.astype(float).copy()
-    for i in range(m):
-        c = red[basis[i]]
-        if c != 0.0:
-            red -= c * T[i]
-    for _ in range(_ITERATION_CAP):
-        enter = -1
-        for j in range(allowed):
-            if red[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            value = float(sum(cost[basis[i]] * rhs[i] for i in range(m)))
-            return value, "optimal"
+    red = T[-1]
+    red[:] = cost
+    costs = cost.tolist()
+    for i, b in enumerate(basis):
+        if costs[b] != 0.0:
+            red -= costs[b] * T[i]
+    reduced = red[:allowed]
+    for pivots in range(_ITERATION_CAP):
+        enter = int((reduced < -PIVOT_TOL).argmax())
+        if not reduced[enter] < -PIVOT_TOL:
+            return "optimal", pivots
+        col = T[:-1, enter]
+        t, b = col.tolist(), rhs.tolist()
         leave = -1
-        best = inf
-        for i in range(m):
-            t = T[i, enter]
-            if t > PIVOT_TOL:
-                ratio = rhs[i] / t
-                if ratio < best - 1e-12:
-                    best = ratio
-                    leave = i
-                elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
-                    leave = i
+        lo = hi = inf  # ratios within 1e-12 of the best tie; Bland breaks ties
+        for i in (col > PIVOT_TOL).nonzero()[0].tolist():
+            ratio = b[i] / t[i]
+            if ratio < lo:
+                lo = ratio - 1e-12
+                hi = ratio + 1e-12
+                leave = i
+            elif ratio <= hi and leave >= 0 and basis[i] < basis[leave]:
+                leave = i
         if leave < 0:
-            return math.nan, "unbounded"
+            return "unbounded", pivots
         _pivot(T, rhs, basis, leave, enter)
-        c = red[enter]
-        if c != 0.0:
-            red -= c * T[leave]
     raise ArithmeticError("simplex iteration cap exceeded")
 
 
@@ -243,6 +254,8 @@ def _constraint_rows(constraints, dimension: int):
         rows = constraints.constraint_rows()
     else:
         rows = [(tuple(float(a) for a in coeffs), float(rhs)) for coeffs, rhs in constraints]
+        if not all(math.isfinite(x) for coeffs, rhs in rows for x in (rhs, *coeffs)):
+            raise ValueError("constraint coefficients and right-hand sides must be finite")
     for coeffs, _ in rows:
         if len(coeffs) != dimension:
             raise ValueError("constraint row dimension mismatch")
@@ -256,17 +269,21 @@ def lp_maximize(objective: Sequence[float], constraints) -> LpResult:
     slack per row.  Rows whose right-hand side is negative receive a phase-one
     artificial.  Constraints may be an HDomain or an iterable of raw
     (coefficients, rhs) pairs, which are not restricted to simplex normals.
+    A non-finite objective entry, coefficient or rhs raises ValueError.
     """
-    obj = np.asarray(tuple(float(x) for x in objective), dtype=float)
-    n = obj.size
+    coords = tuple(float(x) for x in objective)
+    n = len(coords)
     if n < 1:
         raise ValueError("objective must have at least one coordinate")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIMENSION}")
+    if not all(map(math.isfinite, coords)):
+        raise ValueError("objective entries must be finite")
     rows = _constraint_rows(constraints, n)
     m = len(rows)
     if m > MAX_CONSTRAINTS:
         raise ValueError(f"{m} constraints exceed the supported cap {MAX_CONSTRAINTS}")
+    obj = np.array(coords)
     if m == 0:
         if np.all(obj == 0.0):
             return LpResult(0.0, np.zeros(n), "optimal")
@@ -274,54 +291,49 @@ def lp_maximize(objective: Sequence[float], constraints) -> LpResult:
 
     A = np.array([coeffs for coeffs, _ in rows], dtype=float)
     rhs = np.array([c for _, c in rows], dtype=float)
-    ncols = 2 * n + m
-    T = np.zeros((m, ncols))
-    T[:, :n] = A
-    T[:, n : 2 * n] = -A
-    T[:, 2 * n :] = np.eye(m)
     flip = rhs < 0.0
-    T[flip] *= -1.0
-    rhs = np.where(flip, -rhs, rhs)
+    sign = np.where(flip, -1.0, 1.0)
+    A *= sign[:, None]
+    art = flip.nonzero()[0].tolist()
+    ncols = 2 * n + m
+    total = ncols + len(art)
+    T = np.zeros((m + 1, total))  # constraint rows, then the reduced costs
+    T[:m, :n] = A
+    T[:m, n : 2 * n] = -A
+    np.fill_diagonal(T[:m, 2 * n :], sign)
+    rhs = np.append(np.where(flip, -rhs, rhs), 0.0)
+    basis = list(range(2 * n, ncols))
+    for j, i in enumerate(art):
+        T[i, ncols + j] = 1.0
+        basis[i] = ncols + j
 
-    basis = np.full(m, -1, dtype=int)
-    art_rows = [i for i in range(m) if flip[i]]
-    for i in range(m):
-        if not flip[i]:
-            basis[i] = 2 * n + i
-    if art_rows:
-        E = np.zeros((m, len(art_rows)))
-        for j, i in enumerate(art_rows):
-            E[i, j] = 1.0
-            basis[i] = ncols + j
-        T = np.hstack([T, E])
-    total = T.shape[1]
-
-    if art_rows:
+    phase1 = 0
+    if art:
         cost1 = np.zeros(total)
         cost1[ncols:] = 1.0
-        z1, status = _simplex_min(T, rhs, basis, cost1, allowed=total)
-        if status != "optimal" or z1 > FEASIBILITY_TOL:
-            return LpResult(-inf, None, "infeasible")
-        for i in range(m):
-            if basis[i] >= ncols:
-                piv = next(
-                    (j for j in range(ncols) if abs(T[i, j]) > PIVOT_TOL), None
-                )
-                if piv is not None:
-                    _pivot(T, rhs, basis, i, piv)
+        z1_start = rhs[art].sum()
+        status, phase1 = _simplex_min(T, rhs, basis, cost1, allowed=total)
+        z1 = rhs[[i for i, b in enumerate(basis) if b >= ncols]].sum()
+        if status != "optimal" or z1 > FEASIBILITY_TOL * z1_start:
+            return LpResult(-inf, None, "infeasible", phase1)
+        for i, b in enumerate(basis):
+            if b >= ncols:
+                candidates = (np.abs(T[i, :ncols]) > PIVOT_TOL).nonzero()[0]
+                if candidates.size:
+                    _pivot(T, rhs, basis, i, int(candidates[0]))
+                    phase1 += 1
                 # otherwise the row is redundant; the artificial stays basic at 0
 
     cost2 = np.zeros(total)
     cost2[:n] = -obj
     cost2[n : 2 * n] = obj
-    _, status = _simplex_min(T, rhs, basis, cost2, allowed=ncols)
+    status, phase2 = _simplex_min(T, rhs, basis, cost2, allowed=ncols)
     if status == "unbounded":
-        return LpResult(inf, None, "unbounded")
+        return LpResult(inf, None, "unbounded", phase1, phase2)
     x = np.zeros(total)
-    for i in range(m):
-        x[basis[i]] = rhs[i]
+    x[basis] = rhs[:m]
     witness = x[:n] - x[n : 2 * n]
-    return LpResult(float(obj @ witness), witness, "optimal")
+    return LpResult(float(obj @ witness), witness, "optimal", phase1, phase2)
 
 
 def support_value(domain: HDomain, alpha) -> float:

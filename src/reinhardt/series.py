@@ -381,6 +381,7 @@ class SumRule(CoefficientRule):
 
         An index where exactly one member has a log above -inf keeps that
         member's log; log|sum|/|J| is used only where two or more are nonzero.
+        Members holding +inf and -inf at one index raise ValueError.
         """
         merged: dict[MultiIndex, list] = {}
         for m in self.members:
@@ -393,12 +394,22 @@ class SumRule(CoefficientRule):
         # a list, not tuple(generator): growing tuples by resizing fills the
         # interpreter's per-size tuple free lists and raises peak memory
         return [
-            (j, c, v if n < 2 else _log_abs_over(c, degree))
+            (j, c, v if n < 2 else _summed_log(j, c, degree))
             for j, (c, v, n) in sorted(merged.items(), key=lambda item: item[0].entries)
         ]
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "members": [m.to_json() for m in self.members]}
+
+
+def _summed_log(index: MultiIndex, c: complex, degree: int) -> float:
+    """log|c|/|J| of a sum; members holding +inf and -inf at J leave it undefined."""
+    if cmath.isnan(c):
+        raise ValueError(
+            f"sum members hold opposite infinities at index {index.entries}; "
+            "the coefficient there is undefined"
+        )
+    return _log_abs_over(c, degree)
 
 
 def _rule_from_json(data: dict) -> CoefficientRule:

@@ -1,12 +1,15 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The LP oracle enumerates basic solutions directly and never touches the
-simplex code; series-side expected values come from closed forms or raw
-enumeration of the coefficient rules.
+simplex code, and the per-row simplex that the array kernel replaced is kept
+as its bit-for-bit reference; series-side expected values come from closed
+forms or raw enumeration of the coefficient rules.
 """
 
 import math
 from itertools import combinations
+from math import inf
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -21,6 +24,15 @@ from reinhardt import (
     enumerate_degree,
     project,
     uniform_directions_2d,
+)
+from reinhardt.convex import (
+    _ITERATION_CAP,
+    FEASIBILITY_TOL,
+    MAX_CONSTRAINTS,
+    MAX_DIMENSION,
+    PIVOT_TOL,
+    LpResult,
+    _constraint_rows,
 )
 from reinhardt.hadamard import tail_window
 
@@ -122,6 +134,139 @@ def brute_force_indicator(series, point, max_degree):
         if t > best:
             best = t
     return best
+
+
+# The per-row simplex that the whole-tableau kernel in reinhardt.convex
+# replaced, kept verbatim (renamed only) as the bit-for-bit reference.
+
+
+def _reference_pivot(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int):
+    piv = T[row, col]
+    T[row] /= piv
+    rhs[row] /= piv
+    for i in range(T.shape[0]):
+        if i == row:
+            continue
+        f = T[i, col]
+        if f != 0.0:
+            T[i] -= f * T[row]
+            rhs[i] -= f * rhs[row]
+    basis[row] = col
+
+
+def _reference_simplex_min(T, rhs, basis, cost, allowed):
+    """Minimize cost over the current basic feasible system with Bland's rule.
+
+    Returns (objective value, status); status is "optimal" or "unbounded".
+    """
+    m = rhs.size
+    red = cost.astype(float).copy()
+    for i in range(m):
+        c = red[basis[i]]
+        if c != 0.0:
+            red -= c * T[i]
+    for _ in range(_ITERATION_CAP):
+        enter = -1
+        for j in range(allowed):
+            if red[j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            value = float(sum(cost[basis[i]] * rhs[i] for i in range(m)))
+            return value, "optimal"
+        leave = -1
+        best = inf
+        for i in range(m):
+            t = T[i, enter]
+            if t > PIVOT_TOL:
+                ratio = rhs[i] / t
+                if ratio < best - 1e-12:
+                    best = ratio
+                    leave = i
+                elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                    leave = i
+        if leave < 0:
+            return math.nan, "unbounded"
+        _reference_pivot(T, rhs, basis, leave, enter)
+        c = red[enter]
+        if c != 0.0:
+            red -= c * T[leave]
+    raise ArithmeticError("simplex iteration cap exceeded")
+
+
+def reference_lp_maximize(objective: Sequence[float], constraints) -> LpResult:
+    """Supremum of <objective, s> over the closed region {<a_i, s> <= c_i}.
+
+    The variables are free; internally s splits as u - v with u, v >= 0 and a
+    slack per row.  Rows whose right-hand side is negative receive a phase-one
+    artificial.  Constraints may be an HDomain or an iterable of raw
+    (coefficients, rhs) pairs, which are not restricted to simplex normals.
+    """
+    obj = np.asarray(tuple(float(x) for x in objective), dtype=float)
+    n = obj.size
+    if n < 1:
+        raise ValueError("objective must have at least one coordinate")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIMENSION}")
+    rows = _constraint_rows(constraints, n)
+    m = len(rows)
+    if m > MAX_CONSTRAINTS:
+        raise ValueError(f"{m} constraints exceed the supported cap {MAX_CONSTRAINTS}")
+    if m == 0:
+        if np.all(obj == 0.0):
+            return LpResult(0.0, np.zeros(n), "optimal")
+        return LpResult(inf, None, "unbounded")
+
+    A = np.array([coeffs for coeffs, _ in rows], dtype=float)
+    rhs = np.array([c for _, c in rows], dtype=float)
+    ncols = 2 * n + m
+    T = np.zeros((m, ncols))
+    T[:, :n] = A
+    T[:, n : 2 * n] = -A
+    T[:, 2 * n :] = np.eye(m)
+    flip = rhs < 0.0
+    T[flip] *= -1.0
+    rhs = np.where(flip, -rhs, rhs)
+
+    basis = np.full(m, -1, dtype=int)
+    art_rows = [i for i in range(m) if flip[i]]
+    for i in range(m):
+        if not flip[i]:
+            basis[i] = 2 * n + i
+    if art_rows:
+        E = np.zeros((m, len(art_rows)))
+        for j, i in enumerate(art_rows):
+            E[i, j] = 1.0
+            basis[i] = ncols + j
+        T = np.hstack([T, E])
+    total = T.shape[1]
+
+    if art_rows:
+        cost1 = np.zeros(total)
+        cost1[ncols:] = 1.0
+        z1, status = _reference_simplex_min(T, rhs, basis, cost1, allowed=total)
+        if status != "optimal" or z1 > FEASIBILITY_TOL:
+            return LpResult(-inf, None, "infeasible")
+        for i in range(m):
+            if basis[i] >= ncols:
+                piv = next(
+                    (j for j in range(ncols) if abs(T[i, j]) > PIVOT_TOL), None
+                )
+                if piv is not None:
+                    _reference_pivot(T, rhs, basis, i, piv)
+                # otherwise the row is redundant; the artificial stays basic at 0
+
+    cost2 = np.zeros(total)
+    cost2[:n] = -obj
+    cost2[n : 2 * n] = obj
+    _, status = _reference_simplex_min(T, rhs, basis, cost2, allowed=ncols)
+    if status == "unbounded":
+        return LpResult(inf, None, "unbounded")
+    x = np.zeros(total)
+    for i in range(m):
+        x[basis[i]] = rhs[i]
+    witness = x[:n] - x[n : 2 * n]
+    return LpResult(float(obj @ witness), witness, "optimal")
 
 
 def vertex_support_oracle(rows, objective):

@@ -287,3 +287,16 @@ def test_nan_coefficients_exit_2(capsys, tmp_path, rule):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "NaN" in captured.err
+
+
+def test_sum_of_opposite_infinities_exits_2(capsys, tmp_path):
+    member = {"kind": "explicit_table", "indices": [[4, 4]]}
+    rule = {"kind": "sum", "members": [{**member, "values": [[math.inf, 0.0]]},
+                                       {**member, "values": [[-math.inf, 0.0]]}]}
+    path = tmp_path / "undefined.json"
+    path.write_text(json.dumps({"dimension": 2, "rule": rule}))  # json writes Infinity
+    code = main(["domain", str(path), "--grid=0:0:1", "-K", "8"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "index (4, 4)" in captured.err

@@ -1,12 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import conftest
 from reinhardt import (
     EmptyDomain,
     HalfSpace,
     HDomain,
+    LpResult,
     SampledFunction,
     SimplexDirection,
     convex_closure_value,
@@ -15,7 +18,7 @@ from reinhardt import (
     support_value,
     uniform_directions_2d,
 )
-from conftest import LN2, grid2, vertex_support_oracle
+from conftest import LN2, grid2, reference_lp_maximize, vertex_support_oracle
 
 INF = math.inf
 
@@ -277,3 +280,144 @@ def test_sampled_function_validation():
 def test_halfspace_offset_must_be_finite():
     with pytest.raises(ValueError):
         HalfSpace((1.0, 0.0), INF)
+
+
+def _lp_cases(n, m, rng):
+    """(label, objective, rows) for one shape: bounded, unbounded, degenerate, infeasible.
+
+    Negative right-hand sides send rows through phase one; zero offsets (of
+    either sign) and repeated or doubled rows make ratios tie within 1e-12,
+    where Bland's rule decides.
+    """
+
+    def simplex_normal():
+        raw = [rng.random() + 1e-3 for _ in range(n)]
+        total = sum(raw)
+        return tuple(x / total for x in raw)
+
+    def axis(i, sign=1.0):
+        return tuple(sign if j == i else 0.0 for j in range(n))
+
+    caps = [(axis(i), rng.uniform(-1.2, 0.4)) for i in range(min(n, m))]
+    cuts = [(simplex_normal(), rng.uniform(-2.0, 1.0)) for _ in range(m - len(caps))]
+    simplex_rows = caps + cuts
+    raw_rows = [
+        (tuple(rng.uniform(-1.0, 1.0) for _ in range(n)), rng.uniform(-0.5, 2.0))
+        for _ in range(m)
+    ]
+    degenerate = []
+    for i, (a, c) in enumerate(simplex_rows):
+        c = (0.0, -0.0)[i % 2] if i % 3 == 0 else c
+        degenerate += [(a, c), (a, c), (tuple(2.0 * x for x in a), 2.0 * c)] if i % 2 else [(a, c)]
+    degenerate = degenerate[:m]
+    gap = rng.uniform(0.5, 1.5)
+    infeasible = simplex_rows + [(axis(0), -gap), (axis(0, -1.0), gap / 2)]
+    direction = simplex_normal()
+    return [
+        ("simplex", direction, simplex_rows),
+        ("simplex-axis", axis(n - 1), simplex_rows),
+        ("simplex-unbounded", (-1.0,) * n, simplex_rows),
+        ("raw", tuple(rng.uniform(-1.0, 1.0) for _ in range(n)), raw_rows),
+        ("degenerate", direction, degenerate),
+        ("signed-zero", direction, [(a, -0.0) for a, _ in simplex_rows]),
+        ("infeasible", direction, infeasible),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_lp_matches_the_per_row_simplex_bit_for_bit(n, monkeypatch):
+    pivots = []
+    pivot = conftest._reference_pivot
+
+    def counting_pivot(*args):
+        pivots.append(args[3:])
+        pivot(*args)
+
+    monkeypatch.setattr(conftest, "_reference_pivot", counting_pivot)
+    rng = random.Random(1977 + n)
+    statuses = set()
+    for m in (1, 4, 5, 20, 200):
+        for label, objective, rows in _lp_cases(n, m, rng):
+            pivots.clear()
+            want = reference_lp_maximize(objective, rows)
+            got = lp_maximize(objective, rows)
+            case = (m, label)
+            assert got.status == want.status, case
+            assert got.value == want.value, case
+            if want.witness is None:
+                assert got.witness is None, case
+            else:
+                assert got.witness.tobytes() == want.witness.tobytes(), case
+            assert got.phase1_pivots + got.phase2_pivots == len(pivots), case
+            statuses.add(got.status)
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+
+
+def test_rows_off_the_pivot_column_stay_untouched_when_the_pivot_row_overflows():
+    # 1e300 / 1.5e-9 overflows to inf in a pivot row; an update that also
+    # visited the rows with a zero multiplier would write 0 * inf = NaN there,
+    # and this LP (unbounded as z -> -inf) would read optimal
+    rows = [((1.5e-9, 1.5e-9, 1e300), 1.0), ((-1.0, 1.5e-9, 0.0), 1.0), ((0.0, 1e300, 0.0), 1e300)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_lp_maximize((0.5, 1.0, -1.0), rows)
+        got = lp_maximize((0.5, 1.0, -1.0), rows)
+    assert got.status == want.status == "unbounded"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+def test_lp_agrees_with_scipy_highs(n):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(2718 + n)
+    for m in (1, 4, 5, 20, 200):
+        for label, objective, rows in _lp_cases(n, m, rng):
+            A = np.array([a for a, _ in rows])
+            c = np.array([b for _, b in rows])
+            ref = optimize.linprog(
+                -np.asarray(objective), A_ub=A, b_ub=c, bounds=[(None, None)] * n, method="highs"
+            )
+            want = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+            got = lp_maximize(objective, rows)
+            assert got.status == want, (m, label)
+            if want == "optimal":
+                assert got.value == pytest.approx(-ref.fun, abs=1e-7 * (1.0 + abs(ref.fun)))
+
+
+@pytest.mark.parametrize(
+    "objective, rows",
+    [
+        ([1.0], [((INF,), 1.0)]),
+        ([1.0], [((1.0,), math.nan)]),
+        ([math.nan], [((1.0,), 1.0)]),
+        ([1.0, -INF], []),
+        ([0.5, 0.5], [((1.0, math.nan), 0.0), ((0.0, 1.0), 0.0)]),
+        ([0.5, 0.5], [((1.0, 0.0), 0.0), ((0.0, 1.0), -INF)]),
+    ],
+)
+def test_lp_rejects_non_finite_input(objective, rows):
+    with pytest.raises(ValueError, match="finite"):
+        lp_maximize(objective, rows)
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-8, 1e-3, 1.0, 1e8])
+def test_phase_one_tolerance_scales_with_the_data(gap):
+    # x <= 0 and x >= gap is empty at every scale
+    r = lp_maximize([1.0], [((1.0,), 0.0), ((-1.0,), -gap)])
+    assert r.status == "infeasible" and r.value == -INF
+    # x <= gap and x >= gap is the single point gap
+    r = lp_maximize([1.0], [((1.0,), gap), ((-1.0,), -gap)])
+    assert r.status == "optimal" and r.value == gap
+
+
+def test_lp_reports_pivot_counts():
+    # max x subject to x <= 1: one phase-two pivot, no phase one
+    r = lp_maximize([1.0], [((1.0,), 1.0)])
+    assert (r.value, r.phase1_pivots, r.phase2_pivots) == (1.0, 0, 1)
+    # x >= 1 puts an artificial in the basis; phase one pivots it out
+    r = lp_maximize([1.0], [((-1.0,), -1.0), ((1.0,), 2.0)])
+    assert (r.value, r.phase1_pivots, r.phase2_pivots) == (2.0, 1, 1)
+    r = lp_maximize([1.0], [((-1.0,), -1.0)])
+    assert (r.status, r.phase1_pivots, r.phase2_pivots) == ("unbounded", 1, 0)
+    r = lp_maximize([1.0], [((1.0,), 0.0), ((-1.0,), -1.0)])
+    assert (r.status, r.phase2_pivots) == ("infeasible", 0)
+    assert lp_maximize([1.0], []).phase1_pivots == 0
+    assert LpResult(0.0, None, "optimal") == LpResult(0.0, None, "optimal", 0, 0)

@@ -16,6 +16,7 @@ from reinhardt import (
     SumRule,
     SupportWeighted,
     classify,
+    decompose_elementary,
     hadamard_indicator,
 )
 from reinhardt.hadamard import tail_window
@@ -355,3 +356,26 @@ def test_infinite_coefficients_stay_accepted():
     assert hadamard_indicator(table, (0.0, 0.0), 8) == math.inf
     ray = SeriesSpec(2, RayGeometric((1, 1), complex(math.inf, 0.0)))
     assert hadamard_indicator(ray, (-5.0, -5.0), 8) == math.inf
+
+
+def _opposite_infinities():
+    # +inf + -inf at (4, 4); the other index keeps the sum well defined
+    return SeriesSpec(
+        2,
+        SumRule([ExplicitTable({(4, 4): math.inf, (10, 2): 1.0}), ExplicitTable({(4, 4): -math.inf})]),
+    )
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda series: hadamard_indicator(series, (0.0, 0.0), 8),
+        lambda series: decompose_elementary(series, [(0.5, 0.5), (1.0, 0.0)], 8),
+    ],
+    ids=["hadamard_indicator", "decompose_elementary"],
+)
+def test_sum_of_opposite_infinities_names_the_index(evaluate):
+    with pytest.raises(ValueError, match=r"opposite infinities at index \(4, 4\)"):
+        evaluate(_opposite_infinities())
+    # outside the window the undefined coefficient is never read
+    assert hadamard_indicator(_opposite_infinities(), (0.0, 0.0), 18) == 0.0
