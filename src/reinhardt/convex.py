@@ -36,9 +36,11 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
-# Phase one declares the region empty when the artificials it cannot drive
-# out still sum to more than FEASIBILITY_TOL times their sum at the start,
-# which is the sum of |rhs| over the rows with a negative right-hand side.
+# Phase one declares the region empty when the artificials left in its basis
+# sum to more than FEASIBILITY_TOL, or when one of them, as the sum
+# sum_k B^-1_ik rhs_k over the entries of B^-1 above PIVOT_TOL, exceeds
+# FEASIBILITY_TOL times sum_k |B^-1_ik| rhs_k.  A gap is thus judged against
+# the rows it is formed from, and an unrelated large row cannot hide it.
 FEASIBILITY_TOL = 1e-7
 MAX_DIMENSION = 16
 MAX_CONSTRAINTS = 10_000
@@ -311,10 +313,16 @@ def lp_maximize(objective: Sequence[float], constraints) -> LpResult:
     if art:
         cost1 = np.zeros(total)
         cost1[ncols:] = 1.0
-        z1_start = rhs[art].sum()
+        start, rhs0 = basis.copy(), rhs[:m].copy()
         status, phase1 = _simplex_min(T, rhs, basis, cost1, allowed=total)
-        z1 = rhs[[i for i, b in enumerate(basis) if b >= ncols]].sum()
-        if status != "optimal" or z1 > FEASIBILITY_TOL * z1_start:
+        left = [i for i, b in enumerate(basis) if b >= ncols]
+        empty = status != "optimal"
+        if left and not empty:
+            inv = T[np.ix_(left, start)]  # the starting basis columns now hold B^-1
+            inv[np.abs(inv) <= PIVOT_TOL] = 0.0
+            gap = inv @ rhs0 > FEASIBILITY_TOL * (np.abs(inv) @ rhs0)
+            empty = rhs[left].sum() > FEASIBILITY_TOL or bool(gap.any())
+        if empty:
             return LpResult(-inf, None, "infeasible", phase1)
         for i, b in enumerate(basis):
             if b >= ncols:

@@ -18,6 +18,7 @@ from reinhardt import (
     support_value,
     uniform_directions_2d,
 )
+from reinhardt.convex import _pivot
 from conftest import LN2, grid2, reference_lp_maximize, vertex_support_oracle
 
 INF = math.inf
@@ -353,15 +354,17 @@ def test_lp_matches_the_per_row_simplex_bit_for_bit(n, monkeypatch):
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
-def test_rows_off_the_pivot_column_stay_untouched_when_the_pivot_row_overflows():
-    # 1e300 / 1.5e-9 overflows to inf in a pivot row; an update that also
-    # visited the rows with a zero multiplier would write 0 * inf = NaN there,
-    # and this LP (unbounded as z -> -inf) would read optimal
-    rows = [((1.5e-9, 1.5e-9, 1e300), 1.0), ((-1.0, 1.5e-9, 0.0), 1.0), ((0.0, 1e300, 0.0), 1e300)]
+def test_pivot_leaves_rows_with_a_zero_multiplier_untouched():
+    # 1e300 / 2**-40 overflows to inf in the pivot row; updating the row with
+    # a zero in the pivot column as well would write 0 * inf = NaN into it
+    T = np.array([[2.0**-40, 1e300, 1.0], [0.0, 2.0, 3.0], [0.5, 1.0, 0.0]])
+    rhs = np.array([1.0, 4.0, 0.0])
+    basis = [2, 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        want = reference_lp_maximize((0.5, 1.0, -1.0), rows)
-        got = lp_maximize((0.5, 1.0, -1.0), rows)
-    assert got.status == want.status == "unbounded"
+        _pivot(T, rhs, basis, 0, 0)
+    assert T[0].tolist() == [1.0, INF, 2.0**40] and rhs[0] == 2.0**40
+    assert T[1].tolist() == [0.0, 2.0, 3.0] and rhs[1] == 4.0
+    assert basis == [0, 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
@@ -399,13 +402,42 @@ def test_lp_rejects_non_finite_input(objective, rows):
 
 
 @pytest.mark.parametrize("gap", [1e-12, 1e-8, 1e-3, 1.0, 1e8])
-def test_phase_one_tolerance_scales_with_the_data(gap):
-    # x <= 0 and x >= gap is empty at every scale
-    r = lp_maximize([1.0], [((1.0,), 0.0), ((-1.0,), -gap)])
+@pytest.mark.parametrize("far", [None, 1e-12, 1.0, 1e9, 1e15])
+def test_phase_one_tolerance_scales_with_the_data(gap, far):
+    # x <= 0 and x >= gap is empty at every scale, also beside an unrelated
+    # row y >= far that phase one must satisfy too
+    extra = [] if far is None else [((0.0, -1.0), -far)]
+    r = lp_maximize([1.0, 0.0], [((1.0, 0.0), 0.0), ((-1.0, 0.0), -gap)] + extra)
     assert r.status == "infeasible" and r.value == -INF
-    # x <= gap and x >= gap is the single point gap
-    r = lp_maximize([1.0], [((1.0,), gap), ((-1.0,), -gap)])
+    # x <= gap and x >= gap is the line x = gap
+    r = lp_maximize([1.0, 0.0], [((1.0, 0.0), gap), ((-1.0, 0.0), -gap)] + extra)
     assert r.status == "optimal" and r.value == gap
+
+
+def test_phase_one_still_rejects_a_unit_gap_between_large_rows():
+    # x <= 1e9 and x >= 1e9 + 1: the gap is 5e-10 of its rows' size, under the
+    # relative test, but more than FEASIBILITY_TOL in absolute terms
+    r = lp_maximize([1.0], [((1.0,), 1e9), ((-1.0,), -(1e9 + 1.0))])
+    assert r.status == "infeasible"
+
+
+def test_phase_one_keeps_a_thin_slab_beside_a_large_row():
+    # 0.278 z <= -9.17e-13 and -0.224 z <= 8.78e-13 leave a slab about 6e-13
+    # wide in z.  Pivoting on the 6.2e8 row leaves entries near 1e-17 in B^-1,
+    # and the artificial of the z row ends phase one holding about 7e-9, all
+    # of it roundoff; those entries must not count as rows the gap is formed
+    # from, or the region reads empty
+    rows = [
+        ((-0.15990848702324945, -0.557802575009317, 0.9689734811927504, -0.5789076268218851, 0.0),
+         -4.851844279427815e-13),
+        ((-0.9663297060562408, -0.12068058246782076, 0.0, 0.0, 0.4967072046503771),
+         -621027397.1736385),
+        ((0.0, 0.0, 0.27819463738415107, 0.0, 0.0), -9.168812866108137e-13),
+        ((0.0, 0.0, -0.2239338726989375, 0.0, 0.0), 8.776973003094308e-13),
+    ]
+    objective = (-0.3594827168887842, -0.12657699268623457, -0.16519106077345946,
+                 0.5323935948502339, 0.021585514191396538)
+    assert lp_maximize(objective, rows).status == "unbounded"
 
 
 def test_lp_reports_pivot_counts():
