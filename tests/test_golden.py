@@ -33,6 +33,8 @@ CASES = {
     "probe_f0_diverges": ["probe", "f0.json", "--point", "0.8", "0.8"],
     "probe_f0_converges": ["probe", "f0.json", "--point", "0.5", "0.5"],
     "probe_g3": ["probe", "g3.json", "--point", "0.3", "0.3", "0.3", "-K", "32"],
+    "probe_f0_overflow": ["probe", "f0.json", "--point", "40", "40"],
+    "probe_g3_overflow_zero": ["probe", "g3.json", "--point", "1e200", "1e200", "0", "-K", "32"],
     "domain_f0": ["domain", "f0.json", "--grid=-1:1:5"],
     "domain_g3": ["domain", "g3.json", "--grid=-1:1:3", "-K", "32"],
     "domain_wedge_real": ["domain", "wedge_real.json", "--grid=-1:1:5"],
