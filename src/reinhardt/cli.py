@@ -154,26 +154,26 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
-def _cmd_probe(args) -> int:
+# Each command returns its report, which main writes to --out or stdout; the
+# commands whose --out names their data (construct, decompose) report to stdout.
+
+
+def _cmd_probe(args) -> dict:
     series = _load(args.series, SeriesSpec)
     verdict = probe(series, args.point, args.degree, args.margin)
-    _emit(
-        {
-            "command": "probe",
-            "config": {"degree": args.degree, "margin": args.margin},
-            "point": list(args.point),
-            "result": {
-                "class": verdict.outcome.value,
-                "tail_ratio": _json_scalar(verdict.tail_ratio),
-                "partial": _json_scalar(verdict.partial),
-            },
+    return {
+        "command": "probe",
+        "config": {"degree": args.degree, "margin": args.margin},
+        "point": list(args.point),
+        "result": {
+            "class": verdict.outcome.value,
+            "tail_ratio": _json_scalar(verdict.tail_ratio),
+            "partial": _json_scalar(verdict.partial),
         },
-        args.out,
-    )
-    return 0
+    }
 
 
-def _cmd_domain(args) -> int:
+def _cmd_domain(args) -> list:
     series = _load(args.series, SeriesSpec)
     points = _parse_grid(args.grid, series.dimension)
     lines = [
@@ -185,11 +185,10 @@ def _cmd_domain(args) -> int:
         verdict = classify(series, p, args.degree, args.epsilon)
         coords = ",".join(repr(x) for x in p)
         lines.append(f"{coords},{verdict.membership.value},{verdict.value!r}")
-    _emit(lines, args.out)
-    return 0
+    return lines
 
 
-def _cmd_cfunc(args) -> int:
+def _cmd_cfunc(args) -> dict:
     series = _load(args.series, SeriesSpec)
     if args.directions:
         directions = _load_directions(args.directions)
@@ -212,61 +211,49 @@ def _cmd_cfunc(args) -> int:
         values.append(direction_functional(series, window))
     payload = SampledFunction(tuple(directions), tuple(values)).to_json()
     payload["config"] = {"degree": args.degree, "delta": used_delta}
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
-def _cmd_direction_value(args) -> int:
+def _cmd_direction_value(args) -> dict:
     """support and envelope: a file-backed function evaluated at one direction."""
     source = _load(args.source, args.file_type)
     alpha = _direction_from_flag(args.direction, "--direction")
-    _emit(
-        {
-            "command": args.command,
-            "config": {},
-            "direction": list(alpha.coords),
-            "value": _json_scalar(args.evaluate(source, alpha)),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "command": args.command,
+        "config": {},
+        "direction": list(alpha.coords),
+        "value": _json_scalar(args.evaluate(source, alpha)),
+    }
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> dict:
     domain = _load(args.domain, HDomain)
     directions = _load_directions(args.directions)
     series = series_for_domain(domain, directions, per_row=args.per_row)
-    series.save(args.out)
-    _emit(
-        {
-            "command": "construct",
-            "config": {"per_row": args.per_row},
-            "directions": len(directions),
-            "out": args.out,
-        },
-        None,
-    )
-    return 0
+    series.save(args.target)
+    return {
+        "command": "construct",
+        "config": {"per_row": args.per_row},
+        "directions": len(directions),
+        "out": args.target,
+    }
 
 
 def _telescoping_error(dec, max_degree: int) -> float:
     """Worst relative gap in sum(parts) == sum(g rows) + f_M/M, coefficient-wise."""
-    degrees = range(1, max_degree + 1)
-
-    def table(series):
-        return {j: c for j, c, _ in series.terms(degrees) if c != 0}
-
     lhs: dict = {}
-    for part in dec.parts:
-        for j, c in table(part.series).items():
-            lhs[j] = lhs.get(j, 0.0j) + c
     rhs: dict = {}
+
+    def add(into, series, divisor=None):
+        for j, c, _ in series.terms(range(1, max_degree + 1)):
+            if c != 0:
+                into[j] = into.get(j, 0.0j) + (c if divisor is None else c / divisor)
+
+    for part in dec.parts:
+        add(lhs, part.series)
     for g in dec.g_rows:
-        for j, c in table(g).items():
-            rhs[j] = rhs.get(j, 0.0j) + c
-    m = len(dec.parts)
-    for j, c in table(dec.f_rows[-1]).items():
-        rhs[j] = rhs.get(j, 0.0j) + c / m
+        add(rhs, g)
+    add(rhs, dec.f_rows[-1], len(dec.parts))
     worst = 0.0
     for j in set(lhs) | set(rhs):
         a, b = lhs.get(j, 0.0j), rhs.get(j, 0.0j)
@@ -276,10 +263,10 @@ def _telescoping_error(dec, max_degree: int) -> float:
     return worst
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> dict:
     series = _load(args.series, SeriesSpec)
     directions = _load_directions(args.directions)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.target, exist_ok=True)
     if args.mode == "elementary":
         dec = decompose_elementary(series, directions, args.degree)
     else:
@@ -293,7 +280,7 @@ def _cmd_decompose(args) -> int:
     part_files = []
     for n, part in enumerate(dec.parts):
         name = f"part_{n:03d}.json"
-        part.series.save(os.path.join(args.out, name))
+        part.series.save(os.path.join(args.target, name))
         part_files.append(name)
     manifest = {
         "command": "decompose",
@@ -325,47 +312,33 @@ def _cmd_decompose(args) -> int:
                 "exactness": {"worst_rel_err": worst, "ok": worst <= 1e-12},
             }
         )
-    manifest_path = os.path.join(args.out, "manifest.json")
+    manifest_path = os.path.join(args.target, "manifest.json")
     _emit(manifest, manifest_path)
-    _emit({"command": "decompose", "manifest": manifest_path}, None)
-    return 0
+    return {"command": "decompose", "manifest": manifest_path}
 
 
-def _cmd_slice_radius(args) -> int:
+def _cmd_slice_radius(args) -> dict:
     series = _load(args.series, SeriesSpec)
-    value = slice_radius(series, args.point, args.degree)
-    _emit(
-        {
-            "command": "slice-radius",
-            "config": {"degree": args.degree},
-            "point": list(args.point),
-            "value": _json_scalar(value),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "command": "slice-radius",
+        "config": {"degree": args.degree},
+        "point": list(args.point),
+        "value": _json_scalar(slice_radius(series, args.point, args.degree)),
+    }
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     series = _load(args.series, SeriesSpec)
     points = _parse_grid(args.grid, series.dimension)
     report = agreement_grid(series, points, args.degree, args.epsilon, args.margin)
-    _emit(
-        {
-            "command": "check",
-            "config": {
-                "degree": args.degree,
-                "epsilon": args.epsilon,
-                "margin": args.margin,
-            },
-            "points": report.points,
-            "decisive": report.decisive,
-            "agreement": report.agreement,
-            "mismatches": [list(m) for m in report.mismatches],
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "command": "check",
+        "config": {"degree": args.degree, "epsilon": args.epsilon, "margin": args.margin},
+        "points": report.points,
+        "decisive": report.decisive,
+        "agreement": report.agreement,
+        "mismatches": [list(m) for m in report.mismatches],
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--directions", required=True)
     p.add_argument("--per-row", type=int, default=8)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="target", required=True)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("decompose", help="elementary or wedge decomposition")
@@ -431,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain")
     p.add_argument("--estimate-domain", action="store_true")
     p.add_argument("--degree", "-K", type=int, default=DEFAULT_MAX_DEGREE)
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="target", required=True, help="output directory")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("slice-radius", help="radius estimate of a ray slice")
@@ -453,7 +426,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args.func(args), getattr(args, "out", None))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -463,6 +436,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ a prescribed direction subset.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from math import inf
@@ -21,6 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .jsonfile import JsonFile
 from .multiindex import SimplexDirection, as_direction, as_directions
 
 __all__ = [
@@ -76,7 +76,7 @@ class HalfSpace:
 
 
 @dataclass(frozen=True)
-class HDomain:
+class HDomain(JsonFile):
     """Finite intersection of half-spaces; possibly empty, never checked eagerly."""
 
     dimension: int
@@ -116,19 +116,9 @@ class HDomain:
             tuple(HalfSpace.from_json(h) for h in data["halfspaces"]),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "HDomain":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
 
 @dataclass(frozen=True)
-class SampledFunction:
+class SampledFunction(JsonFile):
     """Finite table of direction/value pairs on the probability simplex.
 
     Values may be +inf (direction outside the effective domain) but never
@@ -166,16 +156,6 @@ class SampledFunction:
     def from_json(cls, data: dict) -> "SampledFunction":
         values = [inf if v == "inf" else float(v) for v in data["values"]]
         return cls(tuple(tuple(d) for d in data["directions"]), tuple(values))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "SampledFunction":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass

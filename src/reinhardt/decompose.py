@@ -306,15 +306,11 @@ def estimate_domain(
     if delta is None:
         delta = max(0.02, 2.0 * series.dimension / max_degree)
     lo = tail_window(max_degree).start
-    sampled_dirs = []
-    values = []
-    for alpha in dirs:
-        v = direction_functional(
-            series, DirectionWindow(alpha, delta, (lo, max_degree))
-        )
-        sampled_dirs.append(alpha)
-        values.append(v)
-    samples = SampledFunction(tuple(sampled_dirs), tuple(values))
+    values = tuple(
+        direction_functional(series, DirectionWindow(alpha, delta, (lo, max_degree)))
+        for alpha in dirs
+    )
+    samples = SampledFunction(dirs, values)
     carved = HDomain(
         series.dimension,
         tuple(

@@ -17,7 +17,7 @@ from enum import Enum
 from math import fsum, inf
 
 from .hadamard import Membership, classify
-from .series import SeriesSpec, _power
+from .series import SeriesSpec
 
 __all__ = [
     "GridAgreementReport",
@@ -48,13 +48,15 @@ class ProbeVerdict:
 
 
 def block_sums(series: SeriesSpec, point, max_degree: int) -> list[float]:
-    """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree."""
+    """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree, off the coefficient table.
+
+    An overflowing r^J makes its term +inf; each block is summed exactly.
+    """
     r = series._check_point(point, radius=True)
-    blocks = [[abs(series.constant_term())]] + [[] for _ in range(max_degree)]
-    for j, c, _ in series.terms(range(1, max_degree + 1)):
-        mag = abs(c)
-        if mag:
-            blocks[j.degree].append(mag * _power(r, j))
+    terms, starts = series.coefficient_table(max_degree).absolute_terms(r)
+    terms = terms.tolist()
+    blocks = [[abs(series.constant_term())]]
+    blocks += [terms[starts[k] : starts[k + 1]] for k in range(1, max_degree + 1)]
     return [fsum(b) for b in blocks]
 
 
@@ -139,14 +141,8 @@ def agreement_grid(
         if probed.outcome is ProbeOutcome.INCONCLUSIVE:
             continue
         decisive += 1
-        ok = (
-            verdict.membership is Membership.INSIDE
-            and probed.outcome is ProbeOutcome.CONVERGES
-        ) or (
-            verdict.membership is Membership.OUTSIDE
-            and probed.outcome is ProbeOutcome.DIVERGES
-        )
-        if ok:
+        # both sides are decisive here: they agree when inside meets converges
+        if (verdict.membership is Membership.INSIDE) == (probed.outcome is ProbeOutcome.CONVERGES):
             agree += 1
         else:
             mismatches.append(

@@ -15,13 +15,14 @@ while -h is exact at every degree.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from math import fsum, inf, log
+from typing import NamedTuple
 
 import numpy as np
 
+from .jsonfile import JsonFile
 from .multiindex import (
     MultiIndex,
     as_directions,
@@ -31,6 +32,7 @@ from .multiindex import (
 
 __all__ = [
     "CoefficientRule",
+    "CoefficientTable",
     "DimensionMismatch",
     "ExplicitTable",
     "FullGeometric",
@@ -444,19 +446,56 @@ def _rule_from_json(data: dict) -> CoefficientRule:
     raise ValueError(f"unknown coefficient rule kind: {kind!r}")
 
 
-def _power(point, index: MultiIndex) -> float:
-    try:
-        p = 1.0
-        for base, e in zip(point, index.entries):
-            if e:
-                p *= base**e
-        return p
-    except OverflowError:
-        return inf
+def _powers(x: float, max_degree: int) -> list[float]:
+    """x**k for k = 0..max_degree; inf where ** overflowed (it never returns inf)."""
+    out = []
+    for k in range(max_degree + 1):
+        try:
+            out.append(x**k)
+        except OverflowError:
+            out.append(inf)
+    return out
+
+
+class CoefficientTable(NamedTuple):
+    """The terms scan of degrees 1..K as read-only arrays for the linear scans.
+
+    entries is M x N, coefficients the M c_J (supported zeros included) and
+    magnitudes their abs(c_J); the rows of degree k are offsets[k]:offsets[k + 1].
+    """
+
+    entries: np.ndarray
+    coefficients: np.ndarray
+    magnitudes: np.ndarray
+    offsets: tuple[int, ...]
+
+    def monomials(self, r) -> np.ndarray:
+        """r^J per row, bit for bit the per-term product of Python powers.
+
+        np.power does not round like libm pow, so the powers come from **.
+        Factors multiply in coordinate order (x**0 == 1.0 leaves a product
+        unchanged), and a row with an overflowed power is +inf.
+        """
+        out = np.ones(len(self.entries))
+        over = np.zeros(len(self.entries), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, column in zip(r, self.entries.T):
+                factors = np.array(_powers(x, len(self.offsets) - 2))[column]
+                out *= factors
+                over |= np.isinf(factors)
+        out[over] = inf
+        return out
+
+    def absolute_terms(self, r) -> tuple[np.ndarray, list[int]]:
+        """abs(c_J) r^J on the rows with c_J != 0, and where each degree starts among them."""
+        keep = self.magnitudes != 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self.magnitudes[keep] * self.monomials(r)[keep]
+        return terms, np.concatenate(([0], np.cumsum(keep)))[list(self.offsets)].tolist()
 
 
 @dataclass(frozen=True, eq=False)
-class SeriesSpec:
+class SeriesSpec(JsonFile):
     """Dimension, coefficient rule, and a free-text label."""
 
     dimension: int
@@ -544,6 +583,28 @@ class SeriesSpec:
             table = self._tables[degrees] = (projections, logs)
         return table
 
+    def coefficient_table(self, max_degree: int) -> CoefficientTable:
+        """The terms scan of degrees 1..max_degree as a CoefficientTable, built once.
+
+        Raw entries and linear coefficients only, never logs or projections,
+        so the probe stays independent of the root-test path.  Memoized per
+        max_degree for the lifetime of this series.
+        """
+        key = ("coefficients", max_degree)
+        if key not in self._tables:
+            rows = list(self.terms(range(1, max_degree + 1)))
+            degrees = [j.degree for j, _, _ in rows]
+            table = CoefficientTable(
+                np.array([j.entries for j, _, _ in rows], np.int64).reshape(-1, self.dimension),
+                np.array([c for _, c, _ in rows], np.complex128),
+                np.array([abs(c) for _, c, _ in rows], np.float64),
+                tuple(np.searchsorted(degrees, range(max_degree + 2)).tolist()),
+            )
+            for array in table[:3]:
+                array.flags.writeable = False
+            self._tables[key] = table
+        return self._tables[key]
+
     def partial_sum_abs(self, point, max_degree: int) -> float:
         """sum of |c_J| r^J over 0 <= |J| <= max_degree; +inf on overflow.
 
@@ -551,27 +612,26 @@ class SeriesSpec:
         multiset of terms, not on enumeration order.
         """
         r = self._check_point(point, radius=True)
-        parts = [abs(self.constant_term())]
-        for j, c, _ in self.terms(range(1, max_degree + 1)):
-            mag = abs(c)
-            if mag == 0.0:
-                continue
-            t = mag * _power(r, j)
-            if math.isinf(t):
-                return inf
-            parts.append(t)
-        return fsum(parts)
+        terms, _ = self.coefficient_table(max_degree).absolute_terms(r)
+        if np.isinf(terms).any():
+            return inf
+        return fsum([abs(self.constant_term())] + terms.tolist())
 
     def slice_coefficients(self, point, max_degree: int) -> list[complex]:
         """a_k = sum of c_J r^J over |J| = k, for k = 0..max_degree.
 
         These are the coefficients of the one-variable series obtained by
-        restricting to the ray through r and combining like powers.
+        restricting to the ray through r and combining like powers.  Each
+        c_J r^J is a Python complex times a float, added in scan order, since
+        numpy's complex times real can flip the sign of a zero part.
         """
         r = self._check_point(point, positive=True)
+        table = self.coefficient_table(max_degree)
         out = [self.constant_term()] + [0.0j] * max_degree
-        for j, c, _ in self.terms(range(1, max_degree + 1)):
-            out[j.degree] += c * _power(r, j)
+        c, p = table.coefficients.tolist(), table.monomials(r).tolist()
+        for k in range(1, max_degree + 1):
+            for i in range(table.offsets[k], table.offsets[k + 1]):
+                out[k] += c[i] * p[i]
         return out
 
     def to_json(self) -> dict:
@@ -588,13 +648,3 @@ class SeriesSpec:
             rule=_rule_from_json(data["rule"]),
             label=str(data.get("label", "")),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "SeriesSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))

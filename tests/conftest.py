@@ -7,6 +7,7 @@ forms or raw enumeration of the coefficient rules.
 """
 
 import math
+import random
 from itertools import combinations
 from math import inf
 from typing import Sequence
@@ -15,12 +16,14 @@ import numpy as np
 import pytest
 
 from reinhardt import (
+    ExplicitTable,
     FullGeometric,
     HalfSpace,
     HDomain,
     RayGeometric,
     SeriesSpec,
     SumRule,
+    SupportWeighted,
     enumerate_degree,
     project,
     uniform_directions_2d,
@@ -134,6 +137,110 @@ def brute_force_indicator(series, point, max_degree):
         if t > best:
             best = t
     return best
+
+
+# The per-term linear scans that the coefficient table replaced, kept
+# verbatim (as functions of the series) as their bit-for-bit references.
+
+
+def _power(point, index) -> float:
+    try:
+        p = 1.0
+        for base, e in zip(point, index.entries):
+            if e:
+                p *= base**e
+        return p
+    except OverflowError:
+        return math.inf
+
+
+def reference_block_sums(series, point, max_degree):
+    """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree."""
+    r = series._check_point(point, radius=True)
+    blocks = [[abs(series.constant_term())]] + [[] for _ in range(max_degree)]
+    for j, c, _ in series.terms(range(1, max_degree + 1)):
+        mag = abs(c)
+        if mag:
+            blocks[j.degree].append(mag * _power(r, j))
+    return [math.fsum(b) for b in blocks]
+
+
+def reference_partial_sum_abs(series, point, max_degree):
+    r = series._check_point(point, radius=True)
+    parts = [abs(series.constant_term())]
+    for j, c, _ in series.terms(range(1, max_degree + 1)):
+        mag = abs(c)
+        if mag == 0.0:
+            continue
+        t = mag * _power(r, j)
+        if math.isinf(t):
+            return math.inf
+        parts.append(t)
+    return math.fsum(parts)
+
+
+def reference_slice_coefficients(series, point, max_degree):
+    r = series._check_point(point, positive=True)
+    out = [series.constant_term()] + [0.0j] * max_degree
+    for j, c, _ in series.terms(range(1, max_degree + 1)):
+        out[j.degree] += c * _power(r, j)
+    return out
+
+
+def same_float(a: float, b: float) -> bool:
+    """Bit-level equality up to NaN payloads: == plus the sign bit, NaN equal to NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def linear_scan_corpus(dimension: int, max_degree: int):
+    """Series of every rule kind for the linear-scan references at one dimension.
+
+    Covers supported zeros (exact cancellation in a sum, a zero ratio, an
+    explicit zero, an underflowing weight), complex and signed-zero
+    coefficients, and overflowed coefficients (+inf).  The full geometric
+    member is left out where its shell would make the references slow.
+    """
+    n = dimension
+    diagonal = (1,) * n
+    rng = random.Random(7 * n + max_degree)
+    table = {}
+    for _ in range(40):
+        j = tuple(rng.randrange(0, max_degree // n + 1) for _ in range(n))
+        if sum(j):
+            table[j] = complex(rng.choice([0.0, -0.0, 1.5, -2.0, 1e300]), rng.choice([0.0, -0.0, 0.25]))
+    table[(max_degree,) + (0,) * (n - 1)] = 0.0
+    axes = [tuple(1.0 if i == r else 0.0 for i in range(n)) for r in range(n)]
+    rules = [
+        ExplicitTable(table),
+        RayGeometric(diagonal, 0.0),
+        RayGeometric((2,) + (1,) * (n - 1), 0.3 - 1.2j),
+        RayGeometric(diagonal, 1e10),
+        SupportWeighted(axes, [-30.0] + [0.5] * (n - 1), per_row=max_degree, base=1),
+        SupportWeighted([(1.0 / n,) * n], [800.0], per_row=max_degree, base=1),
+        SumRule([ExplicitTable(table), RayGeometric(diagonal, -1.0), RayGeometric(diagonal, 1.0)]),
+    ]
+    if math.comb(max_degree + n, n) < 60_000:
+        rules.append(SumRule([FullGeometric(), RayGeometric(diagonal, -1.0)]))
+    return [SeriesSpec(n, rule, rule.kind) for rule in rules]
+
+
+def linear_scan_radii(dimension: int):
+    """Radii at 0, -0.0, subnormal, 1 and large values, overflowing beside a zero too."""
+    n = dimension
+    rest = (0.5,) * (n - 1)
+    return [
+        (0.0,) * n,
+        (-0.0,) + rest,
+        (5e-324,) * n,
+        (1e-310,) + (1.0,) * (n - 1),
+        (1.0,) * n,
+        (0.9,) + (1.1,) * (n - 1),
+        (1e10,) + (0.0,) * (n - 1),
+        (1e200,) * max(n - 1, 1) + (0.0,) * min(n - 1, 1),
+        (1e200,) + (1e-300,) * (n - 1),
+    ]
 
 
 # The per-row simplex that the whole-tableau kernel in reinhardt.convex

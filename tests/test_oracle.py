@@ -11,7 +11,13 @@ from reinhardt import (
     probe,
 )
 from reinhardt.oracle import block_sums
-from conftest import grid2
+from conftest import (
+    grid2,
+    linear_scan_corpus,
+    linear_scan_radii,
+    reference_block_sums,
+    same_float,
+)
 
 INF = math.inf
 
@@ -132,3 +138,28 @@ def test_non_finite_probe_points_are_rejected(f_zero, point):
         probe(f_zero, point)
     with pytest.raises(ValueError, match="finite"):
         block_sums(f_zero, point, 32)
+
+
+@pytest.mark.parametrize("max_degree", [32, 33, 64])
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_block_sums_match_the_per_term_loop_bit_for_bit(dimension, max_degree):
+    for series in linear_scan_corpus(dimension, max_degree):
+        for r in linear_scan_radii(dimension):
+            got = block_sums(series, r, max_degree)
+            expected = reference_block_sums(series, r, max_degree)
+            assert len(got) == len(expected) == max_degree + 1
+            assert all(map(same_float, got, expected)), (series.label, r)
+
+
+def test_block_sums_never_read_the_log_table(monkeypatch, f_zero):
+    r = (0.7, 0.9)
+    expected = reference_block_sums(f_zero, r, 64)
+    verdict = probe(f_zero, r)
+
+    def refuse(self, degrees):
+        raise AssertionError("the probe read the estimator's log table")
+
+    monkeypatch.setattr(SeriesSpec, "log_table", refuse)
+    fresh = SeriesSpec(2, f_zero.rule)
+    assert block_sums(fresh, r, 64) == expected
+    assert probe(fresh, r) == verdict

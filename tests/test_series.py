@@ -18,10 +18,18 @@ from reinhardt import (
     classify,
     decompose_elementary,
     hadamard_indicator,
+    probe,
 )
 from reinhardt.hadamard import tail_window
 
-from conftest import brute_force_coefficients
+from conftest import (
+    brute_force_coefficients,
+    linear_scan_corpus,
+    linear_scan_radii,
+    reference_partial_sum_abs,
+    reference_slice_coefficients,
+    same_float,
+)
 
 LN2 = math.log(2.0)
 
@@ -322,6 +330,51 @@ def test_log_table_is_built_once_per_series_and_window(monkeypatch):
     del series
     gc.collect()
     assert ref() is None
+
+
+def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
+    rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
+    series = SeriesSpec(2, rule, "f0")
+    calls = _counting_terms(monkeypatch, rule)
+
+    first = probe(series, (0.5, 0.5), 32)
+    assert calls == list(range(1, 33))
+    calls.clear()
+    assert probe(series, (0.5, 0.5), 32) == first
+    probe(series, (0.8, 0.1), 32)
+    series.partial_sum_abs((0.8, 0.1), 32)
+    series.slice_coefficients((0.8, 0.1), 32)
+    assert calls == []
+
+    probe(series, (0.5, 0.5), 33)
+    assert calls == list(range(1, 34))
+    table = series.coefficient_table(33)
+    assert table is not series.coefficient_table(32)
+    assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
+    for a in table[:3]:
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the two memos share one dict without sharing an entry for the same degrees
+    projections, _ = series.log_table(range(1, 33))
+    assert projections.shape == (2, len(series.coefficient_table(32).entries))
+
+    ref = weakref.ref(series)
+    del series, table
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_linear_scans_match_the_per_term_loops_bit_for_bit(dimension):
+    for series in linear_scan_corpus(dimension, 33):
+        for r in linear_scan_radii(dimension):
+            got = series.partial_sum_abs(r, 33)
+            assert same_float(got, reference_partial_sum_abs(series, r, 33)), (series.label, r)
+            if min(r) > 0.0:
+                got = series.slice_coefficients(r, 33)
+                expected = reference_slice_coefficients(series, r, 33)
+                assert [same_float(a.real, b.real) and same_float(a.imag, b.imag)
+                        for a, b in zip(got, expected)] == [True] * 34, (series.label, r)
 
 
 def test_log_table_arrays_are_read_only(full_geom):
