@@ -63,6 +63,10 @@ CASES = {
         "decompose", "f0.json", "--mode", "elementary", "--directions", "dirs11.json",
         "-K", "32", "--out", "out/parts",
     ],
+    "decompose_elementary_g3_lattice": [
+        "decompose", "g3.json", "--mode", "elementary", "--directions", "dirs_n3_lattice.json",
+        "-K", "16", "--out", "out/parts",
+    ],
     "decompose_simple_estimate_f0": [
         "decompose", "f0.json", "--mode", "simple", "--directions", "dirs11.json",
         "--estimate-domain", "-K", "32", "--out", "out/parts",
