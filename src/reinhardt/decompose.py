@@ -24,15 +24,18 @@ finite-family statement is being exercised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import inf
 from typing import Optional
 
+import numpy as np
+
 from .construct import series_for_domain
 from .convex import HalfSpace, HDomain, SampledFunction, reduce_to_dense_subset
 from .hadamard import DirectionWindow, Membership, classify, direction_functional, tail_window
-from .multiindex import MultiIndex, SimplexDirection, as_directions, project
+from .multiindex import (
+    L1_SLACK_PER_COORD, MultiIndex, SimplexDirection, as_directions, l1_distances, project,
+)
 from .series import ExplicitTable, SeriesSpec, SumRule
 
 __all__ = [
@@ -62,16 +65,9 @@ class SupportsOverlap(ValueError):
 
 
 def route_index(index: MultiIndex, directions) -> int:
-    """Row receiving this index: nearest direction in l1, ties to the smallest row."""
-    pj = project(index)
-    best_row = 0
-    best_dist = pj.l1_distance(directions[0])
-    for n in range(1, len(directions)):
-        d = pj.l1_distance(directions[n])
-        if d < best_dist:
-            best_dist = d
-            best_row = n
-    return best_row
+    """Row receiving this index: nearest direction in l1 (fsum), ties to the smallest row."""
+    dists = [project(index).l1_distance(alpha) for alpha in directions]
+    return dists.index(min(dists))
 
 
 @dataclass(frozen=True)
@@ -118,11 +114,19 @@ def decompose_elementary(
         raise ValueError("max_degree must be >= 1")
     tables: list[dict[MultiIndex, complex]] = [{} for _ in dirs]
     levels = [-inf] * len(dirs)
-    assignment: dict[MultiIndex, int] = {}
+    scan = list(series.terms(range(1, max_degree + 1)))
+    entries = np.array([j.entries for j, _, _ in scan], np.int64).reshape(-1, series.dimension)
+    dist = l1_distances((entries / entries.sum(axis=1, keepdims=True)).T, dirs)
+    routes = dist.argmin(axis=0)
+    # argmin's first minimum is route_index's smallest row; where another row lies
+    # within the summation slack the array sum may order them unlike fsum.
+    close = (dist - dist.min(axis=0) <= L1_SLACK_PER_COORD * series.dimension).sum(axis=0)
+    for k in np.flatnonzero(close > 1):
+        routes[k] = route_index(scan[k][0], dirs)
+    routes = routes.tolist()
+    assignment = {j: row for (j, _, _), row in zip(scan, routes)}
     window_start = tail_window(max_degree).start
-    for j, c, v in series.terms(range(1, max_degree + 1)):
-        row = route_index(j, dirs)
-        assignment[j] = row
+    for (j, c, v), row in zip(scan, routes):
         if c != 0:
             tables[row][j] = c
             if j.degree >= window_start and v > levels[row]:
@@ -311,11 +315,5 @@ def estimate_domain(
         for alpha in dirs
     )
     samples = SampledFunction(dirs, values)
-    carved = HDomain(
-        series.dimension,
-        tuple(
-            HalfSpace(d, v) for d, v in zip(samples.directions, samples.values)
-            if math.isfinite(v)
-        ),
-    )
+    carved = HDomain(series.dimension, tuple(HalfSpace(d, v) for d, v in samples.finite_samples()))
     return reduce_to_dense_subset(carved, dirs)

@@ -24,7 +24,7 @@ from math import inf
 import numpy as np
 
 from .convex import HalfSpace
-from .multiindex import SimplexDirection, as_direction, project
+from .multiindex import L1_SLACK_PER_COORD, SimplexDirection, as_direction, l1_distances, project
 from .series import SeriesSpec
 
 __all__ = [
@@ -150,10 +150,14 @@ def direction_functional(series: SeriesSpec, window: DirectionWindow) -> float:
     if window.center.dimension != series.dimension:
         raise ValueError("window center dimension does not match the series")
     lo, hi = window.degree_range
-    best = -inf
-    for j, _, v in series.terms(range(lo, hi + 1)):
-        if project(j).l1_distance(window.center) <= window.radius and v > best:
-            best = v
+    projections, logs = series.log_table(range(lo, hi + 1))
+    dist = l1_distances(projections, (window.center,))[0]
+    inside = dist <= window.radius
+    # Beside the radius the array sum may round unlike fsum, which decides there.
+    for k in np.flatnonzero(abs(dist - window.radius) <= L1_SLACK_PER_COORD * series.dimension):
+        column = SimplexDirection(tuple(projections[:, k]))
+        inside[k] = column.l1_distance(window.center) <= window.radius
+    best = float(np.fmax.reduce(logs[inside], initial=-inf))
     return inf if best == -inf else -best
 
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 __all__ = [
     "MultiIndex",
     "SimplexDirection",
@@ -23,6 +25,7 @@ __all__ = [
     "as_directions",
     "degree_count",
     "enumerate_degree",
+    "l1_distances",
     "nearest_index_of_degree",
     "project",
     "uniform_directions_2d",
@@ -31,6 +34,9 @@ __all__ = [
 _INT64_MAX = 2**63 - 1
 _SIMPLEX_SUM_TOL = 1e-12
 _DISTINCT_TOL = 1e-10
+# l1_distances sums left to right, which equals l1_distance's fsum at N = 2 but can
+# differ by up to N eps at N >= 3; comparisons closer than N times this need fsum.
+L1_SLACK_PER_COORD = 4 * float(np.finfo(np.float64).eps)
 
 
 class ZeroIndexNotProjectable(ValueError):
@@ -105,6 +111,15 @@ class SimplexDirection:
 
     def __repr__(self):
         return f"SimplexDirection({self.coords!r})"
+
+
+def l1_distances(columns: np.ndarray, directions) -> np.ndarray:
+    """D x M l1 distances from each direction to each column of an N x M array."""
+    centers = np.array([d.coords for d in directions])
+    out = np.zeros((len(centers), columns.shape[1]))
+    for coord, center in zip(columns, centers.T):
+        out += np.abs(coord - center[:, None])
+    return out
 
 
 def as_direction(value) -> SimplexDirection:

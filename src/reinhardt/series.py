@@ -214,7 +214,7 @@ class ExplicitTable(CoefficientRule):
         self.table = items
         self._dimension = dim
         by_degree: dict[int, list] = {}
-        for j, c in sorted(items.items()):
+        for j, c in sorted(items.items(), key=lambda item: item[0].entries):
             if j.degree:
                 by_degree.setdefault(j.degree, []).append((j, c, _log_abs_over(c, j.degree)))
         self._by_degree = {k: tuple(v) for k, v in by_degree.items()}
@@ -232,7 +232,7 @@ class ExplicitTable(CoefficientRule):
         return self._by_degree.get(degree, ())
 
     def to_json(self) -> dict:
-        items = sorted(self.table.items())
+        items = sorted(self.table.items(), key=lambda item: item[0].entries)
         return {
             "kind": self.kind,
             "indices": [list(j.entries) for j, _ in items],

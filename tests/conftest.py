@@ -2,8 +2,9 @@
 
 The LP oracle enumerates basic solutions directly and never touches the
 simplex code, and the per-row simplex that the array kernel replaced is kept
-as its bit-for-bit reference; series-side expected values come from closed
-forms or raw enumeration of the coefficient rules.
+as its bit-for-bit reference, as are the per-term fsum routing and direction
+functional; series-side expected values come from closed forms or raw
+enumeration of the coefficient rules.
 """
 
 import math
@@ -139,6 +140,45 @@ def brute_force_indicator(series, point, max_degree):
     return best
 
 
+# The per-term fsum loops that the l1 distance arrays replaced, kept verbatim
+# (renamed only) as their bit-for-bit references.
+
+
+def reference_route_index(index, directions) -> int:
+    """Row receiving this index: nearest direction in l1, ties to the smallest row."""
+    pj = project(index)
+    best_row = 0
+    best_dist = pj.l1_distance(directions[0])
+    for n in range(1, len(directions)):
+        d = pj.l1_distance(directions[n])
+        if d < best_dist:
+            best_dist = d
+            best_row = n
+    return best_row
+
+
+def reference_direction_functional(series, window) -> float:
+    """Negative of the largest normalized log magnitude inside the window.
+
+    +inf when no coefficient survives in the window: the direction is not
+    realized at this truncation, matching an infinite support-function value
+    outside the effective domain.
+    """
+    if window.center.dimension != series.dimension:
+        raise ValueError("window center dimension does not match the series")
+    lo, hi = window.degree_range
+    best = -inf
+    for j, _, v in series.terms(range(lo, hi + 1)):
+        if project(j).l1_distance(window.center) <= window.radius and v > best:
+            best = v
+    return inf if best == -inf else -best
+
+
+def lattice_directions(dimension: int, degree: int):
+    """Projections of every degree-`degree` index: the lattice directions of that degree."""
+    return [project(j) for j in enumerate_degree(dimension, degree)]
+
+
 # The per-term linear scans that the coefficient table replaced, kept
 # verbatim (as functions of the series) as their bit-for-bit references.
 
@@ -185,6 +225,40 @@ def reference_slice_coefficients(series, point, max_degree):
     for j, c, _ in series.terms(range(1, max_degree + 1)):
         out[j.degree] += c * _power(r, j)
     return out
+
+
+def _index(degree, dimension, lead=0):
+    """A degree-`degree` index with its bulk on coordinate `lead`."""
+    entries = [1] * dimension
+    entries[lead % dimension] = degree - (dimension - 1)
+    return tuple(entries)
+
+
+def differential_rules(n):
+    """Every rule kind at dimension n, with the edge values the array kernels must keep."""
+    diag, axis = (1.0 / n,) * n, (1.0,) + (0.0,) * (n - 1)
+    ray = tuple(range(1, n + 1))
+    table = {
+        _index(d, n, d): c
+        for d, c in [(3, 1.5), (5, 3.0), (6, 0.0), (9, -2.0j), (40, 0.0), (100, 7.0)]
+    }
+    sw_dirs, sw_values = ((diag, axis), (0.3, -0.2)) if n > 1 else ((axis,), (0.3,))
+    weighted = SupportWeighted(sw_dirs, sw_values, per_row=80, base=4)
+    return {
+        "full_geometric": FullGeometric(),
+        "ray_geometric": RayGeometric(ray, 1.5 - 0.5j),
+        "ray_geometric_zero_ratio": RayGeometric(ray, 0.0),
+        "explicit_table_with_zeros": ExplicitTable(table),
+        "explicit_table_with_inf": ExplicitTable({**table, _index(6, n, 1): inf}),
+        "explicit_table_empty_window": ExplicitTable({_index(3, n): 2.0, (0,) * n: 1.0}),
+        "support_weighted": weighted,
+        "support_weighted_h0": SupportWeighted([diag], [0.0], per_row=130, base=1),
+        "sum_dense": SumRule([FullGeometric(), RayGeometric((1,) * n, 2.0), ExplicitTable(table)]),
+        # opposite infinities meet at one index, where the sum is undefined
+        "sum_nan_log": SumRule(
+            [weighted, ExplicitTable({_index(6, n): inf}), ExplicitTable({_index(6, n): -inf})]
+        ),
+    }
 
 
 def same_float(a: float, b: float) -> bool:

@@ -21,7 +21,15 @@ from reinhardt import (
     uniform_directions_2d,
 )
 from reinhardt.convex import SampledFunction
-from conftest import LN2, coeff_table, grid2
+from reinhardt.hadamard import tail_window
+from conftest import (
+    LN2,
+    coeff_table,
+    differential_rules,
+    grid2,
+    lattice_directions,
+    reference_route_index,
+)
 
 INF = math.inf
 
@@ -221,3 +229,47 @@ def test_overflowed_wedge_entries_stay_free_of_nan(f_zero):
     assert not any(cmath.isnan(c) for c in values)
     for part in dec.parts:
         assert SeriesSpec.from_json(part.series.to_json()).to_json() == part.series.to_json()
+
+
+ROUTING_DEGREES = {2: 24, 3: 16, 4: 12}
+
+
+def reference_routing(series, directions, max_degree):
+    """Assignment and row levels (-inf for an empty row) of the per-term fsum routing loop."""
+    assignment, levels = {}, [-INF] * len(directions)
+    for j, c, v in series.terms(range(1, max_degree + 1)):
+        row = assignment[j] = reference_route_index(j, directions)
+        if c != 0 and j.degree >= tail_window(max_degree).start and v > levels[row]:
+            levels[row] = v
+    return assignment, levels
+
+
+@pytest.mark.parametrize("lattice_degree", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_routing_matches_the_fsum_loop_bit_for_bit(n, lattice_degree):
+    # every direction is a lattice point, so indices of every multiple degree
+    # sit at exact l1 ties that the array sum may round apart at N >= 3
+    directions = lattice_directions(n, lattice_degree)
+    max_degree = ROUTING_DEGREES[n]
+    for kind, rule in differential_rules(n).items():
+        series = SeriesSpec(n, rule)
+        try:
+            assignment, levels = reference_routing(series, directions, max_degree)
+        except ValueError:
+            with pytest.raises(ValueError, match="opposite infinities"):
+                decompose_elementary(series, directions, max_degree)
+            continue
+        if INF in levels:
+            # an overflowed coefficient in the tail window has no half-space
+            with pytest.raises(ValueError, match="offset must be finite"):
+                decompose_elementary(series, directions, max_degree)
+            continue
+        dec = decompose_elementary(series, directions, max_degree)
+        assert dec.assignment == assignment, kind
+        assert [p.level for p in dec.parts] == [INF if v == -INF else v for v in levels], kind
+
+
+def test_routing_of_an_empty_scan():
+    series = SeriesSpec(3, ExplicitTable({(0, 0, 0): 1.0}))
+    dec = decompose_elementary(series, lattice_directions(3, 2), 8)
+    assert dec.assignment == {} and all(p.level == INF for p in dec.parts)

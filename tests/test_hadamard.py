@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -20,8 +22,14 @@ from reinhardt import (
     slice_radius,
 )
 from reinhardt.hadamard import tail_window
-from reinhardt.multiindex import degree_count
-from conftest import LN2, brute_force_indicator
+from reinhardt.multiindex import degree_count, project
+from conftest import (
+    LN2,
+    brute_force_indicator,
+    differential_rules,
+    lattice_directions,
+    reference_direction_functional,
+)
 
 INF = math.inf
 
@@ -223,40 +231,6 @@ def test_nan_epsilon_is_rejected(f_zero):
         classify(f_zero, (-0.5, -0.5), epsilon=math.nan)
 
 
-def _index(degree, dimension, lead=0):
-    """A degree-`degree` index with its bulk on coordinate `lead`."""
-    entries = [1] * dimension
-    entries[lead % dimension] = degree - (dimension - 1)
-    return tuple(entries)
-
-
-def _differential_rules(n):
-    """Every rule kind at dimension n, with the edge values the kernel must keep."""
-    diag, axis = (1.0 / n,) * n, (1.0,) + (0.0,) * (n - 1)
-    ray = tuple(range(1, n + 1))
-    table = {
-        _index(d, n, d): c
-        for d, c in [(3, 1.5), (5, 3.0), (6, 0.0), (9, -2.0j), (40, 0.0), (100, 7.0)]
-    }
-    sw_dirs, sw_values = ((diag, axis), (0.3, -0.2)) if n > 1 else ((axis,), (0.3,))
-    weighted = SupportWeighted(sw_dirs, sw_values, per_row=80, base=4)
-    return {
-        "full_geometric": FullGeometric(),
-        "ray_geometric": RayGeometric(ray, 1.5 - 0.5j),
-        "ray_geometric_zero_ratio": RayGeometric(ray, 0.0),
-        "explicit_table_with_zeros": ExplicitTable(table),
-        "explicit_table_with_inf": ExplicitTable({**table, _index(6, n, 1): INF}),
-        "explicit_table_empty_window": ExplicitTable({_index(3, n): 2.0, (0,) * n: 1.0}),
-        "support_weighted": weighted,
-        "support_weighted_h0": SupportWeighted([diag], [0.0], per_row=130, base=1),
-        "sum_dense": SumRule([FullGeometric(), RayGeometric((1,) * n, 2.0), ExplicitTable(table)]),
-        # opposite infinities meet at one index, where the sum is undefined
-        "sum_nan_log": SumRule(
-            [weighted, ExplicitTable({_index(6, n): INF}), ExplicitTable({_index(6, n): -INF})]
-        ),
-    }
-
-
 DENSE = {"full_geometric", "sum_dense"}
 DIFFERENTIAL_DEGREES = (8, 9, 64, 128)
 
@@ -272,9 +246,9 @@ def _differential_points(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("kind", sorted(_differential_rules(1)))
+@pytest.mark.parametrize("kind", sorted(differential_rules(1)))
 def test_indicator_matches_the_per_term_loop_bit_for_bit(kind, n):
-    series = SeriesSpec(n, _differential_rules(n)[kind])
+    series = SeriesSpec(n, differential_rules(n)[kind])
     for max_degree in DIFFERENTIAL_DEGREES:
         # the dense rules visit every lattice index; cap the brute-force work
         if kind in DENSE and degree_count(n + 1, max_degree) > 50_000:
@@ -294,7 +268,7 @@ def test_indicator_matches_the_per_term_loop_bit_for_bit(kind, n):
 
 
 def test_differential_rules_reach_their_edge_values():
-    series = {kind: SeriesSpec(2, rule) for kind, rule in _differential_rules(2).items()}
+    series = {kind: SeriesSpec(2, rule) for kind, rule in differential_rules(2).items()}
     with pytest.raises(ValueError, match=r"index \(5, 1\)"):
         series.pop("sum_nan_log").log_table(tail_window(8))
     logs = {kind: s.log_table(tail_window(8))[1] for kind, s in series.items()}
@@ -304,3 +278,29 @@ def test_differential_rules_reach_their_edge_values():
     assert all(math.copysign(1.0, v) == -1.0 and v == 0.0 for v in logs["support_weighted_h0"])
     assert hadamard_indicator(series["explicit_table_with_inf"], (0.0, 0.0), 8) == INF
     assert hadamard_indicator(series["explicit_table_empty_window"], (0.0, 0.0), 8) == -INF
+
+
+def _attained_radii(series, center, degrees, count=4):
+    """The l1 distances to the center that most rows of the degrees attain."""
+    seen = Counter(project(j).l1_distance(center) for j, _, _ in series.terms(degrees))
+    return [r for r, _ in seen.most_common() if 0.0 < r <= 2.0][:count]
+
+
+@pytest.mark.parametrize("lattice_degree", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_direction_functional_matches_the_fsum_loop_bit_for_bit(n, lattice_degree):
+    max_degree = {2: 24, 3: 16, 4: 12}[n]
+    centers = random.Random(lattice_degree).sample(lattice_directions(n, lattice_degree), 2)
+    # the explicit_table_empty_window rule leaves the tail window empty
+    ranges = [(tail_window(max_degree).start, max_degree), (1, max_degree)]
+    for kind, rule in differential_rules(n).items():
+        series = SeriesSpec(n, rule)
+        for center, (lo, hi) in itertools.product(centers, ranges):
+            try:
+                radii = _attained_radii(series, center, range(lo, hi + 1))
+            except ValueError:
+                continue  # opposite infinities: no coefficient to compare
+            for radius in radii + [0.5 / max_degree, 2.0]:
+                w = DirectionWindow(center, radius, (lo, hi))
+                want = reference_direction_functional(series, w)
+                assert direction_functional(series, w) == want, (kind, center, radius, lo)

@@ -2,8 +2,11 @@
 
 The projections J/|J| sum to 1 and are non-negative, so psi-hat commutes
 with translation along (1, ..., 1) and is monotone in every coordinate; the
-full geometric series is symmetric under permuting the coordinates.
-Examples are derandomized, so every run draws the same cases.
+full geometric series is symmetric under permuting the coordinates.  Routing
+by fsum l1 distance is exactly covariant under permuting the coordinates of
+the indices and the directions together, since fsum does not depend on the
+order of its terms.  Examples are derandomized, so every run draws the same
+cases.
 """
 
 import itertools
@@ -13,13 +16,16 @@ from hypothesis import strategies as st
 
 from reinhardt import (
     ExplicitTable,
+    MultiIndex,
     FullGeometric,
     RayGeometric,
     SeriesSpec,
     SumRule,
     SupportWeighted,
+    decompose_elementary,
     hadamard_indicator,
 )
+from conftest import lattice_directions
 
 K = 32
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -73,3 +79,25 @@ def test_full_geometric_is_symmetric_under_permutations(s):
     tolerance = 1e-12 * (1.0 + max(abs(x) for x in s))
     for perm in itertools.permutations(s):
         assert abs(hadamard_indicator(SERIES["g3"], perm, K) - psi) <= tolerance
+
+
+@st.composite
+def permuted_lattice_routing(draw):
+    n = draw(st.sampled_from([3, 4]))
+    lattice = lattice_directions(n, draw(st.integers(min_value=2, max_value=6)))
+    directions = draw(st.lists(st.sampled_from(lattice), min_size=2, max_size=12, unique=True))
+    return n, directions, draw(st.permutations(range(n)))
+
+
+@PROPERTY_SETTINGS
+@given(permuted_lattice_routing())
+def test_routing_is_covariant_under_coordinate_permutations(case):
+    n, directions, perm = case
+    max_degree = {3: 14, 4: 10}[n]
+    series = SeriesSpec(n, FullGeometric())
+    routed = decompose_elementary(series, directions, max_degree).assignment
+    moved = decompose_elementary(
+        series, [tuple(d.coords[i] for i in perm) for d in directions], max_degree
+    ).assignment
+    for j, row in routed.items():
+        assert moved[MultiIndex(tuple(j.entries[i] for i in perm))] == row, j
