@@ -145,7 +145,7 @@ def direction_functional(series: SeriesSpec, window: DirectionWindow) -> float:
 
     +inf when no coefficient survives in the window: the direction is not
     realized at this truncation, matching an infinite support-function value
-    outside the effective domain.
+    outside the effective domain.  Read off the series' memoized log_table.
     """
     if window.center.dimension != series.dimension:
         raise ValueError("window center dimension does not match the series")
