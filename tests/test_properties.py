@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from reinhardt import (
     ExplicitTable,
-    MultiIndex,
     FullGeometric,
+    MultiIndex,
     RayGeometric,
     SeriesSpec,
     SumRule,
