@@ -291,7 +291,7 @@ def _cmd_decompose(args) -> dict:
     }
     if args.mode == "elementary":
         routed = sum(len(p.series.rule.table) for p in dec.parts)
-        occurring = sum(1 for _, c, _ in series.terms(range(1, args.degree + 1)) if c != 0)
+        occurring = int((series.coefficient_table(args.degree).coefficients != 0).sum())
         manifest.update(
             {
                 "offsets": [_json_scalar(p.level) for p in dec.parts],

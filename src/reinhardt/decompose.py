@@ -4,9 +4,9 @@ decompose_elementary routes every lattice index of degree up to the working
 truncation to the nearest prescribed direction, turning a series into
 monomial-wise disjoint sub-series: the coefficients are moved, never
 transformed, so the partition is exact to the bit.  Each row receives a
-half-space estimate from the tail window of its own coefficients; rows with
-an empty tail window keep an infinite level and an empty half-space marker
-rather than being dropped, so the partition stays exhaustive.
+half-space estimate from the tail window of its own coefficients; a row with
+an empty or overflowed tail window keeps an infinite level and an empty
+half-space marker rather than being dropped, so the partition stays exhaustive.
 
 decompose_simple combines each routed row with the matching row of the
 realizing series for the prescribed region, then telescopes: with
@@ -25,7 +25,7 @@ finite-family statement is being exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf
+from math import inf, isinf
 from typing import Optional
 
 import numpy as np
@@ -75,9 +75,9 @@ class ElementaryPart:
     """One routed sub-series with its half-space estimate.
 
     level is the tail-window maximum of log|c_J|/|J| over the row (the
-    boundary level of the estimated half-space, +inf when the window is
-    empty); halfspace is {<direction, s> + level < 0}, or None for the empty
-    estimate.
+    boundary level of the estimated half-space, +inf for an empty or
+    overflowed window); halfspace is {<direction, s> + level < 0}, or None
+    for the empty estimate.
     """
 
     series: SeriesSpec
@@ -114,22 +114,22 @@ def decompose_elementary(
         raise ValueError("max_degree must be >= 1")
     tables: list[dict[MultiIndex, complex]] = [{} for _ in dirs]
     levels = [-inf] * len(dirs)
-    scan = list(series.terms(range(1, max_degree + 1)))
-    entries = np.array([j.entries for j, _, _ in scan], np.int64).reshape(-1, series.dimension)
-    dist = l1_distances((entries / entries.sum(axis=1, keepdims=True)).T, dirs)
+    table = series.coefficient_table(max_degree)
+    dist = l1_distances(table.projections, dirs)
     routes = dist.argmin(axis=0)
     # argmin's first minimum is route_index's smallest row; where another row lies
     # within the summation slack the array sum may order them unlike fsum.
     close = (dist - dist.min(axis=0) <= L1_SLACK_PER_COORD * series.dimension).sum(axis=0)
     for k in np.flatnonzero(close > 1):
-        routes[k] = route_index(scan[k][0], dirs)
+        routes[k] = route_index(table.indices[k], dirs)
     routes = routes.tolist()
-    assignment = {j: row for (j, _, _), row in zip(scan, routes)}
-    window_start = tail_window(max_degree).start
-    for (j, c, v), row in zip(scan, routes):
+    assignment = dict(zip(table.indices, routes))
+    window_start = table.offsets[tail_window(max_degree).start]
+    rows = zip(table.indices, table.coefficients.tolist(), table.logs.tolist(), routes)
+    for k, (j, c, v, row) in enumerate(rows):
         if c != 0:
             tables[row][j] = c
-            if j.degree >= window_start and v > levels[row]:
+            if k >= window_start and v > levels[row]:
                 levels[row] = v
     constant = series.constant_term()
     if absorb_constant and constant != 0:
@@ -138,7 +138,7 @@ def decompose_elementary(
 
     parts = []
     for n, (alpha, level) in enumerate(zip(dirs, levels)):
-        if level == -inf:
+        if isinf(level):
             level = inf
             halfspace = None
         else:
@@ -255,15 +255,14 @@ def sum_domain_check(
     for p in parts:
         if p.dimension != dim:
             raise ValueError("parts have mixed dimensions")
-        for j, c, _ in p.terms(range(1, max_degree + 1)):
-            if c == 0:
-                continue
-            if j in seen:
-                raise SupportsOverlap(j)
-            seen.add(j)
+        table = p.coefficient_table(max_degree)
+        for k in np.flatnonzero(table.coefficients):
+            if table.indices[k] in seen:
+                raise SupportsOverlap(table.indices[k])
+            seen.add(table.indices[k])
     total = SeriesSpec(dim, SumRule([p.rule for p in parts]), label="sum of parts")
-
-    tail_occupied = any(c != 0 for _, c, _ in total.terms(tail_window(max_degree)))
+    table = total.coefficient_table(max_degree)
+    tail_occupied = table.coefficients[table.offsets[tail_window(max_degree).start]:].any()
 
     points = 0
     decisive = 0

@@ -106,10 +106,10 @@ def hadamard_indicator(series: SeriesSpec, point, max_degree: int = DEFAULT_MAX_
     exp(point), positive values divergence.  -inf means the rule has no
     surviving coefficient in the window (a polynomial at this truncation).
 
-    Evaluated on the series' memoized log_table of the window: the inner
-    products accumulate column by column, left to right from 0.0, exactly
-    as a per-term loop would, and the maximum skips NaN terms as that
-    loop's comparison did.
+    Evaluated on log_table of the window, a view of the series' memoized
+    coefficient table at max_degree: the inner products accumulate column
+    by column, left to right from 0.0, exactly as a per-term loop would, and
+    the maximum skips NaN terms as that loop's comparison did.
     """
     if max_degree < 8:
         raise ValueError("max_degree must be >= 8")
@@ -145,7 +145,7 @@ def direction_functional(series: SeriesSpec, window: DirectionWindow) -> float:
 
     +inf when no coefficient survives in the window: the direction is not
     realized at this truncation, matching an infinite support-function value
-    outside the effective domain.  Read off the series' memoized log_table.
+    outside the effective domain.  Read off the series' log_table.
     """
     if window.center.dimension != series.dimension:
         raise ValueError("window center dimension does not match the series")

@@ -146,7 +146,6 @@ def as_directions(values) -> tuple[SimplexDirection, ...]:
     return dirs
 
 
-@lru_cache(maxsize=None)
 def project(index: MultiIndex) -> SimplexDirection:
     """Radial projection J / |J| onto the probability simplex.
 

@@ -267,7 +267,6 @@ class SupportWeighted(CoefficientRule):
         self.per_row = per_row
         self.base = base
         self.stride = stride
-        self._index_cache: dict[int, MultiIndex] = {}
 
     @property
     def rows(self) -> int:
@@ -291,12 +290,7 @@ class SupportWeighted(CoefficientRule):
         return row, slot
 
     def index_at(self, row: int, slot: int) -> MultiIndex:
-        d = self.degree_of(row, slot)
-        cached = self._index_cache.get(d)
-        if cached is None:
-            cached = nearest_index_of_degree(self.directions[row - 1], d)
-            self._index_cache[d] = cached
-        return cached
+        return nearest_index_of_degree(self.directions[row - 1], self.degree_of(row, slot))
 
     def family_indices(self):
         """All (row, slot, index) triples in (slot, row) order."""
@@ -458,15 +452,20 @@ def _powers(x: float, max_degree: int) -> list[float]:
 
 
 class CoefficientTable(NamedTuple):
-    """The terms scan of degrees 1..K as read-only arrays for the linear scans.
+    """The terms scan of degrees 1..K as read-only arrays, one per series and K.
 
-    entries is M x N, coefficients the M c_J (supported zeros included) and
-    magnitudes their abs(c_J); the rows of degree k are offsets[k]:offsets[k + 1].
+    The M scanned indices with their M x N int64 entries, the N x M
+    projections J / |J| (rounded as project rounds them), the c_J (supported
+    zeros included), abs(c_J) and log|c_J|/|J|; the rows of degree k are
+    offsets[k]:offsets[k + 1].  The probe reads no logs or projections.
     """
 
+    indices: tuple[MultiIndex, ...]
     entries: np.ndarray
+    projections: np.ndarray
     coefficients: np.ndarray
     magnitudes: np.ndarray
+    logs: np.ndarray
     offsets: tuple[int, ...]
 
     def monomials(self, r) -> np.ndarray:
@@ -560,50 +559,50 @@ class SeriesSpec(JsonFile):
 
         Supported zeros are included with log -inf.  Degrees (all >= 1) come
         in the order given and indices in lexicographic order within a
-        degree.  This is the only truncation scan: every estimator,
-        decomposer and the probe read the coefficients through it.
+        degree.  This is the only truncation scan: coefficient_table holds
+        it once per truncation for the estimators, the decomposer and the
+        probe, and one-shot scans of freshly built series iterate it directly.
         """
         for k in degrees:
             yield from self.rule.terms(self.dimension, k)
 
-    def log_table(self, degrees: range):
-        """The terms scan as read-only arrays (projections, logs), built once.
-
-        projections is N x M with column J / |J|, rounded exactly as project
-        rounds it; logs holds the M matching log|c_J|/|J|.  Memoized per
-        degree range for the lifetime of this series.
-        """
-        table = self._tables.get(degrees)
-        if table is None:
-            rows = [(j.entries, v) for j, _, v in self.terms(degrees)]
-            entries = np.array([e for e, _ in rows], dtype=np.int64).reshape(-1, self.dimension)
-            projections = (entries / entries.sum(axis=1, keepdims=True)).T.copy()
-            logs = np.array([v for _, v in rows], dtype=np.float64)
-            projections.flags.writeable = logs.flags.writeable = False
-            table = self._tables[degrees] = (projections, logs)
-        return table
-
     def coefficient_table(self, max_degree: int) -> CoefficientTable:
-        """The terms scan of degrees 1..max_degree as a CoefficientTable, built once.
+        """The terms scan of degrees 1..max_degree as a CoefficientTable.
 
-        Raw entries and linear coefficients only, never logs or projections,
-        so the probe stays independent of the root-test path.  Memoized per
-        max_degree for the lifetime of this series.
+        Memoized per max_degree for the lifetime of this series, so the
+        estimators, the decomposer and the probe share one scan.  Offsets
+        come from the int64 row sums: reading MultiIndex.degree would cache
+        a value into every scanned index.
         """
-        key = ("coefficients", max_degree)
-        if key not in self._tables:
+        table = self._tables.get(max_degree)
+        if table is None:
             rows = list(self.terms(range(1, max_degree + 1)))
-            degrees = [j.degree for j, _, _ in rows]
+            indices = tuple(j for j, _, _ in rows)
+            entries = np.array([j.entries for j in indices], np.int64).reshape(-1, self.dimension)
+            sums = entries.sum(axis=1)
             table = CoefficientTable(
-                np.array([j.entries for j, _, _ in rows], np.int64).reshape(-1, self.dimension),
+                indices,
+                entries,
+                (entries / sums[:, None]).T.copy(),
                 np.array([c for _, c, _ in rows], np.complex128),
                 np.array([abs(c) for _, c, _ in rows], np.float64),
-                tuple(np.searchsorted(degrees, range(max_degree + 2)).tolist()),
+                np.array([v for _, _, v in rows], np.float64),
+                tuple(np.searchsorted(sums, range(max_degree + 2)).tolist()),
             )
-            for array in table[:3]:
+            for array in table[1:6]:
                 array.flags.writeable = False
-            self._tables[key] = table
-        return self._tables[key]
+            self._tables[max_degree] = table
+        return table
+
+    def log_table(self, degrees: range):
+        """(projections, logs) of the rows with |J| in degrees, as read-only views.
+
+        The rows offsets[lo]:offsets[hi + 1] of coefficient_table(hi), where
+        degrees runs lo..hi.
+        """
+        table = self.coefficient_table(degrees.stop - 1)
+        lo, hi = table.offsets[degrees.start], table.offsets[degrees.stop]
+        return table.projections[:, lo:hi], table.logs[lo:hi]
 
     def partial_sum_abs(self, point, max_degree: int) -> float:
         """sum of |c_J| r^J over 0 <= |J| <= max_degree; +inf on overflow.

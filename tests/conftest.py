@@ -261,6 +261,20 @@ def differential_rules(n):
     }
 
 
+def scan_refuses(series, max_degree) -> bool:
+    """Whether the terms scan of degrees 1..max_degree meets an undefined coefficient.
+
+    Every query at truncation K reads that one scan, so wherever it raises
+    every estimator, decomposer and probe at K must raise too.
+    """
+    try:
+        for _ in series.terms(range(1, max_degree + 1)):
+            pass
+    except ValueError:
+        return True
+    return False
+
+
 def same_float(a: float, b: float) -> bool:
     """Bit-level equality up to NaN payloads: == plus the sign bit, NaN equal to NaN."""
     if math.isnan(a) or math.isnan(b):

@@ -295,8 +295,11 @@ def test_sum_of_opposite_infinities_exits_2(capsys, tmp_path):
                                        {**member, "values": [[-math.inf, 0.0]]}]}
     path = tmp_path / "undefined.json"
     path.write_text(json.dumps({"dimension": 2, "rule": rule}))  # json writes Infinity
-    code = main(["domain", str(path), "--grid=0:0:1", "-K", "8"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "index (4, 4)" in captured.err
+    # (4, 4) lies in the tail window at K = 8 and below it at K = 18
+    for argv in (["domain", str(path), "--grid=0:0:1"], ["cfunc", str(path), "--grid-t", "3"]):
+        for degree in ("8", "18"):
+            code = main(argv + ["-K", degree])
+            captured = capsys.readouterr()
+            assert code == 2, (argv, degree)
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "index (4, 4)" in captured.err

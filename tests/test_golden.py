@@ -63,6 +63,10 @@ CASES = {
         "decompose", "f0.json", "--mode", "elementary", "--directions", "dirs11.json",
         "-K", "32", "--out", "out/parts",
     ],
+    "decompose_elementary_overflow": [
+        "decompose", "overflow.json", "--mode", "elementary", "--directions", "dirs5.json",
+        "-K", "8", "--out", "out/parts",
+    ],
     "decompose_elementary_g3_lattice": [
         "decompose", "g3.json", "--mode", "elementary", "--directions", "dirs_n3_lattice.json",
         "-K", "16", "--out", "out/parts",

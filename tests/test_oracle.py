@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from reinhardt import (
@@ -163,3 +164,26 @@ def test_block_sums_never_read_the_log_table(monkeypatch, f_zero):
     fresh = SeriesSpec(2, f_zero.rule)
     assert block_sums(fresh, r, 64) == expected
     assert probe(fresh, r) == verdict
+
+
+def test_the_probe_reads_no_log_or_projection_of_the_shared_table(f_zero):
+    series = SeriesSpec(2, f_zero.rule)
+    r, max_degree = (0.7, 0.9), 64
+
+    def linear_scans():
+        return (
+            block_sums(series, r, max_degree),
+            probe(series, r, max_degree),
+            series.partial_sum_abs(r, max_degree),
+            series.slice_coefficients(r, max_degree),
+        )
+
+    expected = linear_scans()
+    table = series.coefficient_table(max_degree)
+    poisoned = table._replace(
+        logs=np.full_like(table.logs, math.nan),
+        projections=np.full_like(table.projections, math.nan),
+    )
+    series._tables[max_degree] = poisoned
+    assert series.coefficient_table(max_degree) is poisoned
+    assert linear_scans() == expected

@@ -4,10 +4,12 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from reinhardt import (
     DimensionMismatch,
+    DirectionWindow,
     ExplicitTable,
     FullGeometric,
     MultiIndex,
@@ -17,6 +19,7 @@ from reinhardt import (
     SupportWeighted,
     classify,
     decompose_elementary,
+    direction_functional,
     hadamard_indicator,
     probe,
 )
@@ -301,65 +304,46 @@ def _counting_terms(monkeypatch, rule):
     return calls
 
 
-def test_log_table_is_built_once_per_series_and_window(monkeypatch):
+def test_one_coefficient_table_per_series_and_truncation(monkeypatch):
     rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
     series = SeriesSpec(2, rule, "f0")
     before = (repr(series), series.to_json())
     calls = _counting_terms(monkeypatch, rule)
 
-    first = classify(series, (0.1, -0.2), max_degree=16)
-    assert len(calls) == len(tail_window(16))
-    calls.clear()
-    assert classify(series, (0.1, -0.2), max_degree=16) == first
-    classify(series, (-1.0, 0.5), max_degree=16)
-    assert calls == []
+    # the estimators, the probe and the decomposer at K share one scan of 1..K
+    first = classify(series, (0.1, -0.2), max_degree=32)
+    assert calls == list(range(1, 33))
+    direction_functional(series, DirectionWindow((0.5, 0.5), 0.1, (tail_window(32).start, 32)))
+    probe(series, (0.5, 0.5), 32)
+    series.partial_sum_abs((0.8, 0.1), 32)
+    series.slice_coefficients((0.8, 0.1), 32)
+    decompose_elementary(series, [(0.5, 0.5), (1.0, 0.0)], 32)
+    assert classify(series, (0.1, -0.2), max_degree=32) == first
+    assert calls == list(range(1, 33))
 
-    classify(series, (0.1, -0.2), max_degree=32)
-    assert calls == list(tail_window(32))
-    assert series.log_table(tail_window(32)) is series.log_table(tail_window(32))
-    assert series.log_table(tail_window(32)) is not series.log_table(tail_window(16))
+    calls.clear()
+    probe(series, (0.5, 0.5), 33)
+    assert calls == list(range(1, 34))
+    table = series.coefficient_table(33)
+    assert table is series.coefficient_table(33)
+    assert table is not series.coefficient_table(32)
+    assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
+    assert [list(j.entries) for j in table.indices] == table.entries.tolist()
+    projections, logs = series.log_table(tail_window(33))
+    assert np.shares_memory(projections, table.projections) and np.shares_memory(logs, table.logs)
+    for a in (*table[1:6], projections, logs):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
     calls.clear()
     other = SeriesSpec(2, rule, "f0")
-    assert classify(other, (0.1, -0.2), max_degree=16) == first
-    assert calls == list(tail_window(16))
+    assert classify(other, (0.1, -0.2), max_degree=32) == first
+    assert calls == list(range(1, 33))
 
     assert (repr(series), series.to_json()) == before
     assert "_tables" not in repr(series)
     ref = weakref.ref(series)
-    del series
-    gc.collect()
-    assert ref() is None
-
-
-def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
-    rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
-    series = SeriesSpec(2, rule, "f0")
-    calls = _counting_terms(monkeypatch, rule)
-
-    first = probe(series, (0.5, 0.5), 32)
-    assert calls == list(range(1, 33))
-    calls.clear()
-    assert probe(series, (0.5, 0.5), 32) == first
-    probe(series, (0.8, 0.1), 32)
-    series.partial_sum_abs((0.8, 0.1), 32)
-    series.slice_coefficients((0.8, 0.1), 32)
-    assert calls == []
-
-    probe(series, (0.5, 0.5), 33)
-    assert calls == list(range(1, 34))
-    table = series.coefficient_table(33)
-    assert table is not series.coefficient_table(32)
-    assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
-    for a in table[:3]:
-        with pytest.raises(ValueError):
-            a[0] = 0
-    # the two memos share one dict without sharing an entry for the same degrees
-    projections, _ = series.log_table(range(1, 33))
-    assert projections.shape == (2, len(series.coefficient_table(32).entries))
-
-    ref = weakref.ref(series)
-    del series, table
+    del series, table, projections, logs
     gc.collect()
     assert ref() is None
 
@@ -422,13 +406,15 @@ def _opposite_infinities():
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda series: hadamard_indicator(series, (0.0, 0.0), 8),
-        lambda series: decompose_elementary(series, [(0.5, 0.5), (1.0, 0.0)], 8),
+        lambda series, k: hadamard_indicator(series, (0.0, 0.0), k),
+        lambda series, k: decompose_elementary(series, [(0.5, 0.5), (1.0, 0.0)], k),
+        lambda series, k: probe(series, (0.5, 0.5), 4 * k),
     ],
-    ids=["hadamard_indicator", "decompose_elementary"],
+    ids=["hadamard_indicator", "decompose_elementary", "probe"],
 )
 def test_sum_of_opposite_infinities_names_the_index(evaluate):
-    with pytest.raises(ValueError, match=r"opposite infinities at index \(4, 4\)"):
-        evaluate(_opposite_infinities())
-    # outside the window the undefined coefficient is never read
-    assert hadamard_indicator(_opposite_infinities(), (0.0, 0.0), 18) == 0.0
+    # every query at K reads the scan of degrees 1..K, so the undefined
+    # coefficient raises inside the tail window (K = 8) and below it (K = 18)
+    for max_degree in (8, 18):
+        with pytest.raises(ValueError, match=r"opposite infinities at index \(4, 4\)"):
+            evaluate(_opposite_infinities(), max_degree)
