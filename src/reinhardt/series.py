@@ -559,9 +559,8 @@ class SeriesSpec(JsonFile):
 
         Supported zeros are included with log -inf.  Degrees (all >= 1) come
         in the order given and indices in lexicographic order within a
-        degree.  This is the only truncation scan: coefficient_table holds
-        it once per truncation for the estimators, the decomposer and the
-        probe, and one-shot scans of freshly built series iterate it directly.
+        degree.  This is the only truncation scan: coefficient_table keeps it
+        once per truncation, and one-shot scans of fresh series iterate it.
         """
         for k in degrees:
             yield from self.rule.terms(self.dimension, k)
@@ -576,17 +575,20 @@ class SeriesSpec(JsonFile):
         """
         table = self._tables.get(max_degree)
         if table is None:
-            rows = list(self.terms(range(1, max_degree + 1)))
-            indices = tuple(j for j, _, _ in rows)
+            indices, coefficients, logs = [], [], []
+            for j, c, v in self.terms(range(1, max_degree + 1)):
+                indices.append(j)
+                coefficients.append(c)
+                logs.append(v)
             entries = np.array([j.entries for j in indices], np.int64).reshape(-1, self.dimension)
             sums = entries.sum(axis=1)
             table = CoefficientTable(
-                indices,
+                tuple(indices),
                 entries,
                 (entries / sums[:, None]).T.copy(),
-                np.array([c for _, c, _ in rows], np.complex128),
-                np.array([abs(c) for _, c, _ in rows], np.float64),
-                np.array([v for _, _, v in rows], np.float64),
+                np.array(coefficients, np.complex128),
+                np.fromiter(map(abs, coefficients), np.float64, len(coefficients)),
+                np.array(logs, np.float64),
                 tuple(np.searchsorted(sums, range(max_degree + 2)).tolist()),
             )
             for array in table[1:6]:
@@ -595,11 +597,7 @@ class SeriesSpec(JsonFile):
         return table
 
     def log_table(self, degrees: range):
-        """(projections, logs) of the rows with |J| in degrees, as read-only views.
-
-        The rows offsets[lo]:offsets[hi + 1] of coefficient_table(hi), where
-        degrees runs lo..hi.
-        """
+        """Read-only views (projections, logs) of coefficient_table(hi) at degrees lo..hi."""
         table = self.coefficient_table(degrees.stop - 1)
         lo, hi = table.offsets[degrees.start], table.offsets[degrees.stop]
         return table.projections[:, lo:hi], table.logs[lo:hi]
