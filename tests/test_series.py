@@ -348,6 +348,73 @@ def test_one_coefficient_table_per_series_and_truncation(monkeypatch):
     assert ref() is None
 
 
+def test_log_table_is_built_once_per_series_and_window(monkeypatch):
+    rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
+    series = SeriesSpec(2, rule, "f0")
+    before = (repr(series), series.to_json())
+    calls = _counting_terms(monkeypatch, rule)
+
+    # the tail window at K is a view of the scan of degrees 1..K
+    first = classify(series, (0.1, -0.2), max_degree=16)
+    assert calls == list(range(1, 17))
+    calls.clear()
+    assert classify(series, (0.1, -0.2), max_degree=16) == first
+    classify(series, (-1.0, 0.5), max_degree=16)
+    assert calls == []
+
+    classify(series, (0.1, -0.2), max_degree=32)
+    assert calls == list(range(1, 33))
+    calls.clear()
+    again = zip(series.log_table(tail_window(32)), series.log_table(tail_window(32)))
+    assert all(np.shares_memory(a, b) for a, b in again)
+    assert not np.shares_memory(series.log_table(tail_window(32))[1],
+                                series.log_table(tail_window(16))[1])
+    assert calls == []
+
+    other = SeriesSpec(2, rule, "f0")
+    assert classify(other, (0.1, -0.2), max_degree=16) == first
+    assert calls == list(range(1, 17))
+
+    assert (repr(series), series.to_json()) == before
+    assert "_tables" not in repr(series)
+    ref = weakref.ref(series)
+    del series
+    gc.collect()
+    assert ref() is None
+
+
+def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
+    rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
+    series = SeriesSpec(2, rule, "f0")
+    calls = _counting_terms(monkeypatch, rule)
+
+    first = probe(series, (0.5, 0.5), 32)
+    assert calls == list(range(1, 33))
+    calls.clear()
+    assert probe(series, (0.5, 0.5), 32) == first
+    probe(series, (0.8, 0.1), 32)
+    series.partial_sum_abs((0.8, 0.1), 32)
+    series.slice_coefficients((0.8, 0.1), 32)
+    assert calls == []
+
+    probe(series, (0.5, 0.5), 33)
+    assert calls == list(range(1, 34))
+    table = series.coefficient_table(33)
+    assert table is not series.coefficient_table(32)
+    assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
+    for a in table[1:6]:
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # the log table over degrees 1..32 covers every row of the table at 32
+    projections, _ = series.log_table(range(1, 33))
+    assert projections.shape == (2, len(series.coefficient_table(32).entries))
+
+    ref = weakref.ref(series)
+    del series, table, projections
+    gc.collect()
+    assert ref() is None
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
 def test_linear_scans_match_the_per_term_loops_bit_for_bit(dimension):
     for series in linear_scan_corpus(dimension, 33):
