@@ -10,7 +10,6 @@ logarithmically convex region, and decomposes a series into elementary
 
 from .construct import (
     EmptyWindow,
-    IndexFamily,
     InfiniteSupport,
     build_family,
     extremal_sequence,

@@ -45,6 +45,7 @@ from .hadamard import (
     slice_radius,
     tail_window,
 )
+from .jsonfile import json_text
 from .multiindex import SimplexDirection, uniform_directions_2d
 from .oracle import DEFAULT_MARGIN, agreement_grid, probe
 from .series import SeriesSpec
@@ -89,13 +90,6 @@ def _load_directions(path: str) -> list[SimplexDirection]:
         return [SimplexDirection(tuple(d)) for d in raw]
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path} holds a malformed direction: {exc}") from exc
-
-
-def _direction_from_flag(values, flag: str) -> SimplexDirection:
-    try:
-        return SimplexDirection(tuple(values))
-    except ValueError as exc:
-        raise InputError(f"{flag} is not a simplex direction: {exc}") from exc
 
 
 def _parse_grid(spec: str, dimension: int):
@@ -144,7 +138,7 @@ def _json_scalar(value: float):
 def _emit(payload, out_path):
     """Write a JSON payload (dict) or CSV lines (list) to out_path or stdout."""
     if isinstance(payload, dict):
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text(payload)
     else:
         text = "\n".join(payload) + "\n"
     if out_path:
@@ -158,19 +152,24 @@ def _emit(payload, out_path):
 # commands whose --out names their data (construct, decompose) report to stdout.
 
 
+def _report(args, **fields) -> dict:
+    """A command's JSON report: its name, the config flags its subparser declared, then fields."""
+    config = {name: getattr(args, name) for name in args.config}
+    return {"command": args.command, "config": config, **fields}
+
+
 def _cmd_probe(args) -> dict:
     series = _load(args.series, SeriesSpec)
     verdict = probe(series, args.point, args.degree, args.margin)
-    return {
-        "command": "probe",
-        "config": {"degree": args.degree, "margin": args.margin},
-        "point": list(args.point),
-        "result": {
+    return _report(
+        args,
+        point=list(args.point),
+        result={
             "class": verdict.outcome.value,
             "tail_ratio": _json_scalar(verdict.tail_ratio),
             "partial": _json_scalar(verdict.partial),
         },
-    }
+    )
 
 
 def _cmd_domain(args) -> list:
@@ -204,7 +203,7 @@ def _cmd_cfunc(args) -> dict:
     for alpha in directions:
         window = (
             DirectionWindow(alpha, args.delta, (lo, args.degree))
-            if args.delta
+            if args.delta is not None
             else DirectionWindow.default(alpha, args.degree)
         )
         used_delta = window.radius
@@ -217,13 +216,13 @@ def _cmd_cfunc(args) -> dict:
 def _cmd_direction_value(args) -> dict:
     """support and envelope: a file-backed function evaluated at one direction."""
     source = _load(args.source, args.file_type)
-    alpha = _direction_from_flag(args.direction, "--direction")
-    return {
-        "command": args.command,
-        "config": {},
-        "direction": list(alpha.coords),
-        "value": _json_scalar(args.evaluate(source, alpha)),
-    }
+    try:
+        alpha = SimplexDirection(tuple(args.direction))
+    except ValueError as exc:
+        raise InputError(f"--direction is not a simplex direction: {exc}") from exc
+    return _report(
+        args, direction=list(alpha.coords), value=_json_scalar(args.evaluate(source, alpha))
+    )
 
 
 def _cmd_construct(args) -> dict:
@@ -231,36 +230,7 @@ def _cmd_construct(args) -> dict:
     directions = _load_directions(args.directions)
     series = series_for_domain(domain, directions, per_row=args.per_row)
     series.save(args.target)
-    return {
-        "command": "construct",
-        "config": {"per_row": args.per_row},
-        "directions": len(directions),
-        "out": args.target,
-    }
-
-
-def _telescoping_error(dec, max_degree: int) -> float:
-    """Worst relative gap in sum(parts) == sum(g rows) + f_M/M, coefficient-wise."""
-    lhs: dict = {}
-    rhs: dict = {}
-
-    def add(into, series, divisor=None):
-        for j, c, _ in series.terms(range(1, max_degree + 1)):
-            if c != 0:
-                into[j] = into.get(j, 0.0j) + (c if divisor is None else c / divisor)
-
-    for part in dec.parts:
-        add(lhs, part.series)
-    for g in dec.g_rows:
-        add(rhs, g)
-    add(rhs, dec.f_rows[-1], len(dec.parts))
-    worst = 0.0
-    for j in set(lhs) | set(rhs):
-        a, b = lhs.get(j, 0.0j), rhs.get(j, 0.0j)
-        scale = max(abs(a), abs(b))
-        if scale:
-            worst = max(worst, abs(a - b) / scale)
-    return worst
+    return _report(args, directions=len(directions), out=args.target)
 
 
 def _cmd_decompose(args) -> dict:
@@ -282,35 +252,26 @@ def _cmd_decompose(args) -> dict:
         name = f"part_{n:03d}.json"
         part.series.save(os.path.join(args.target, name))
         part_files.append(name)
-    manifest = {
-        "command": "decompose",
-        "mode": args.mode,
-        "config": {"degree": args.degree},
-        "directions": [list(d.coords) for d in directions],
-        "parts": part_files,
-    }
+    manifest = _report(
+        args,
+        mode=args.mode,
+        directions=[list(d.coords) for d in directions],
+        parts=part_files,
+        exactness=dec.exactness(),
+    )
     if args.mode == "elementary":
-        routed = sum(len(p.series.rule.table) for p in dec.parts)
-        occurring = int((series.coefficient_table(args.degree).coefficients != 0).sum())
         manifest.update(
-            {
-                "offsets": [_json_scalar(p.level) for p in dec.parts],
-                "halfspaces": [p.halfspace.to_json() if p.halfspace else None for p in dec.parts],
-                "constant": [dec.constant_part.real, dec.constant_part.imag],
-                "exactness": {"routed": routed, "occurring": occurring, "ok": routed == occurring},
-            }
+            offsets=[_json_scalar(p.level) for p in dec.parts],
+            halfspaces=[p.halfspace.to_json() if p.halfspace else None for p in dec.parts],
+            constant=[dec.constant_part.real, dec.constant_part.imag],
         )
     else:
-        worst = _telescoping_error(dec, args.degree)
         manifest.update(
-            {
-                "wedges": [
-                    [p.wedge[0].to_json(), p.wedge[1].to_json()] if p.wedge else None
-                    for p in dec.parts
-                ],
-                "halfspaces": [h.to_json() for h in dec.halfspaces],
-                "exactness": {"worst_rel_err": worst, "ok": worst <= 1e-12},
-            }
+            wedges=[
+                [p.wedge[0].to_json(), p.wedge[1].to_json()] if p.wedge else None
+                for p in dec.parts
+            ],
+            halfspaces=[h.to_json() for h in dec.halfspaces],
         )
     manifest_path = os.path.join(args.target, "manifest.json")
     _emit(manifest, manifest_path)
@@ -319,26 +280,21 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_slice_radius(args) -> dict:
     series = _load(args.series, SeriesSpec)
-    return {
-        "command": "slice-radius",
-        "config": {"degree": args.degree},
-        "point": list(args.point),
-        "value": _json_scalar(slice_radius(series, args.point, args.degree)),
-    }
+    value = slice_radius(series, args.point, args.degree)
+    return _report(args, point=list(args.point), value=_json_scalar(value))
 
 
 def _cmd_check(args) -> dict:
     series = _load(args.series, SeriesSpec)
     points = _parse_grid(args.grid, series.dimension)
     report = agreement_grid(series, points, args.degree, args.epsilon, args.margin)
-    return {
-        "command": "check",
-        "config": {"degree": args.degree, "epsilon": args.epsilon, "margin": args.margin},
-        "points": report.points,
-        "decisive": report.decisive,
-        "agreement": report.agreement,
-        "mismatches": [list(m) for m in report.mismatches],
-    }
+    return _report(
+        args,
+        points=report.points,
+        decisive=report.decisive,
+        agreement=report.agreement,
+        mismatches=[list(m) for m in report.mismatches],
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,36 +304,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, epsilon=False, margin=False):
+    def add_common(p, func, epsilon=False, margin=False):
+        """func, --degree, --epsilon and --margin as asked, and --out; all but --out are config."""
+        config = ["degree"]
         p.add_argument("--degree", "-K", type=int, default=DEFAULT_MAX_DEGREE,
                        help="truncation degree (default 64)")
         if epsilon:
+            config.append("epsilon")
             p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                            help="membership margin band (default 0.05)")
         if margin:
+            config.append("margin")
             p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
                            help="probe ratio margin (default 0.1)")
         p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=func, config=config)
 
     p = sub.add_parser("probe", help="brute-force convergence probe at a point")
     p.add_argument("series")
     p.add_argument("--point", type=float, nargs="+", required=True)
-    add_common(p, margin=True)
-    p.set_defaults(func=_cmd_probe)
+    add_common(p, _cmd_probe, margin=True)
 
     p = sub.add_parser("domain", help="membership grid as CSV")
     p.add_argument("series")
     p.add_argument("--grid", required=True, help="lo:hi:count[,lo:hi:count...]")
-    add_common(p, epsilon=True)
-    p.set_defaults(func=_cmd_domain)
+    add_common(p, _cmd_domain, epsilon=True)
 
     p = sub.add_parser("cfunc", help="sample the direction functional")
     p.add_argument("series")
     p.add_argument("--directions", help="JSON file with a 'directions' list")
     p.add_argument("--grid-t", type=int, help="N=2 only: count of uniform directions")
     p.add_argument("--delta", type=float, help="window radius (default auto)")
-    add_common(p)
-    p.set_defaults(func=_cmd_cfunc)
+    add_common(p, _cmd_cfunc)
 
     for name, flag, file_type, evaluate, help_text in (
         ("support", "--domain", HDomain, support_value, "support function of an H-domain"),
@@ -388,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, dest="source", required=True)
         p.add_argument("--direction", type=float, nargs="+", required=True)
         p.add_argument("--out")
-        p.set_defaults(func=_cmd_direction_value, file_type=file_type, evaluate=evaluate)
+        p.set_defaults(func=_cmd_direction_value, file_type=file_type, evaluate=evaluate, config=())
 
     p = sub.add_parser("construct", help="realizing series for an H-domain")
     p.add_argument("--domain", required=True)
     p.add_argument("--directions", required=True)
     p.add_argument("--per-row", type=int, default=8)
     p.add_argument("--out", dest="target", required=True)
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(func=_cmd_construct, config=("per_row",))
 
     p = sub.add_parser("decompose", help="elementary or wedge decomposition")
     p.add_argument("series")
@@ -405,19 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate-domain", action="store_true")
     p.add_argument("--degree", "-K", type=int, default=DEFAULT_MAX_DEGREE)
     p.add_argument("--out", dest="target", required=True, help="output directory")
-    p.set_defaults(func=_cmd_decompose)
+    p.set_defaults(func=_cmd_decompose, config=("degree",))
 
     p = sub.add_parser("slice-radius", help="radius estimate of a ray slice")
     p.add_argument("series")
     p.add_argument("--point", type=float, nargs="+", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_slice_radius)
+    add_common(p, _cmd_slice_radius)
 
     p = sub.add_parser("check", help="estimator vs probe agreement grid")
     p.add_argument("series")
     p.add_argument("--grid", default="-1:1:11")
-    add_common(p, epsilon=True, margin=True)
-    p.set_defaults(func=_cmd_check)
+    add_common(p, _cmd_check, epsilon=True, margin=True)
 
     return parser
 
@@ -427,13 +383,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _emit(args.func(args), getattr(args, "out", None))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (EmptyDomain, InfiniteSupport, NeedTwoDirections, SupportsOverlap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # InputError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

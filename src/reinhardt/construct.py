@@ -1,8 +1,8 @@
 """Constructive side: index families, extremal sequences, and realizing series.
 
-Three builders live here.  build_family lays out a doubly-indexed family of
-distinct lattice points whose row-n projections converge to a prescribed
-direction; degree interleaving (one global degree per slot) makes
+Three builders live here.  build_family returns the rows of a doubly-indexed
+family of distinct lattice points whose row-n projections converge to a
+prescribed direction; degree interleaving (one global degree per slot) makes
 distinctness automatic and preserves the 2N/degree convergence rate.
 extremal_sequence picks, per doubling degree band, the supported index near a
 direction with the largest normalized log magnitude, realizing the direction
@@ -16,15 +16,13 @@ alpha_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .convex import HDomain, support_value
-from .multiindex import MultiIndex, SimplexDirection, as_direction, as_directions, project
+from .multiindex import MultiIndex, as_direction, as_directions, project
 from .series import SeriesSpec, SupportWeighted
 
 __all__ = [
     "EmptyWindow",
-    "IndexFamily",
     "InfiniteSupport",
     "band_radius",
     "build_family",
@@ -43,37 +41,21 @@ class InfiniteSupport(ValueError):
     """A prescribed direction has infinite support value on the domain."""
 
 
-@dataclass(frozen=True)
-class IndexFamily:
-    """Rows of distinct lattice points; row n projects toward direction n."""
+def build_family(directions, per_row: int) -> tuple[tuple[MultiIndex, ...], ...]:
+    """Rows of distinct lattice points: row n, slot k at degree 8 + (n-1) + M(k-1).
 
-    directions: tuple[SimplexDirection, ...]
-    rows: tuple[tuple[MultiIndex, ...], ...]
-
-    def __post_init__(self):
-        if len(self.directions) != len(self.rows):
-            raise ValueError("one row per direction required")
-
-    def all_indices(self):
-        for row in self.rows:
-            yield from row
-
-
-def build_family(directions, per_row: int, base: int = BASE_DEGREE, stride: int = 1) -> IndexFamily:
-    """Doubly-indexed family: row n, slot k at degree base + (n-1+M(k-1)) stride.
-
-    Every slot owns a unique degree, so all indices are distinct without any
-    discard step; the slot index is the nearest lattice direction of that
-    degree, hence |J/|J| - alpha_n|_l1 < 2N/|J| along each row.  The slots
-    are those of the support-weighted rule over the same directions.
+    Row n projects toward direction n.  Every slot owns a unique degree, so
+    all indices are distinct without any discard step; the slot index is the
+    nearest lattice direction of that degree, hence |J/|J| - alpha_n|_l1 <
+    2N/|J| along each row.  The slots are those of the support-weighted rule
+    over the same directions.
     """
     dirs = as_directions(directions)
-    slots = SupportWeighted(dirs, (0.0,) * len(dirs), per_row, base=base, stride=stride)
-    rows = tuple(
+    slots = SupportWeighted(dirs, (0.0,) * len(dirs), per_row)
+    return tuple(
         tuple(slots.index_at(n, k) for k in range(1, per_row + 1))
         for n in range(1, slots.rows + 1)
     )
-    return IndexFamily(dirs, rows)
 
 
 def band_radius(dimension: int, band: int) -> float:
@@ -119,9 +101,7 @@ def extremal_sequence(series: SeriesSpec, alpha, max_degree: int) -> list[MultiI
     return out
 
 
-def series_for_domain(
-    domain: HDomain, directions, per_row: int, base: int = BASE_DEGREE, stride: int = 1
-) -> SeriesSpec:
+def series_for_domain(domain: HDomain, directions, per_row: int) -> SeriesSpec:
     """Support-weighted series whose convergence domain realizes the H-domain.
 
     Uses the family of build_family over the prescribed directions with
@@ -145,7 +125,7 @@ def series_for_domain(
                 "prescribe directions from the effective domain only"
             )
         values.append(h)
-    rule = SupportWeighted(dirs, values, per_row=per_row, base=base, stride=stride)
+    rule = SupportWeighted(dirs, values, per_row=per_row)
     return SeriesSpec(
         domain.dimension,
         rule,

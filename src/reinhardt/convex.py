@@ -96,9 +96,9 @@ class HDomain(JsonFile):
             return -inf
         return max(hs.value(point) for hs in self.halfspaces)
 
-    def contains(self, point, closed: bool = False, tol: float = 0.0) -> bool:
+    def contains(self, point, closed: bool = False) -> bool:
         v = self.evaluate(point)
-        return v <= tol if closed else v < -tol
+        return v <= 0.0 if closed else v < 0.0
 
     def constraint_rows(self) -> list[tuple[tuple[float, ...], float]]:
         return [(hs.normal.coords, hs.offset) for hs in self.halfspaces]

@@ -7,13 +7,16 @@ transformed, so the partition is exact to the bit.  Each row receives a
 half-space estimate from the tail window of its own coefficients; a row with
 an empty or overflowed tail window keeps an infinite level and an empty
 half-space marker rather than being dropped, so the partition stays exhaustive.
+Its exactness report counts the routed coefficients against the occurring
+ones of the scan.
 
 decompose_simple combines each routed row with the matching row of the
 realizing series for the prescribed region, then telescopes: with
 f_0/0 := 0, part n is (g_n + f_n/n) - f_(n-1)/(n-1), where the inner sum
 combines like terms.  Partial sums collapse to sum(g_n) + f_M/M exactly, and
 part n >= 2 converges precisely on the wedge cut by the supporting
-half-spaces at directions n and n-1.
+half-spaces at directions n and n-1.  Its exactness report is the worst
+relative gap in that identity, coefficient by coefficient.
 
 sum_domain_check compares membership for a sum of support-disjoint series
 against the conjunction of per-part memberships, which agree for finite
@@ -30,9 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import series_for_domain
+from .construct import band_radius, series_for_domain
 from .convex import HalfSpace, HDomain, SampledFunction, reduce_to_dense_subset
-from .hadamard import DirectionWindow, Membership, classify, direction_functional, tail_window
+from .hadamard import (
+    DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, DirectionWindow, Membership, classify,
+    direction_functional, tail_window,
+)
 from .multiindex import (
     L1_SLACK_PER_COORD, MultiIndex, SimplexDirection, as_directions, l1_distances, project,
 )
@@ -92,20 +98,22 @@ class ElementaryDecomposition:
     constant_part: complex
     assignment: dict[MultiIndex, int] = field(repr=False)
     truncation: int
+    occurring: int
+
+    def exactness(self) -> dict:
+        """Routed coefficients against the occurring ones; ok when they are equal."""
+        routed = sum(len(p.series.rule.table) for p in self.parts)
+        return {"routed": routed, "occurring": self.occurring, "ok": routed == self.occurring}
 
 
 def decompose_elementary(
-    series: SeriesSpec,
-    directions,
-    max_degree: int,
-    absorb_constant: bool = False,
+    series: SeriesSpec, directions, max_degree: int
 ) -> ElementaryDecomposition:
     """Partition the series along prescribed directions, exactly.
 
     Every index with 1 <= |J| <= max_degree goes to the row of the nearest
     direction (ties to the smallest row); occurring coefficients are copied
-    into the row tables unchanged.  The constant term is reported separately
-    unless absorb_constant moves it into row 0.
+    into the row tables unchanged.  The constant term is reported separately.
     """
     dirs = as_directions(directions)
     if dirs[0].dimension != series.dimension:
@@ -131,10 +139,6 @@ def decompose_elementary(
             tables[row][j] = c
             if k >= window_start and v > levels[row]:
                 levels[row] = v
-    constant = series.constant_term()
-    if absorb_constant and constant != 0:
-        tables[0][series.zero_index] = constant
-        constant = 0.0j
 
     parts = []
     for n, (alpha, level) in enumerate(zip(dirs, levels)):
@@ -147,7 +151,10 @@ def decompose_elementary(
             series.dimension, ExplicitTable(tables[n]), label=f"routed part {n}"
         )
         parts.append(ElementaryPart(part_series, alpha, level, halfspace))
-    return ElementaryDecomposition(tuple(parts), constant, assignment, max_degree)
+    occurring = int((table.coefficients != 0).sum())
+    return ElementaryDecomposition(
+        tuple(parts), series.constant_term(), assignment, max_degree, occurring
+    )
 
 
 @dataclass(frozen=True)
@@ -166,6 +173,29 @@ class SimpleDecomposition:
     f_rows: tuple[SeriesSpec, ...]
     halfspaces: tuple[HalfSpace, ...]
     truncation: int
+
+    def exactness(self) -> dict:
+        """Worst relative gap in sum(parts) == sum(g rows) + f_M/M, coefficient-wise."""
+        lhs: dict = {}
+        rhs: dict = {}
+
+        def add(into, series, divisor=None):
+            for j, c, _ in series.terms(range(1, self.truncation + 1)):
+                if c != 0:
+                    into[j] = into.get(j, 0.0j) + (c if divisor is None else c / divisor)
+
+        for part in self.parts:
+            add(lhs, part.series)
+        for g in self.g_rows:
+            add(rhs, g)
+        add(rhs, self.f_rows[-1], len(self.parts))
+        worst = 0.0
+        for j in set(lhs) | set(rhs):
+            a, b = lhs.get(j, 0.0j), rhs.get(j, 0.0j)
+            scale = max(abs(a), abs(b))
+            if scale:
+                worst = max(worst, abs(a - b) / scale)
+        return {"worst_rel_err": worst, "ok": worst <= 1e-12}
 
 
 def _scaled(c: complex, t: float) -> complex:
@@ -235,7 +265,7 @@ def sum_domain_check(
     parts,
     max_degree: int,
     grid_points,
-    epsilon: float = 0.05,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> SumDomainReport:
     """Compare the sum's membership against the conjunction of part memberships.
 
@@ -294,20 +324,18 @@ def sum_domain_check(
 def estimate_domain(
     series: SeriesSpec,
     directions,
-    max_degree: int = 64,
-    delta: Optional[float] = None,
+    max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> HDomain:
     """H-representation estimate of the log convergence region of a series.
 
     Chains the direction functional over the given directions (window radius
-    delta, default max(0.02, 2N/K): tight enough to separate neighboring
+    band_radius(N, K) = max(0.02, 2N/K): tight enough to separate neighboring
     sample directions, wide enough that the top degrees always hold a lattice
     direction), carves the region of the samples, and reduces it back to
     supporting half-spaces on the same directions.
     """
     dirs = as_directions(directions)
-    if delta is None:
-        delta = max(0.02, 2.0 * series.dimension / max_degree)
+    delta = band_radius(series.dimension, max_degree)
     lo = tail_window(max_degree).start
     values = tuple(
         direction_functional(series, DirectionWindow(alpha, delta, (lo, max_degree)))

@@ -161,15 +161,11 @@ def direction_functional(series: SeriesSpec, window: DirectionWindow) -> float:
     return inf if best == -inf else -best
 
 
-def elementary_halfspace(
-    series: SeriesSpec,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-    max_diameter: float = ELEMENTARY_DIAMETER,
-) -> HalfSpace:
+def elementary_halfspace(series: SeriesSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> HalfSpace:
     """Half-space estimate for a series whose tail support hugs one direction.
 
     Checks that the projections of the supported tail indices have l1
-    diameter at most max_diameter, then returns the half-space
+    diameter at most ELEMENTARY_DIAMETER, then returns the half-space
     {s : <normal, s> - offset < 0} with normal the degree-weighted mean of
     the projections (higher degrees project closer to the limit direction)
     and -offset the window maximum of the normalized log magnitudes.
@@ -184,10 +180,10 @@ def elementary_halfspace(
             continue
         pj = project(j)
         for prev, _ in collected:
-            if prev.l1_distance(pj) > max_diameter:
+            if prev.l1_distance(pj) > ELEMENTARY_DIAMETER:
                 raise NotElementary(
                     f"tail projections spread {prev.coords} .. {pj.coords}; "
-                    f"diameter exceeds {max_diameter}"
+                    f"diameter exceeds {ELEMENTARY_DIAMETER}"
                 )
         collected.append((pj, v))
         for i, e in enumerate(j.entries):

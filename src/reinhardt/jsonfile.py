@@ -3,13 +3,17 @@
 import json
 
 
+def json_text(data) -> str:
+    """data as JSON text in the one file format."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
 class JsonFile:
     """save and load on top of a class's to_json and from_json."""
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(self.to_json()))
 
     @classmethod
     def load(cls, path):

@@ -23,7 +23,6 @@ __all__ = [
     "ZeroIndexNotProjectable",
     "as_direction",
     "as_directions",
-    "degree_count",
     "enumerate_degree",
     "l1_distances",
     "nearest_index_of_degree",
@@ -156,11 +155,6 @@ def project(index: MultiIndex) -> SimplexDirection:
     if d == 0:
         raise ZeroIndexNotProjectable("the zero multi-index has no radial projection")
     return SimplexDirection(tuple(e / d for e in index.entries))
-
-
-def degree_count(dimension: int, degree: int) -> int:
-    """Number of multi-indices of the given dimension and exact degree."""
-    return math.comb(degree + dimension - 1, dimension - 1)
 
 
 @lru_cache(maxsize=None)

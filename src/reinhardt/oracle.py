@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from math import fsum, inf
 
-from .hadamard import Membership, classify
+from .hadamard import DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, Membership, classify
 from .series import SeriesSpec
 
 __all__ = [
@@ -63,7 +63,7 @@ def block_sums(series: SeriesSpec, point, max_degree: int) -> list[float]:
 def probe(
     series: SeriesSpec,
     point,
-    max_degree: int = 64,
+    max_degree: int = DEFAULT_MAX_DEGREE,
     margin: float = DEFAULT_MARGIN,
 ) -> ProbeVerdict:
     """Classify absolute convergence at a non-negative point by block growth.
@@ -117,8 +117,8 @@ class GridAgreementReport:
 def agreement_grid(
     series: SeriesSpec,
     log_points,
-    max_degree: int = 64,
-    epsilon: float = 0.05,
+    max_degree: int = DEFAULT_MAX_DEGREE,
+    epsilon: float = DEFAULT_EPSILON,
     margin: float = DEFAULT_MARGIN,
 ) -> GridAgreementReport:
     """Fraction of grid points where the estimator and the probe agree.

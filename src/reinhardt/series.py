@@ -101,17 +101,6 @@ class CoefficientRule:
         """
         raise NotImplementedError
 
-    def supported_indices(self, dimension: int, degree: int):
-        """Indices of the given degree where the coefficient may be nonzero."""
-        return tuple(j for j, _, _ in self.terms(dimension, degree))
-
-    def log_abs_normalized(self, index: MultiIndex) -> float:
-        """log|c_J| / |J|; -inf for a vanishing coefficient."""
-        for j, _, v in self.terms(index.dimension, index.degree):
-            if j == index:
-                return v
-        return -inf
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -546,13 +535,18 @@ class SeriesSpec(JsonFile):
         return self.rule.coefficient(self._check_index(index))
 
     def log_abs_coeff_normalized(self, index) -> float:
+        """log|c_J| / |J| from the scan of J's degree; -inf for a vanishing coefficient."""
         index = self._check_index(index)
         if index.degree < 1:
             raise ValueError("normalized log magnitude needs degree >= 1")
-        return self.rule.log_abs_normalized(index)
+        for j, _, v in self.rule.terms(self.dimension, index.degree):
+            if j == index:
+                return v
+        return -inf
 
     def supported_indices(self, degree: int):
-        return self.rule.supported_indices(self.dimension, degree)
+        """Indices of the given degree where the coefficient may be nonzero."""
+        return tuple(j for j, _, _ in self.rule.terms(self.dimension, degree))
 
     def terms(self, degrees: range):
         """(J, c_J, log|c_J|/|J|) for every supported J with |J| in degrees.

@@ -76,6 +76,14 @@ def test_cfunc_grid_t(capsys, files):
     assert data["values"][off] == 0.0
 
 
+def test_cfunc_zero_delta_exits_2(capsys, files):
+    code = main(["cfunc", files["f0"], "--grid-t", "5", "--delta", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "window radius must lie in (0, 2]" in captured.err
+
+
 def test_support_scalar(capsys, files):
     code, out = run(
         capsys,

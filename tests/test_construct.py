@@ -23,15 +23,15 @@ INF = math.inf
 
 
 def test_build_family_single_direction():
-    fam = build_family([SimplexDirection((0.5, 0.5))], per_row=3)
+    rows = build_family([SimplexDirection((0.5, 0.5))], per_row=3)
     # degrees 8, 9, 10; the odd degree tie-breaks lexicographically
-    assert [j.entries for j in fam.rows[0]] == [(4, 4), (4, 5), (5, 5)]
+    assert [j.entries for j in rows[0]] == [(4, 4), (4, 5), (5, 5)]
 
 
 def test_build_family_two_directions():
-    fam = build_family([SimplexDirection((1.0, 0.0)), SimplexDirection((0.0, 1.0))], per_row=2)
-    assert [j.entries for j in fam.rows[0]] == [(8, 0), (10, 0)]
-    assert [j.entries for j in fam.rows[1]] == [(0, 9), (0, 11)]
+    rows = build_family([SimplexDirection((1.0, 0.0)), SimplexDirection((0.0, 1.0))], per_row=2)
+    assert [j.entries for j in rows[0]] == [(8, 0), (10, 0)]
+    assert [j.entries for j in rows[1]] == [(0, 9), (0, 11)]
 
 
 def test_build_family_invariants():
@@ -43,10 +43,11 @@ def test_build_family_invariants():
         raw = sorted(rng.sample(range(0, 101), m))
         dirs = [SimplexDirection((t / 100, 1 - t / 100)) for t in raw]
         per_row = rng.randrange(1, 6)
-        fam = build_family(dirs, per_row)
-        everything = list(fam.all_indices())
+        rows = build_family(dirs, per_row)
+        assert len(rows) == len(dirs)  # one row per direction
+        everything = [j for row in rows for j in row]
         assert len(set(everything)) == len(everything)  # pairwise distinct
-        for n, row in enumerate(fam.rows):
+        for n, row in enumerate(rows):
             degrees = [j.degree for j in row]
             assert degrees == sorted(degrees) and len(set(degrees)) == len(degrees)
             for j in row:

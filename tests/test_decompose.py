@@ -1,5 +1,7 @@
 import cmath
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +9,6 @@ from reinhardt import (
     ExplicitTable,
     HalfSpace,
     HDomain,
-    MultiIndex,
     NeedTwoDirections,
     SeriesSpec,
     SimplexDirection,
@@ -32,6 +33,7 @@ from conftest import (
 )
 
 INF = math.inf
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def merge_tables(series_list, max_degree):
@@ -90,13 +92,6 @@ def test_partition_is_exact_bitwise(f_zero):
     constant = abs(f_zero.constant_term())
     # routing never alters a coefficient: exact to the last bit
     assert math.fsum([partial_parts, constant, -whole]) == pytest.approx(0.0, abs=0.0)
-
-
-def test_absorb_constant_flag(f_zero):
-    dec = decompose_elementary(f_zero, uniform_directions_2d(3), 16, absorb_constant=True)
-    assert dec.constant_part == 0.0
-    zero = MultiIndex((0, 0))
-    assert dec.parts[0].series.coefficient(zero) == f_zero.constant_term()
 
 
 def test_row_halfspaces_contain_supporting_halfspaces(f_zero, wedge_domain):
@@ -270,3 +265,28 @@ def test_routing_of_an_empty_scan():
     series = SeriesSpec(3, ExplicitTable({(0, 0, 0): 1.0}))
     dec = decompose_elementary(series, lattice_directions(3, 2), 8)
     assert dec.assignment == {} and all(p.level == INF for p in dec.parts)
+
+
+def _golden_directions(name):
+    return json.loads((GOLDEN_INPUTS / name).read_text())["directions"]
+
+
+@pytest.mark.parametrize(
+    "series_file, domain_file, degree, want",
+    [
+        # the absorption defect: f dwarfs g and the wedge tables absorb it
+        ("f0.json", "box_caps_minus1.json", 64, {"worst_rel_err": 1.0, "ok": False}),
+        ("wedge_real.json", "triangle.json", 32, {"worst_rel_err": 0.0, "ok": True}),
+    ],
+)
+def test_simple_decomposition_reports_its_exactness(series_file, domain_file, degree, want):
+    series = SeriesSpec.load(GOLDEN_INPUTS / series_file)
+    domain = HDomain.load(GOLDEN_INPUTS / domain_file)
+    dec = decompose_simple(series, domain, _golden_directions("dirs5.json"), degree)
+    assert dec.exactness() == want
+
+
+def test_elementary_decomposition_reports_its_exactness():
+    series = SeriesSpec.load(GOLDEN_INPUTS / "overflow.json")
+    dec = decompose_elementary(series, _golden_directions("dirs5.json"), 8)
+    assert dec.exactness() == {"routed": 2, "occurring": 2, "ok": True}

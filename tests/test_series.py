@@ -128,7 +128,7 @@ def test_support_weighted_degrees_are_unique_and_exact():
             assert rule.slot_of_degree(d) == (n, k)
             j = rule.index_at(n, k)
             # stored as -h exactly, never through exp
-            assert rule.log_abs_normalized(j) == -rule.values[n - 1]
+            assert SeriesSpec(2, rule).log_abs_coeff_normalized(j) == -rule.values[n - 1]
 
 
 def test_support_weighted_row_extraction_preserves_degrees():
@@ -153,10 +153,10 @@ def test_ray_geometric_off_ray_is_zero(ray_diag):
 
 
 def test_explicit_table_support_by_degree():
-    table = ExplicitTable({(1, 0): 2.0, (0, 1): 3.0, (2, 2): -1.0})
-    assert [j.entries for j in table.supported_indices(2, 1)] == [(0, 1), (1, 0)]
-    assert [j.entries for j in table.supported_indices(2, 4)] == [(2, 2)]
-    assert table.supported_indices(2, 3) == ()
+    table = SeriesSpec(2, ExplicitTable({(1, 0): 2.0, (0, 1): 3.0, (2, 2): -1.0}))
+    assert [j.entries for j in table.supported_indices(1)] == [(0, 1), (1, 0)]
+    assert [j.entries for j in table.supported_indices(4)] == [(2, 2)]
+    assert table.supported_indices(3) == ()
 
 
 def test_json_round_trip(tmp_path, f_zero):
