@@ -37,7 +37,6 @@ from .decompose import (
     sum_domain_check,
 )
 from .hadamard import (
-    DirectionWindow,
     Membership,
     MembershipVerdict,
     NotElementary,

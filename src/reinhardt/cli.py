@@ -21,7 +21,7 @@ import os
 import sys
 from math import inf
 
-from .construct import InfiniteSupport, series_for_domain
+from .construct import InfiniteSupport, band_radius, series_for_domain
 from .convex import (
     EmptyDomain,
     HDomain,
@@ -39,16 +39,14 @@ from .decompose import (
 from .hadamard import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_DEGREE,
-    DirectionWindow,
     classify,
     direction_functional,
     slice_radius,
-    tail_window,
 )
 from .jsonfile import json_text
 from .multiindex import SimplexDirection, uniform_directions_2d
 from .oracle import DEFAULT_MARGIN, agreement_grid, probe
-from .series import SeriesSpec
+from .series import SeriesSpec, tail_window
 
 __all__ = ["main"]
 
@@ -197,19 +195,13 @@ def _cmd_cfunc(args) -> dict:
         directions = uniform_directions_2d(args.grid_t)
     else:
         raise InputError("cfunc needs --directions or --grid-t")
-    lo = tail_window(args.degree).start
-    values = []
-    used_delta = None
-    for alpha in directions:
-        window = (
-            DirectionWindow(alpha, args.delta, (lo, args.degree))
-            if args.delta is not None
-            else DirectionWindow.default(alpha, args.degree)
-        )
-        used_delta = window.radius
-        values.append(direction_functional(series, window))
+    tail_window(args.degree)  # refuses K < 1 before the default radius divides by sqrt(K)
+    delta = args.delta
+    if delta is None:
+        delta = band_radius(series.dimension, math.sqrt(args.degree))
+    values = [direction_functional(series, alpha, delta, args.degree) for alpha in directions]
     payload = SampledFunction(tuple(directions), tuple(values)).to_json()
-    payload["config"] = {"degree": args.degree, "delta": used_delta}
+    payload["config"] = {"degree": args.degree, "delta": delta}
     return payload
 
 
@@ -334,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("series")
     p.add_argument("--directions", help="JSON file with a 'directions' list")
     p.add_argument("--grid-t", type=int, help="N=2 only: count of uniform directions")
-    p.add_argument("--delta", type=float, help="window radius (default auto)")
+    p.add_argument("--delta", type=float, help="window radius (default max(0.02, 2N/sqrt(K)))")
     add_common(p, _cmd_cfunc)
 
     for name, flag, file_type, evaluate, help_text in (

@@ -121,8 +121,8 @@ class HDomain(JsonFile):
 class SampledFunction(JsonFile):
     """Finite table of direction/value pairs on the probability simplex.
 
-    Values may be +inf (direction outside the effective domain) but never
-    -inf; directions must be pairwise distinct.
+    Values may be +inf (outside the effective domain), never NaN; -inf, an
+    empty region, raises EmptyDomain.  Directions must be pairwise distinct.
     """
 
     directions: tuple[SimplexDirection, ...]
@@ -133,9 +133,11 @@ class SampledFunction(JsonFile):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.directions) != len(self.values):
             raise ValueError("directions and values must have equal length")
-        for v in self.values:
-            if v == -inf or math.isnan(v):
-                raise ValueError("sampled values must not be -inf or NaN")
+        for d, v in zip(self.directions, self.values):
+            if math.isnan(v):
+                raise ValueError("sampled values must not be NaN")
+            if v == -inf:
+                raise EmptyDomain(f"the sample at {d.coords} is -inf: the region is empty")
 
     @property
     def dimension(self) -> int:

@@ -36,13 +36,12 @@ import numpy as np
 from .construct import band_radius, series_for_domain
 from .convex import HalfSpace, HDomain, SampledFunction, reduce_to_dense_subset
 from .hadamard import (
-    DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, DirectionWindow, Membership, classify,
-    direction_functional, tail_window,
+    DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, Membership, classify, direction_functional,
 )
 from .multiindex import (
     L1_SLACK_PER_COORD, MultiIndex, SimplexDirection, as_directions, l1_distances, project,
 )
-from .series import ExplicitTable, SeriesSpec, SumRule
+from .series import ExplicitTable, SeriesSpec, SumRule, tail_window
 
 __all__ = [
     "ElementaryDecomposition",
@@ -118,8 +117,6 @@ def decompose_elementary(
     dirs = as_directions(directions)
     if dirs[0].dimension != series.dimension:
         raise ValueError("direction dimension does not match the series")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
     tables: list[dict[MultiIndex, complex]] = [{} for _ in dirs]
     levels = [-inf] * len(dirs)
     table = series.coefficient_table(max_degree)
@@ -132,12 +129,11 @@ def decompose_elementary(
         routes[k] = route_index(table.indices[k], dirs)
     routes = routes.tolist()
     assignment = dict(zip(table.indices, routes))
-    window_start = table.offsets[tail_window(max_degree).start]
     rows = zip(table.indices, table.coefficients.tolist(), table.logs.tolist(), routes)
     for k, (j, c, v, row) in enumerate(rows):
         if c != 0:
             tables[row][j] = c
-            if k >= window_start and v > levels[row]:
+            if k >= table.tail_start and v > levels[row]:
                 levels[row] = v
 
     parts = []
@@ -292,7 +288,7 @@ def sum_domain_check(
             seen.add(table.indices[k])
     total = SeriesSpec(dim, SumRule([p.rule for p in parts]), label="sum of parts")
     table = total.coefficient_table(max_degree)
-    tail_occupied = table.coefficients[table.offsets[tail_window(max_degree).start]:].any()
+    tail_occupied = table.coefficients[table.tail_start:].any()
 
     points = 0
     decisive = 0
@@ -335,12 +331,9 @@ def estimate_domain(
     supporting half-spaces on the same directions.
     """
     dirs = as_directions(directions)
+    tail_window(max_degree)  # refuses K < 1 before the radius divides by K
     delta = band_radius(series.dimension, max_degree)
-    lo = tail_window(max_degree).start
-    values = tuple(
-        direction_functional(series, DirectionWindow(alpha, delta, (lo, max_degree)))
-        for alpha in dirs
-    )
+    values = tuple(direction_functional(series, alpha, delta, max_degree) for alpha in dirs)
     samples = SampledFunction(dirs, values)
     carved = HDomain(series.dimension, tuple(HalfSpace(d, v) for d, v in samples.finite_samples()))
     return reduce_to_dense_subset(carved, dirs)

@@ -40,6 +40,7 @@ __all__ = [
     "SeriesSpec",
     "SumRule",
     "SupportWeighted",
+    "tail_window",
 ]
 
 class DimensionMismatch(ValueError):
@@ -249,8 +250,10 @@ class SupportWeighted(CoefficientRule):
         for v in values:
             if not math.isfinite(v):
                 raise ValueError("support weights must be finite")
-        if per_row < 1 or base < 1 or stride < 1:
-            raise ValueError("per_row, base and stride must be >= 1")
+        if per_row < 1:
+            raise ValueError("per_row must be >= 1")
+        if base < 1 or stride < 1:
+            raise ValueError("base and stride must be >= 1")
         self.directions = directions
         self.values = values
         self.per_row = per_row
@@ -440,13 +443,21 @@ def _powers(x: float, max_degree: int) -> list[float]:
     return out
 
 
+def tail_window(max_degree: int) -> range:
+    """Degrees ceil(K/2) .. K inclusive: the window every root-test estimate reads."""
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
+    return range((max_degree + 1) // 2, max_degree + 1)
+
+
 class CoefficientTable(NamedTuple):
     """The terms scan of degrees 1..K as read-only arrays, one per series and K.
 
     The M scanned indices with their M x N int64 entries, the N x M
     projections J / |J| (rounded as project rounds them), the c_J (supported
     zeros included), abs(c_J) and log|c_J|/|J|; the rows of degree k are
-    offsets[k]:offsets[k + 1].  The probe reads no logs or projections.
+    offsets[k]:offsets[k + 1], and the tail window's rows are tail_start:.
+    The probe reads no logs or projections.
     """
 
     indices: tuple[MultiIndex, ...]
@@ -456,6 +467,7 @@ class CoefficientTable(NamedTuple):
     magnitudes: np.ndarray
     logs: np.ndarray
     offsets: tuple[int, ...]
+    tail_start: int
 
     def monomials(self, r) -> np.ndarray:
         """r^J per row, bit for bit the per-term product of Python powers.
@@ -569,6 +581,7 @@ class SeriesSpec(JsonFile):
         """
         table = self._tables.get(max_degree)
         if table is None:
+            window = tail_window(max_degree)
             indices, coefficients, logs = [], [], []
             for j, c, v in self.terms(range(1, max_degree + 1)):
                 indices.append(j)
@@ -576,6 +589,7 @@ class SeriesSpec(JsonFile):
                 logs.append(v)
             entries = np.array([j.entries for j in indices], np.int64).reshape(-1, self.dimension)
             sums = entries.sum(axis=1)
+            offsets = tuple(np.searchsorted(sums, range(max_degree + 2)).tolist())
             table = CoefficientTable(
                 tuple(indices),
                 entries,
@@ -583,18 +597,13 @@ class SeriesSpec(JsonFile):
                 np.array(coefficients, np.complex128),
                 np.fromiter(map(abs, coefficients), np.float64, len(coefficients)),
                 np.array(logs, np.float64),
-                tuple(np.searchsorted(sums, range(max_degree + 2)).tolist()),
+                offsets,
+                offsets[window.start],
             )
             for array in table[1:6]:
                 array.flags.writeable = False
             self._tables[max_degree] = table
         return table
-
-    def log_table(self, degrees: range):
-        """Read-only views (projections, logs) of coefficient_table(hi) at degrees lo..hi."""
-        table = self.coefficient_table(degrees.stop - 1)
-        lo, hi = table.offsets[degrees.start], table.offsets[degrees.stop]
-        return table.projections[:, lo:hi], table.logs[lo:hi]
 
     def partial_sum_abs(self, point, max_degree: int) -> float:
         """sum of |c_J| r^J over 0 <= |J| <= max_degree; +inf on overflow.

@@ -157,19 +157,18 @@ def reference_route_index(index, directions) -> int:
     return best_row
 
 
-def reference_direction_functional(series, window) -> float:
+def reference_direction_functional(series, center, radius, max_degree) -> float:
     """Negative of the largest normalized log magnitude inside the window.
 
     +inf when no coefficient survives in the window: the direction is not
     realized at this truncation, matching an infinite support-function value
     outside the effective domain.
     """
-    if window.center.dimension != series.dimension:
+    if center.dimension != series.dimension:
         raise ValueError("window center dimension does not match the series")
-    lo, hi = window.degree_range
     best = -inf
-    for j, _, v in series.terms(range(lo, hi + 1)):
-        if project(j).l1_distance(window.center) <= window.radius and v > best:
+    for j, _, v in series.terms(tail_window(max_degree)):
+        if project(j).l1_distance(center) <= radius and v > best:
             best = v
     return inf if best == -inf else -best
 

@@ -8,7 +8,6 @@ import math
 import random
 
 from reinhardt import (
-    DirectionWindow,
     Membership,
     ProbeOutcome,
     SampledFunction,
@@ -85,8 +84,7 @@ def test_criterion_3_nonconvex_direction_functional(f_zero, wedge_domain):
     dirs = uniform_directions_2d(21)
     values = []
     for alpha in dirs:
-        window = DirectionWindow(alpha, 0.02, (32, 64))
-        values.append(direction_functional(f_zero, window))
+        values.append(direction_functional(f_zero, alpha, 0.02, 64))
     worst = 0.0
     for alpha, v in zip(dirs, values):
         want = -LN2 / 2 if alpha.coords == (0.5, 0.5) else 0.0

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +312,59 @@ def test_sum_of_opposite_infinities_exits_2(capsys, tmp_path):
             assert code == 2, (argv, degree)
             assert captured.out == ""
             assert captured.err.startswith("error: ") and "index (4, 4)" in captured.err
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["slice-radius", "f0", "--point", "1", "0.5", "-K", "0"],
+        ["slice-radius", "f0", "--point", "1", "0.5", "-K", "-3"],
+        ["cfunc", "f0", "--grid-t", "3", "-K", "0"],
+        ["cfunc", "f0", "--grid-t", "3", "-K", "-4"],
+        ["decompose", "f0", "--mode", "simple", "--directions", "dirs", "--estimate-domain",
+         "-K", "0", "--out", "out"],
+    ],
+)
+def test_truncation_below_one_exits_2(tmp_path, capsys, files, argv):
+    argv = [files.get(a, str(tmp_path / a) if a == "out" else a) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: max_degree must be >= 1\n"
+
+
+def test_an_overflowed_window_reports_an_empty_region(tmp_path, capsys):
+    # the (3, 3) coefficient overflows, so a window holding it has log +inf
+    series, dirs = str(GOLDEN_INPUTS / "overflow.json"), str(GOLDEN_INPUTS / "dirs5.json")
+    for argv, direction in (
+        (["cfunc", series, "--directions", dirs], (0.0, 1.0)),
+        (["decompose", series, "--mode", "simple", "--directions", dirs, "--estimate-domain",
+          "--out", str(tmp_path / "parts")], (0.25, 0.75)),
+    ):
+        code = main(argv + ["-K", "8"])
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the sample at {direction} is -inf: the region is empty\n"
+        )
+
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"directions": [[0.0, 1.0], [1.0, 0.0]],
+                                   "values": [0.0, "-inf"]}))
+    code = main(["envelope", "--samples", str(samples), "--direction", "0.5", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {samples} is not a valid samples file: ")
+
+
+def test_construct_per_row_0_names_only_per_row(tmp_path, capsys, files):
+    code = main(["construct", "--domain", files["wedge"], "--directions", files["dirs"],
+                 "--per-row", "0", "--out", str(tmp_path / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: per_row must be >= 1\n"

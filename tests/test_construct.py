@@ -64,13 +64,11 @@ def test_extremal_sequence_examples(f_zero, full_geom):
 
 
 def test_extremal_sequence_approaches_direction_functional(f_zero):
-    from reinhardt import DirectionWindow, direction_functional
+    from reinhardt import direction_functional
 
     seq = extremal_sequence(f_zero, (0.5, 0.5), 64)
     final = f_zero.log_abs_coeff_normalized(seq[-1])
-    c_hat = direction_functional(
-        f_zero, DirectionWindow((0.5, 0.5), 0.02, (32, 64))
-    )
+    c_hat = direction_functional(f_zero, (0.5, 0.5), 0.02, 64)
     assert abs(final - (-c_hat)) <= 0.02
 
 

@@ -272,8 +272,12 @@ def test_sampled_function_json_round_trip(tmp_path):
 
 def test_sampled_function_validation():
     dirs = uniform_directions_2d(3)
-    with pytest.raises(ValueError):
+    # -inf bounds the region by an empty half-space; NaN is malformed input
+    with pytest.raises(EmptyDomain, match=r"at \(0\.5, 0\.5\) is -inf"):
         SampledFunction(tuple(dirs), (0.0, -INF, 0.0))
+    with pytest.raises(ValueError, match="NaN") as nan:
+        SampledFunction(tuple(dirs), (0.0, math.nan, 0.0))
+    assert type(nan.value) is ValueError
     with pytest.raises(ValueError):
         SampledFunction((dirs[0], dirs[0]), (0.0, 1.0))
 

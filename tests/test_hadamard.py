@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 from collections import Counter
@@ -6,7 +5,6 @@ from collections import Counter
 import pytest
 
 from reinhardt import (
-    DirectionWindow,
     ExplicitTable,
     FullGeometric,
     Membership,
@@ -21,6 +19,7 @@ from reinhardt import (
     hadamard_indicator,
     slice_radius,
 )
+from reinhardt.construct import band_radius
 from reinhardt.hadamard import tail_window
 from reinhardt.multiindex import project
 from conftest import (
@@ -33,11 +32,6 @@ from conftest import (
 )
 
 INF = math.inf
-
-
-def window(center, radius, max_degree=64):
-    lo = (max_degree + 1) // 2
-    return DirectionWindow(center, radius, (lo, max_degree))
 
 
 def test_indicator_examples(full_geom, ray_diag):
@@ -105,26 +99,25 @@ def test_indicator_diagonal_shift(f_zero, full_geom, ray_diag):
 
 def test_direction_functional_examples(full_geom, f_zero, ray_diag):
     for t in (0.0, 0.3, 0.5, 0.9):
-        assert direction_functional(full_geom, window((t, 1 - t), 0.1)) == 0.0
-    got = direction_functional(f_zero, window((0.5, 0.5), 0.02))
+        assert direction_functional(full_geom, (t, 1 - t), 0.1) == 0.0
+    got = direction_functional(f_zero, (0.5, 0.5), 0.02)
     # oracle: the window holds the diagonal (largest term at its lowest degree)
     # plus coefficient-1 neighbors, so the peak is max of log(1 + 2^j)/(2j)
     peak = max(math.log(1 + 2**j) / (2 * j) for j in range(16, 33))
     assert got == pytest.approx(-peak, abs=1e-12)
     assert got == pytest.approx(-LN2 / 2, abs=0.02)
-    assert direction_functional(f_zero, window((0.7, 0.3), 0.05)) == 0.0
-    assert direction_functional(ray_diag, window((1.0, 0.0), 0.05)) == INF
+    assert direction_functional(f_zero, (0.7, 0.3), 0.05) == 0.0
+    assert direction_functional(ray_diag, (1.0, 0.0), 0.05) == INF
 
 
 def test_direction_functional_dominates_window_terms(f_zero):
-    from reinhardt import project
+    from reinhardt import SimplexDirection, project
 
-    w = window((0.5, 0.5), 0.1)
-    c_hat = direction_functional(f_zero, w)
-    lo, hi = w.degree_range
-    for k in range(lo, hi + 1):
+    center, radius = SimplexDirection((0.5, 0.5)), 0.1
+    c_hat = direction_functional(f_zero, center, radius)
+    for k in tail_window(64):
         for j in f_zero.supported_indices(k):
-            if project(j).l1_distance(w.center) > w.radius:
+            if project(j).l1_distance(center) > radius:
                 continue
             v = f_zero.log_abs_coeff_normalized(j)
             if v == -INF:
@@ -132,16 +125,20 @@ def test_direction_functional_dominates_window_terms(f_zero):
             assert c_hat <= -v + 1e-12
 
 
-def test_direction_window_validation():
-    with pytest.raises(ValueError):
-        window((0.5, 0.5), 0.0)
-    with pytest.raises(ValueError):
-        window((0.5, 0.5), 2.5)
-    with pytest.raises(ValueError):
-        DirectionWindow((0.5, 0.5), 0.1, (0, 4))
-    d = DirectionWindow.default((0.5, 0.5), 64)
-    assert d.degree_range == (32, 64)
-    assert d.radius == pytest.approx(0.5)
+def test_direction_window_validation(f_zero):
+    for radius in (0.0, 2.5, math.nan):
+        with pytest.raises(ValueError, match=r"window radius must lie in \(0, 2\]"):
+            direction_functional(f_zero, (0.5, 0.5), radius)
+    with pytest.raises(ValueError, match="center dimension"):
+        direction_functional(f_zero, (0.2, 0.3, 0.5), 0.1)
+    for max_degree in (0, -3):
+        with pytest.raises(ValueError, match="max_degree must be >= 1"):
+            direction_functional(f_zero, (0.5, 0.5), 0.1, max_degree)
+        with pytest.raises(ValueError, match="max_degree must be >= 1"):
+            tail_window(max_degree)
+    assert tail_window(64) == range(32, 65) and tail_window(1) == range(1, 2)
+    # cfunc's default radius, max(0.02, 2N/sqrt(K)), comes from the one radius rule
+    assert band_radius(2, math.sqrt(64)) == 0.5
 
 
 def test_elementary_halfspace_examples(ray_diag):
@@ -271,8 +268,9 @@ def test_indicator_matches_the_per_term_loop_bit_for_bit(kind, n):
 def test_differential_rules_reach_their_edge_values():
     series = {kind: SeriesSpec(2, rule) for kind, rule in differential_rules(2).items()}
     with pytest.raises(ValueError, match=r"index \(5, 1\)"):
-        series.pop("sum_nan_log").log_table(tail_window(8))
-    logs = {kind: s.log_table(tail_window(8))[1] for kind, s in series.items()}
+        series.pop("sum_nan_log").coefficient_table(8)
+    tables = {kind: s.coefficient_table(8) for kind, s in series.items()}
+    logs = {kind: t.logs[t.tail_start:] for kind, t in tables.items()}
     assert -INF in logs["ray_geometric_zero_ratio"]
     assert -INF in logs["explicit_table_with_zeros"] and INF in logs["explicit_table_with_inf"]
     assert len(logs["explicit_table_empty_window"]) == 0
@@ -293,17 +291,16 @@ def test_direction_functional_matches_the_fsum_loop_bit_for_bit(n, lattice_degre
     max_degree = {2: 24, 3: 16, 4: 12}[n]
     centers = random.Random(lattice_degree).sample(lattice_directions(n, lattice_degree), 2)
     # the explicit_table_empty_window rule leaves the tail window empty
-    ranges = [(tail_window(max_degree).start, max_degree), (1, max_degree)]
     for kind, rule in differential_rules(n).items():
         series = SeriesSpec(n, rule)
-        for center, (lo, hi) in itertools.product(centers, ranges):
-            if scan_refuses(series, hi):
-                # opposite infinities in degrees 1..hi: no coefficient to compare
+        for center in centers:
+            if scan_refuses(series, max_degree):
+                # opposite infinities in degrees 1..K: no coefficient to compare
                 with pytest.raises(ValueError, match="opposite infinities"):
-                    direction_functional(series, DirectionWindow(center, 2.0, (lo, hi)))
+                    direction_functional(series, center, 2.0, max_degree)
                 continue
-            radii = _attained_radii(series, center, range(lo, hi + 1))
+            radii = _attained_radii(series, center, tail_window(max_degree))
             for radius in radii + [0.5 / max_degree, 2.0]:
-                w = DirectionWindow(center, radius, (lo, hi))
-                want = reference_direction_functional(series, w)
-                assert direction_functional(series, w) == want, (kind, center, radius, lo)
+                want = reference_direction_functional(series, center, radius, max_degree)
+                got = direction_functional(series, center, radius, max_degree)
+                assert got == want, (kind, center, radius)

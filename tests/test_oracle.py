@@ -12,6 +12,7 @@ from reinhardt import (
     probe,
 )
 from reinhardt.oracle import block_sums
+from reinhardt.series import CoefficientTable
 from conftest import (
     grid2,
     linear_scan_corpus,
@@ -152,16 +153,21 @@ def test_block_sums_match_the_per_term_loop_bit_for_bit(dimension, max_degree):
             assert all(map(same_float, got, expected)), (series.label, r)
 
 
-def test_block_sums_never_read_the_log_table(monkeypatch, f_zero):
+def test_block_sums_never_read_the_log_table(f_zero):
     r = (0.7, 0.9)
     expected = reference_block_sums(f_zero, r, 64)
     verdict = probe(f_zero, r)
 
-    def refuse(self, degrees):
-        raise AssertionError("the probe read the estimator's log table")
+    class Refusing(CoefficientTable):
+        """The table with the estimator's columns, projections and logs, sealed."""
 
-    monkeypatch.setattr(SeriesSpec, "log_table", refuse)
+        def _refuse(self):
+            raise AssertionError("the probe read the estimator's log table")
+
+        projections = logs = property(_refuse)
+
     fresh = SeriesSpec(2, f_zero.rule)
+    fresh._tables[64] = Refusing(*fresh.coefficient_table(64))
     assert block_sums(fresh, r, 64) == expected
     assert probe(fresh, r) == verdict
 

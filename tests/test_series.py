@@ -9,7 +9,6 @@ import pytest
 
 from reinhardt import (
     DimensionMismatch,
-    DirectionWindow,
     ExplicitTable,
     FullGeometric,
     MultiIndex,
@@ -20,10 +19,11 @@ from reinhardt import (
     classify,
     decompose_elementary,
     direction_functional,
+    elementary_halfspace,
     hadamard_indicator,
     probe,
 )
-from reinhardt.hadamard import tail_window
+from reinhardt.series import tail_window
 
 from conftest import (
     brute_force_coefficients,
@@ -292,6 +292,12 @@ def test_points_must_be_finite(full_geom):
             full_geom.slice_coefficients(point, 16)
 
 
+def tail_rows(series, max_degree):
+    """(projections, logs) of the tail window: rows tail_start: of the table at max_degree."""
+    table = series.coefficient_table(max_degree)
+    return table.projections[:, table.tail_start:], table.logs[table.tail_start:]
+
+
 def _counting_terms(monkeypatch, rule):
     calls = []
     original = rule.terms
@@ -313,7 +319,7 @@ def test_one_coefficient_table_per_series_and_truncation(monkeypatch):
     # the estimators, the probe and the decomposer at K share one scan of 1..K
     first = classify(series, (0.1, -0.2), max_degree=32)
     assert calls == list(range(1, 33))
-    direction_functional(series, DirectionWindow((0.5, 0.5), 0.1, (tail_window(32).start, 32)))
+    direction_functional(series, (0.5, 0.5), 0.1, 32)
     probe(series, (0.5, 0.5), 32)
     series.partial_sum_abs((0.8, 0.1), 32)
     series.slice_coefficients((0.8, 0.1), 32)
@@ -329,7 +335,8 @@ def test_one_coefficient_table_per_series_and_truncation(monkeypatch):
     assert table is not series.coefficient_table(32)
     assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
     assert [list(j.entries) for j in table.indices] == table.entries.tolist()
-    projections, logs = series.log_table(tail_window(33))
+    assert table.tail_start == table.offsets[tail_window(33).start]
+    projections, logs = tail_rows(series, 33)
     assert np.shares_memory(projections, table.projections) and np.shares_memory(logs, table.logs)
     for a in (*table[1:6], projections, logs):
         with pytest.raises(ValueError):
@@ -365,10 +372,9 @@ def test_log_table_is_built_once_per_series_and_window(monkeypatch):
     classify(series, (0.1, -0.2), max_degree=32)
     assert calls == list(range(1, 33))
     calls.clear()
-    again = zip(series.log_table(tail_window(32)), series.log_table(tail_window(32)))
+    again = zip(tail_rows(series, 32), tail_rows(series, 32))
     assert all(np.shares_memory(a, b) for a, b in again)
-    assert not np.shares_memory(series.log_table(tail_window(32))[1],
-                                series.log_table(tail_window(16))[1])
+    assert not np.shares_memory(tail_rows(series, 32)[1], tail_rows(series, 16)[1])
     assert calls == []
 
     other = SeriesSpec(2, rule, "f0")
@@ -405,9 +411,10 @@ def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
     for a in table[1:6]:
         with pytest.raises(ValueError):
             a[0] = 0
-    # the log table over degrees 1..32 covers every row of the table at 32
-    projections, _ = series.log_table(range(1, 33))
-    assert projections.shape == (2, len(series.coefficient_table(32).entries))
+    # the tail rows at 32 are every row of the table at 32 from degree 16 on
+    projections, _ = tail_rows(series, 32)
+    start = series.coefficient_table(32).offsets[16]
+    assert projections.shape == (2, len(series.coefficient_table(32).entries) - start)
 
     ref = weakref.ref(series)
     del series, table, projections
@@ -429,7 +436,7 @@ def test_linear_scans_match_the_per_term_loops_bit_for_bit(dimension):
 
 
 def test_log_table_arrays_are_read_only(full_geom):
-    projections, logs = full_geom.log_table(tail_window(8))
+    projections, logs = tail_rows(full_geom, 8)
     assert projections.shape == (2, len(logs)) == (2, sum(k + 1 for k in tail_window(8)))
     for a in (projections, logs):
         with pytest.raises(ValueError):
@@ -476,8 +483,9 @@ def _opposite_infinities():
         lambda series, k: hadamard_indicator(series, (0.0, 0.0), k),
         lambda series, k: decompose_elementary(series, [(0.5, 0.5), (1.0, 0.0)], k),
         lambda series, k: probe(series, (0.5, 0.5), 4 * k),
+        lambda series, k: elementary_halfspace(series, k),
     ],
-    ids=["hadamard_indicator", "decompose_elementary", "probe"],
+    ids=["hadamard_indicator", "decompose_elementary", "probe", "elementary_halfspace"],
 )
 def test_sum_of_opposite_infinities_names_the_index(evaluate):
     # every query at K reads the scan of degrees 1..K, so the undefined
