@@ -46,7 +46,7 @@ from .hadamard import (
 from .jsonfile import json_text
 from .multiindex import SimplexDirection, uniform_directions_2d
 from .oracle import DEFAULT_MARGIN, agreement_grid, probe
-from .series import SeriesSpec, tail_window
+from .series import SeriesSpec
 
 __all__ = ["main"]
 
@@ -195,7 +195,6 @@ def _cmd_cfunc(args) -> dict:
         directions = uniform_directions_2d(args.grid_t)
     else:
         raise InputError("cfunc needs --directions or --grid-t")
-    tail_window(args.degree)  # refuses K < 1 before the default radius divides by sqrt(K)
     delta = args.delta
     if delta is None:
         delta = band_radius(series.dimension, math.sqrt(args.degree))
@@ -373,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "degree", 1) < 1:  # before any window radius is computed from K
+        parser.error("max_degree must be >= 1")
     try:
         _emit(args.func(args), getattr(args, "out", None))
     except (EmptyDomain, InfiniteSupport, NeedTwoDirections, SupportsOverlap) as exc:

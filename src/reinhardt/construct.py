@@ -61,6 +61,8 @@ def build_family(directions, per_row: int) -> tuple[tuple[MultiIndex, ...], ...]
 def band_radius(dimension: int, band: float) -> float:
     """Window radius per degree band: the nearest-index rounding bound 2N/b,
     floored at 0.02 so high bands keep a usable neighborhood."""
+    if not band > 0.0:
+        raise ValueError("band must be > 0")
     return max(0.02, 2.0 * dimension / band)
 
 

@@ -41,7 +41,7 @@ from .hadamard import (
 from .multiindex import (
     L1_SLACK_PER_COORD, MultiIndex, SimplexDirection, as_directions, l1_distances, project,
 )
-from .series import ExplicitTable, SeriesSpec, SumRule, tail_window
+from .series import ExplicitTable, SeriesSpec, SumRule
 
 __all__ = [
     "ElementaryDecomposition",
@@ -331,7 +331,6 @@ def estimate_domain(
     supporting half-spaces on the same directions.
     """
     dirs = as_directions(directions)
-    tail_window(max_degree)  # refuses K < 1 before the radius divides by K
     delta = band_radius(series.dimension, max_degree)
     values = tuple(direction_functional(series, alpha, delta, max_degree) for alpha in dirs)
     samples = SampledFunction(dirs, values)

@@ -125,6 +125,8 @@ def direction_functional(
         raise ValueError("window center dimension does not match the series")
     if not 0.0 < radius <= 2.0:
         raise ValueError("window radius must lie in (0, 2]")
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
     table = series.coefficient_table(max_degree)
     projections, logs = table.projections[:, table.tail_start:], table.logs[table.tail_start:]
     dist = l1_distances(projections, (center,))[0]
@@ -152,22 +154,20 @@ def elementary_halfspace(series: SeriesSpec, max_degree: int = DEFAULT_MAX_DEGRE
     rows = table.tail_start + np.flatnonzero(table.logs[table.tail_start:] != -inf)
     if not len(rows):
         raise NotElementary("no supported index in the tail degree window")
-    columns = table.projections[:, rows]
-    near = ELEMENTARY_DIAMETER - L1_SLACK_PER_COORD * series.dimension
-    for k in range(1, len(rows)):
-        pk = SimplexDirection(tuple(columns[:, k]))
-        # Beside the diameter the array sum may round unlike fsum, which decides there.
-        for i in np.flatnonzero(l1_distances(columns[:, :k], (pk,))[0] > near):
-            prev = SimplexDirection(tuple(columns[:, i]))
+    collected: list[SimplexDirection] = []
+    for k in rows:
+        pk = SimplexDirection(tuple(table.projections[:, k].tolist()))
+        for prev in collected:
             if prev.l1_distance(pk) > ELEMENTARY_DIAMETER:
                 raise NotElementary(
                     f"tail projections spread {prev.coords} .. {pk.coords}; "
                     f"diameter exceeds {ELEMENTARY_DIAMETER}"
                 )
+        collected.append(pk)
     entry_sums = table.entries[rows].sum(axis=0).tolist()
     degree_sum = sum(entry_sums)
     normal = SimplexDirection(tuple(s / degree_sum for s in entry_sums))
-    return HalfSpace(normal, -float(table.logs[rows].max()))
+    return HalfSpace(normal, -max(table.logs[rows].tolist()))
 
 
 def slice_radius(series: SeriesSpec, point, max_degree: int = DEFAULT_MAX_DEGREE) -> float:

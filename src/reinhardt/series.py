@@ -581,7 +581,6 @@ class SeriesSpec(JsonFile):
         """
         table = self._tables.get(max_degree)
         if table is None:
-            window = tail_window(max_degree)
             indices, coefficients, logs = [], [], []
             for j, c, v in self.terms(range(1, max_degree + 1)):
                 indices.append(j)
@@ -598,7 +597,8 @@ class SeriesSpec(JsonFile):
                 np.fromiter(map(abs, coefficients), np.float64, len(coefficients)),
                 np.array(logs, np.float64),
                 offsets,
-                offsets[window.start],
+                # below degree 1 the table is empty, and so is its tail window
+                offsets[tail_window(max_degree).start] if max_degree >= 1 else 0,
             )
             for array in table[1:6]:
                 array.flags.writeable = False

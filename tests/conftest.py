@@ -2,9 +2,9 @@
 
 The LP oracle enumerates basic solutions directly and never touches the
 simplex code, and the per-row simplex that the array kernel replaced is kept
-as its bit-for-bit reference, as are the per-term fsum routing and direction
-functional; series-side expected values come from closed forms or raw
-enumeration of the coefficient rules.
+as its bit-for-bit reference, as are the per-term fsum routing, direction
+functional and elementary half-space; series-side expected values come from
+closed forms or raw enumeration of the coefficient rules.
 """
 
 import math
@@ -23,6 +23,7 @@ from reinhardt import (
     HDomain,
     RayGeometric,
     SeriesSpec,
+    SimplexDirection,
     SumRule,
     SupportWeighted,
     enumerate_degree,
@@ -38,7 +39,7 @@ from reinhardt.convex import (
     LpResult,
     _constraint_rows,
 )
-from reinhardt.hadamard import tail_window
+from reinhardt.hadamard import ELEMENTARY_DIAMETER, NotElementary, tail_window
 
 LN2 = math.log(2.0)
 
@@ -171,6 +172,41 @@ def reference_direction_functional(series, center, radius, max_degree) -> float:
         if project(j).l1_distance(center) <= radius and v > best:
             best = v
     return inf if best == -inf else -best
+
+
+def reference_elementary_halfspace(series, max_degree) -> HalfSpace:
+    """Half-space estimate for a series whose tail support hugs one direction.
+
+    Checks that the projections of the supported tail indices have l1
+    diameter at most ELEMENTARY_DIAMETER, then returns the half-space
+    {s : <normal, s> - offset < 0} with normal the degree-weighted mean of
+    the projections (higher degrees project closer to the limit direction)
+    and -offset the window maximum of the normalized log magnitudes.
+    """
+    if max_degree < 8:
+        raise ValueError("max_degree must be >= 8")
+    collected: list[tuple[SimplexDirection, float]] = []
+    entry_sums = [0] * series.dimension
+    degree_sum = 0
+    for j, _, v in series.terms(tail_window(max_degree)):
+        if v == -inf:
+            continue
+        pj = project(j)
+        for prev, _ in collected:
+            if prev.l1_distance(pj) > ELEMENTARY_DIAMETER:
+                raise NotElementary(
+                    f"tail projections spread {prev.coords} .. {pj.coords}; "
+                    f"diameter exceeds {ELEMENTARY_DIAMETER}"
+                )
+        collected.append((pj, v))
+        for i, e in enumerate(j.entries):
+            entry_sums[i] += e
+        degree_sum += j.degree
+    if not collected:
+        raise NotElementary("no supported index in the tail degree window")
+    normal = SimplexDirection(tuple(s / degree_sum for s in entry_sums))
+    level = max(v for _, v in collected)
+    return HalfSpace(normal, -level)
 
 
 def lattice_directions(dimension: int, degree: int):

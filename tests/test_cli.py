@@ -330,11 +330,14 @@ GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 )
 def test_truncation_below_one_exits_2(tmp_path, capsys, files, argv):
     argv = [files.get(a, str(tmp_path / a) if a == "out" else a) for a in argv]
-    code = main(argv)
+    # the -K value is refused before any radius is computed from it
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
     captured = capsys.readouterr()
-    assert code == 2
+    assert exit_.value.code == 2
     assert captured.out == ""
-    assert captured.err == "error: max_degree must be >= 1\n"
+    assert captured.err.endswith("error: max_degree must be >= 1\n")
+    assert "Traceback" not in captured.err
 
 
 def test_an_overflowed_window_reports_an_empty_region(tmp_path, capsys):

@@ -210,6 +210,13 @@ def test_estimate_domain_recovers_the_wedge(f_zero, wedge_domain):
         ) <= 0.05
 
 
+def test_estimate_domain_refuses_a_truncation_below_1(f_zero):
+    # the window radius band_radius(N, K) needs a positive band
+    for max_degree in (0, -3):
+        with pytest.raises(ValueError, match="band must be > 0"):
+            estimate_domain(f_zero, uniform_directions_2d(5), max_degree)
+
+
 def test_overflowed_wedge_entries_stay_free_of_nan(f_zero):
     # offsets -30 overflow exp(30 |J|) in the realizing rows to inf + 0j
     domain = HDomain(2, (HalfSpace((1.0, 0.0), -30.0), HalfSpace((0.0, 1.0), -30.0)))

@@ -20,14 +20,15 @@ from reinhardt import (
     slice_radius,
 )
 from reinhardt.construct import band_radius
-from reinhardt.hadamard import tail_window
-from reinhardt.multiindex import project
+from reinhardt.hadamard import ELEMENTARY_DIAMETER, tail_window
+from reinhardt.multiindex import enumerate_degree, project
 from conftest import (
     LN2,
     brute_force_indicator,
     differential_rules,
     lattice_directions,
     reference_direction_functional,
+    reference_elementary_halfspace,
     scan_refuses,
 )
 
@@ -139,6 +140,9 @@ def test_direction_window_validation(f_zero):
     assert tail_window(64) == range(32, 65) and tail_window(1) == range(1, 2)
     # cfunc's default radius, max(0.02, 2N/sqrt(K)), comes from the one radius rule
     assert band_radius(2, math.sqrt(64)) == 0.5
+    for band in (0.0, -4.0, math.nan):
+        with pytest.raises(ValueError, match="band must be > 0"):
+            band_radius(2, band)
 
 
 def test_elementary_halfspace_examples(ray_diag):
@@ -304,3 +308,55 @@ def test_direction_functional_matches_the_fsum_loop_bit_for_bit(n, lattice_degre
                 want = reference_direction_functional(series, center, radius, max_degree)
                 got = direction_functional(series, center, radius, max_degree)
                 assert got == want, (kind, center, radius)
+
+
+def _elementary_outcome(estimate, series, max_degree):
+    """The half-space's normal and offset, or the type and message of the refusal."""
+    try:
+        hs = estimate(series, max_degree)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return hs.normal.coords, hs.offset, math.copysign(1.0, hs.offset)
+
+
+def _near_diameter_tables(n, max_degree, tops=4):
+    """Explicit tables of two tail indices projecting within 1e-9 of ELEMENTARY_DIAMETER apart.
+
+    Rounding of the l1 distance decides whether such a pair is too far apart.
+    Each table pairs one of a few top-degree indices with such a partner; a
+    last table holds every one of them, so the first offending pair matters.
+    """
+    window = [j for k in tail_window(max_degree) for j in enumerate_degree(n, k)]
+    top = [j for j in window if j.degree == max_degree]
+    pairs = []
+    for a in random.Random(n * max_degree).sample(top, min(tops, len(top))):
+        for b in window:
+            if abs(project(a).l1_distance(project(b)) - ELEMENTARY_DIAMETER) < 1e-9:
+                pairs.append((a, b))
+    tables = [ExplicitTable({a.entries: 2.0, b.entries: 0.5 - 1j}) for a, b in pairs]
+    merged = {j.entries: 1.0 + i for i, pair in enumerate(pairs) for j in pair}
+    return tables + [ExplicitTable(merged)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_elementary_halfspace_matches_the_per_term_loop(n):
+    tie_verdicts = set()
+    for max_degree in (8, 9, 10, 20, 24):
+        ties = _near_diameter_tables(n, max_degree)
+        rules = {**differential_rules(n), **{f"near_diameter_{i}": t for i, t in enumerate(ties)}}
+        for kind, rule in rules.items():
+            # the dense rules visit every lattice index; cap the reference's work
+            if kind in DENSE and math.comb(max_degree + n, n) > 50_000:
+                continue
+            series = SeriesSpec(n, rule)
+            got = _elementary_outcome(elementary_halfspace, series, max_degree)
+            if scan_refuses(series, max_degree):
+                # opposite infinities in degrees 1..K, which the per-term loop may stop short of
+                assert got[0] is ValueError and "opposite infinities" in got[1]
+                continue
+            want = _elementary_outcome(reference_elementary_halfspace, series, max_degree)
+            assert got == want, (kind, max_degree)
+            if rule in ties:
+                tie_verdicts.add(want[0] is NotElementary)
+    # rounding puts some pairs exactly 1/5 apart inside the diameter and some outside
+    assert tie_verdicts == {True, False}

@@ -69,6 +69,14 @@ def test_partial_sum_abs_examples(full_geom, ray_diag):
     assert full_geom.partial_sum_abs((1e6, 1e6), 64) == math.inf
 
 
+@pytest.mark.parametrize("max_degree", [0, -2])
+def test_a_truncation_below_degree_1_keeps_only_the_constant_term(full_geom, max_degree):
+    # the table is empty, and so is its tail window
+    assert full_geom.coefficient_table(max_degree).tail_start == 0
+    assert full_geom.partial_sum_abs((0.5, 0.5), max_degree) == 1.0
+    assert full_geom.slice_coefficients((0.5, 0.5), max_degree) == [1 + 0j]
+
+
 def test_partial_sum_monotone(full_geom, f_zero):
     rng = random.Random(11)
     for series in (full_geom, f_zero):
