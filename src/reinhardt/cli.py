@@ -14,6 +14,7 @@ numbers), 3 infeasible or empty-domain conditions.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -227,7 +228,6 @@ def _cmd_construct(args) -> dict:
 def _cmd_decompose(args) -> dict:
     series = _load(args.series, SeriesSpec)
     directions = _load_directions(args.directions)
-    os.makedirs(args.target, exist_ok=True)
     if args.mode == "elementary":
         dec = decompose_elementary(series, directions, args.degree)
     else:
@@ -239,6 +239,7 @@ def _cmd_decompose(args) -> dict:
             raise InputError("decompose --mode simple needs --domain or --estimate-domain")
         dec = decompose_simple(series, domain, directions, args.degree)
     part_files = []
+    os.makedirs(args.target, exist_ok=True)  # not earlier: a run that fails leaves no directory
     for n, part in enumerate(dec.parts):
         name = f"part_{n:03d}.json"
         part.series.save(os.path.join(args.target, name))
@@ -288,7 +289,9 @@ def _cmd_check(args) -> dict:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing mutates neither it nor its defaults."""
     parser = argparse.ArgumentParser(
         prog="reinhardt",
         description="Convergence-domain geometry of multivariate power series.",
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
                            help="probe ratio margin (default 0.1)")
         p.add_argument("--out", help="output path (default stdout)")
-        p.set_defaults(func=func, config=config)
+        p.set_defaults(func=func, config=tuple(config))
 
     p = sub.add_parser("probe", help="brute-force convergence probe at a point")
     p.add_argument("series")
@@ -370,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "degree", 1) < 1:  # before any window radius is computed from K
         parser.error("max_degree must be >= 1")

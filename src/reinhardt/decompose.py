@@ -2,13 +2,15 @@
 
 decompose_elementary routes every lattice index of degree up to the working
 truncation to the nearest prescribed direction, turning a series into
-monomial-wise disjoint sub-series: the coefficients are moved, never
-transformed, so the partition is exact to the bit.  Each row receives a
-half-space estimate from the tail window of its own coefficients; a row with
-an empty or overflowed tail window keeps an infinite level and an empty
-half-space marker rather than being dropped, so the partition stays exhaustive.
-Its exactness report counts the routed coefficients against the occurring
-ones of the scan.
+monomial-wise disjoint sub-series: each part is a selection of rows of the
+series' coefficient table, coefficients moved, never transformed, so the
+partition is exact to the bit, and logs kept in the scan's closed forms (a
+saved part reloads as an ExplicitTable that recomputes log|c|/|J|).  Each row
+receives a half-space estimate from the tail window of its own coefficients;
+a row with an empty or overflowed tail window keeps an infinite level and an
+empty half-space marker rather than being dropped, so the partition stays
+exhaustive.  Its exactness report counts the routed coefficients against the
+occurring ones of the scan.
 
 decompose_simple combines each routed row with the matching row of the
 realizing series for the prescribed region, then telescopes: with
@@ -28,7 +30,7 @@ finite-family statement is being exercised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import inf, isinf
+from math import inf
 from typing import Optional
 
 import numpy as np
@@ -111,14 +113,13 @@ def decompose_elementary(
     """Partition the series along prescribed directions, exactly.
 
     Every index with 1 <= |J| <= max_degree goes to the row of the nearest
-    direction (ties to the smallest row); occurring coefficients are copied
-    into the row tables unchanged.  The constant term is reported separately.
+    direction (ties to the smallest row); each part holds the occurring rows
+    of the series' coefficient table routed to it, coefficients and logs
+    unchanged.  The constant term is reported separately.
     """
     dirs = as_directions(directions)
     if dirs[0].dimension != series.dimension:
         raise ValueError("direction dimension does not match the series")
-    tables: list[dict[MultiIndex, complex]] = [{} for _ in dirs]
-    levels = [-inf] * len(dirs)
     table = series.coefficient_table(max_degree)
     dist = l1_distances(table.projections, dirs)
     routes = dist.argmin(axis=0)
@@ -127,29 +128,22 @@ def decompose_elementary(
     close = (dist - dist.min(axis=0) <= L1_SLACK_PER_COORD * series.dimension).sum(axis=0)
     for k in np.flatnonzero(close > 1):
         routes[k] = route_index(table.indices[k], dirs)
-    routes = routes.tolist()
-    assignment = dict(zip(table.indices, routes))
-    rows = zip(table.indices, table.coefficients.tolist(), table.logs.tolist(), routes)
-    for k, (j, c, v, row) in enumerate(rows):
-        if c != 0:
-            tables[row][j] = c
-            if k >= table.tail_start and v > levels[row]:
-                levels[row] = v
+    assignment = dict(zip(table.indices, routes.tolist()))
+    occurring = np.flatnonzero(table.coefficients)
 
     parts = []
-    for n, (alpha, level) in enumerate(zip(dirs, levels)):
-        if isinf(level):
-            level = inf
-            halfspace = None
-        else:
-            halfspace = HalfSpace(alpha, -level)
+    for n, alpha in enumerate(dirs):
+        rows = occurring[routes[occurring] == n]
+        tail = table.logs[rows[rows >= table.tail_start]]
+        # the first maximum, as a running strict > keeps it (0.0 and -0.0 tie)
+        level = tail[tail.argmax()].item() if len(tail) else inf
+        halfspace = None if level == inf else HalfSpace(alpha, -level)
         part_series = SeriesSpec(
-            series.dimension, ExplicitTable(tables[n]), label=f"routed part {n}"
+            series.dimension, ExplicitTable.from_rows(table, rows), label=f"routed part {n}"
         )
         parts.append(ElementaryPart(part_series, alpha, level, halfspace))
-    occurring = int((table.coefficients != 0).sum())
     return ElementaryDecomposition(
-        tuple(parts), series.constant_term(), assignment, max_degree, occurring
+        tuple(parts), series.constant_term(), assignment, max_degree, len(occurring)
     )
 
 
@@ -216,12 +210,9 @@ def decompose_simple(
     if len(dirs) < 2:
         raise NeedTwoDirections("wedges need at least two distinct directions")
     eld = decompose_elementary(series, dirs, max_degree)
-    f_spec = series_for_domain(domain, dirs, per_row=max_degree)
-    f_rule = f_spec.rule
+    f_rule = series_for_domain(domain, dirs, per_row=max_degree).rule
     m = len(dirs)
-    halfspaces = tuple(
-        HalfSpace(dirs[n], f_rule.values[n]) for n in range(m)
-    )
+    halfspaces = tuple(HalfSpace(alpha, h) for alpha, h in zip(dirs, f_rule.values))
     f_rows = tuple(
         SeriesSpec(series.dimension, f_rule.row(n + 1), label=f"realizing row {n}")
         for n in range(m)

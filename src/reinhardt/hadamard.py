@@ -146,7 +146,8 @@ def elementary_halfspace(series: SeriesSpec, max_degree: int = DEFAULT_MAX_DEGRE
     ELEMENTARY_DIAMETER, then returns the half-space {s : <normal, s> -
     offset < 0}.  The normal is the degree-weighted mean of the projections
     (higher degrees project closer to the limit direction), from the exact
-    entry sums; -offset is the window maximum of the normalized log magnitudes.
+    entry sums; -offset is the window maximum of the normalized log magnitudes
+    (an overflowed one, +inf, leaves no half-space: NotElementary names it).
     """
     if max_degree < 8:
         raise ValueError("max_degree must be >= 8")
@@ -164,10 +165,14 @@ def elementary_halfspace(series: SeriesSpec, max_degree: int = DEFAULT_MAX_DEGRE
                     f"diameter exceeds {ELEMENTARY_DIAMETER}"
                 )
         collected.append(pk)
+    level = max(table.logs[rows].tolist())
+    if level == inf:  # decompose_elementary gives such a row the empty estimate
+        j = table.indices[rows[table.logs[rows].argmax()]]
+        raise NotElementary(f"the tail coefficient at {j.entries} overflowed: no half-space")
     entry_sums = table.entries[rows].sum(axis=0).tolist()
     degree_sum = sum(entry_sums)
     normal = SimplexDirection(tuple(s / degree_sum for s in entry_sums))
-    return HalfSpace(normal, -max(table.logs[rows].tolist()))
+    return HalfSpace(normal, -level)
 
 
 def slice_radius(series: SeriesSpec, point, max_degree: int = DEFAULT_MAX_DEGREE) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from math import fsum, inf, log
 from typing import NamedTuple
 
@@ -208,6 +209,18 @@ class ExplicitTable(CoefficientRule):
             if j.degree:
                 by_degree.setdefault(j.degree, []).append((j, c, _log_abs_over(c, j.degree)))
         self._by_degree = {k: tuple(v) for k, v in by_degree.items()}
+
+    @classmethod
+    def from_rows(cls, table: "CoefficientTable", rows: np.ndarray) -> "ExplicitTable":
+        """The sorted nonzero rows of a checked table, its logs kept; nothing is recomputed."""
+        self = cls.__new__(cls)
+        indices = [table.indices[k] for k in rows.tolist()]
+        terms = list(zip(indices, table.coefficients[rows].tolist(), table.logs[rows].tolist()))
+        self.table = {j: c for j, c, _ in terms}
+        self._dimension = table.entries.shape[1] if terms else None
+        cuts = np.searchsorted(rows, table.offsets).tolist()  # each degree's block of rows
+        self._by_degree = {k: tuple(terms[a:b]) for k, (a, b) in enumerate(pairwise(cuts)) if b > a}
+        return self
 
     def check_dimension(self, dimension: int) -> None:
         if self._dimension is not None and self._dimension != dimension:

@@ -371,3 +371,38 @@ def test_construct_per_row_0_names_only_per_row(tmp_path, capsys, files):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: per_row must be >= 1\n"
+
+
+def test_failed_decompose_runs_leave_no_directory(tmp_path, capsys, files):
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"directions": [[0.5, 0.5]]}))
+    dirs3 = tmp_path / "dirs3.json"
+    dirs3.write_text(json.dumps({"directions": [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]}))
+    overflow, dirs5 = str(GOLDEN_INPUTS / "overflow.json"), str(GOLDEN_INPUTS / "dirs5.json")
+    simple = ["--mode", "simple", "--directions"]
+    for code, argv in (
+        (2, [files["f0"], *simple, files["dirs"]]),  # neither --domain nor --estimate-domain
+        (2, [files["f0"], *simple, files["dirs"], "--domain", str(tmp_path / "nope.json")]),
+        (2, [files["f0"], "--mode", "elementary", "--directions", str(dirs3)]),
+        (3, [files["f0"], *simple, str(one), "--estimate-domain"]),
+        (3, [overflow, *simple, dirs5, "--estimate-domain", "-K", "8"]),
+    ):
+        out = tmp_path / "parts"
+        assert main(["decompose", *argv, "--out", str(out)]) == code, argv
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists(), argv
+
+
+def test_one_parser_serves_every_call(capsys, files):
+    from reinhardt.cli import _parser
+
+    configs = []
+    for argv in (["probe", files["f0"], "--point", "0.5", "0.5", "-K", "40"],
+                 ["check", files["f0"], "--grid=-1:1:2"],
+                 ["probe", files["f0"], "--point", "0.5", "0.5"]):
+        configs.append(json.loads(run(capsys, argv)[1])["config"])
+    # the defaults a parse sets are not carried into the next parse
+    assert configs == [{"degree": 40, "margin": 0.1},
+                       {"degree": 64, "epsilon": 0.05, "margin": 0.1},
+                       {"degree": 64, "margin": 0.1}]
+    assert _parser.cache_info().misses == 1 and _parser() is _parser()

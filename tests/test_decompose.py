@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from reinhardt import (
     NeedTwoDirections,
     SeriesSpec,
     SimplexDirection,
+    SumRule,
+    SupportWeighted,
     SupportsOverlap,
     convex_closure_value,
     decompose_elementary,
@@ -297,3 +300,57 @@ def test_elementary_decomposition_reports_its_exactness():
     series = SeriesSpec.load(GOLDEN_INPUTS / "overflow.json")
     dec = decompose_elementary(series, _golden_directions("dirs5.json"), 8)
     assert dec.exactness() == {"routed": 2, "occurring": 2, "ok": True}
+
+
+ROUTED_CASES = [
+    ("f0.json", "dirs11.json", 32),
+    ("g3.json", "dirs_n3_lattice.json", 16),
+    ("wedge_real.json", "dirs25.json", 64),  # a support-weighted realization: logs are -h
+    ("overflow.json", "dirs5.json", 8),
+]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("series_file, dirs_file, degree", ROUTED_CASES)
+def test_routed_parts_are_rows_of_the_parent_table(monkeypatch, series_file, dirs_file, degree):
+    series = SeriesSpec.load(GOLDEN_INPUTS / series_file)
+    built = []
+    init = ExplicitTable.__init__
+    monkeypatch.setattr(ExplicitTable, "__init__", lambda self, t: built.append(1) or init(self, t))
+    dec = decompose_elementary(series, _golden_directions(dirs_file), degree)
+    assert built == []
+    monkeypatch.undo()
+
+    parent = series.coefficient_table(degree)
+    parent_log = dict(zip(parent.indices, parent.logs.tolist()))
+    moved = 0
+    for part in dec.parts:
+        rule = part.series.rule
+        rebuilt = ExplicitTable(dict(rule.table))
+        assert rule.to_json() == rebuilt.to_json() and rule.table == rebuilt.table
+        for k in range(1, degree + 1):
+            got, want = rule.terms(series.dimension, k), rebuilt.terms(series.dimension, k)
+            assert [j for j, _, _ in got] == [j for j, _, _ in want]
+            for (j, c, v), (_, c_want, v_recomputed) in zip(got, want):
+                assert (_bits(c.real), _bits(c.imag)) == (_bits(c_want.real), _bits(c_want.imag))
+                # the parent scan's log, closed form included, not log|c|/|J| recomputed
+                assert _bits(v) == _bits(parent_log[j])
+                moved += v != v_recomputed
+    # -h and log(exp(-|J| h))/|J| differ in the last bits at some indices
+    assert (moved > 0) == (series_file == "wedge_real.json")
+
+
+@pytest.mark.parametrize("table_index", [(3, 1), (7, 1)])  # before and after the slot
+def test_a_row_level_is_its_first_maximum(table_index):
+    # the slot at degree 6 has log -h = -0.0 and the table entry log 1 = 0.0, so
+    # the row's tail holds a tie whose sign only the first maximum decides
+    rule = SumRule([SupportWeighted([(1.0, 0.0)], [0.0], per_row=1, base=6),
+                    ExplicitTable({table_index: 1.0})])
+    series, dirs = SeriesSpec(2, rule), [SimplexDirection((1.0, 0.0))]
+    _, levels = reference_routing(series, dirs, 8)
+    (part,) = decompose_elementary(series, dirs, 8).parts
+    assert math.copysign(1.0, part.level) == math.copysign(1.0, levels[0])
+    assert math.copysign(1.0, part.halfspace.offset) == math.copysign(1.0, -levels[0])

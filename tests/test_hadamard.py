@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from reinhardt import (
     SumRule,
     SupportWeighted,
     classify,
+    decompose_elementary,
     direction_functional,
     elementary_halfspace,
     hadamard_indicator,
@@ -33,6 +35,7 @@ from conftest import (
 )
 
 INF = math.inf
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def test_indicator_examples(full_geom, ray_diag):
@@ -355,8 +358,22 @@ def test_elementary_halfspace_matches_the_per_term_loop(n):
                 assert got[0] is ValueError and "opposite infinities" in got[1]
                 continue
             want = _elementary_outcome(reference_elementary_halfspace, series, max_degree)
+            if want == (ValueError, "half-space offset must be finite"):
+                # the per-term loop fails inside HalfSpace on an overflowed level,
+                # which the kernel refuses as NotElementary naming the index
+                assert got[0] is NotElementary and "overflowed" in got[1], (kind, max_degree)
+                continue
             assert got == want, (kind, max_degree)
             if rule in ties:
                 tie_verdicts.add(want[0] is NotElementary)
     # rounding puts some pairs exactly 1/5 apart inside the diameter and some outside
     assert tie_verdicts == {True, False}
+
+
+def test_elementary_halfspace_refuses_an_overflowed_tail():
+    # decompose_elementary gives the row holding (3, 3) the empty estimate; this agrees
+    series = SeriesSpec.load(GOLDEN_INPUTS / "overflow.json")
+    with pytest.raises(NotElementary, match=r"coefficient at \(3, 3\) overflowed"):
+        elementary_halfspace(series, 8)
+    dec = decompose_elementary(series, [(0.5, 0.5)], 8)
+    assert dec.parts[0].level == INF and dec.parts[0].halfspace is None
