@@ -8,7 +8,8 @@ probe.  Runs are seedless and outputs carry the resolved configuration, so
 identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 malformed input (files, flags or non-finite
-numbers), 3 infeasible or empty-domain conditions.
+numbers) or an output path that cannot be written, 3 infeasible or
+empty-domain conditions.
 """
 
 from __future__ import annotations
@@ -353,8 +354,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("series")
     p.add_argument("--mode", choices=["elementary", "simple"], required=True)
     p.add_argument("--directions", required=True)
-    p.add_argument("--domain")
-    p.add_argument("--estimate-domain", action="store_true")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--domain")
+    given.add_argument("--estimate-domain", action="store_true")
     p.add_argument("--degree", "-K", type=int, default=DEFAULT_MAX_DEGREE)
     p.add_argument("--out", dest="target", required=True, help="output directory")
     p.set_defaults(func=_cmd_decompose, config=("degree",))
@@ -382,7 +384,7 @@ def main(argv=None) -> int:
     except (EmptyDomain, InfiniteSupport, NeedTwoDirections, SupportsOverlap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:  # InputError is a ValueError
+    except (ValueError, TypeError, OSError) as exc:  # InputError; or an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

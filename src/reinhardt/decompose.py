@@ -12,13 +12,15 @@ empty half-space marker rather than being dropped, so the partition stays
 exhaustive.  Its exactness report counts the routed coefficients against the
 occurring ones of the scan.
 
-decompose_simple combines each routed row with the matching row of the
+decompose_simple pairs each routed row with the matching row of the
 realizing series for the prescribed region, then telescopes: with
-f_0/0 := 0, part n is (g_n + f_n/n) - f_(n-1)/(n-1), where the inner sum
-combines like terms.  Partial sums collapse to sum(g_n) + f_M/M exactly, and
-part n >= 2 converges precisely on the wedge cut by the supporting
-half-spaces at directions n and n-1.  Its exactness report is the worst
-relative gap in that identity, coefficient by coefficient.
+f_0/0 := 0, part n is g_n + f_n/n - f_(n-1)/(n-1), kept as the symbolic sum
+of those three rules (the realizing rows carry their factor as a scale, logs
+in closed form), never expanded into a table.  Partial sums collapse to
+sum(g_n) + f_M/M exactly, and part n >= 2 converges precisely on the wedge
+cut by the supporting half-spaces at directions n and n-1.  Its exactness
+report is the worst relative gap in that identity, weighed row by row over
+the parts' members; it reads no coefficient.
 
 sum_domain_check compares membership for a sum of support-disjoint series
 against the conjunction of per-part memberships, which agree for finite
@@ -43,7 +45,7 @@ from .hadamard import (
 from .multiindex import (
     L1_SLACK_PER_COORD, MultiIndex, SimplexDirection, as_directions, l1_distances, project,
 )
-from .series import ExplicitTable, SeriesSpec, SumRule
+from .series import ExplicitTable, SeriesSpec, SumRule, SupportWeighted
 
 __all__ = [
     "ElementaryDecomposition",
@@ -98,7 +100,6 @@ class ElementaryDecomposition:
     parts: tuple[ElementaryPart, ...]
     constant_part: complex
     assignment: dict[MultiIndex, int] = field(repr=False)
-    truncation: int
     occurring: int
 
     def exactness(self) -> dict:
@@ -142,9 +143,7 @@ def decompose_elementary(
             series.dimension, ExplicitTable.from_rows(table, rows), label=f"routed part {n}"
         )
         parts.append(ElementaryPart(part_series, alpha, level, halfspace))
-    return ElementaryDecomposition(
-        tuple(parts), series.constant_term(), assignment, max_degree, len(occurring)
-    )
+    return ElementaryDecomposition(tuple(parts), series.constant_term(), assignment, len(occurring))
 
 
 @dataclass(frozen=True)
@@ -162,35 +161,27 @@ class SimpleDecomposition:
     g_rows: tuple[SeriesSpec, ...]
     f_rows: tuple[SeriesSpec, ...]
     halfspaces: tuple[HalfSpace, ...]
-    truncation: int
 
     def exactness(self) -> dict:
-        """Worst relative gap in sum(parts) == sum(g rows) + f_M/M, coefficient-wise."""
-        lhs: dict = {}
-        rhs: dict = {}
+        """Worst relative gap in sum(parts) == sum(g rows) + f_M/M, row by row.
 
-        def add(into, series, divisor=None):
-            for j, c, _ in series.terms(range(1, self.truncation + 1)):
-                if c != 0:
-                    into[j] = into.get(j, 0.0j) + (c if divisor is None else c / divisor)
-
-        for part in self.parts:
-            add(lhs, part.series)
-        for g in self.g_rows:
-            add(rhs, g)
-        add(rhs, self.f_rows[-1], len(self.parts))
-        worst = 0.0
-        for j in set(lhs) | set(rhs):
-            a, b = lhs.get(j, 0.0j), rhs.get(j, 0.0j)
-            scale = max(abs(a), abs(b))
-            if scale:
-                worst = max(worst, abs(a - b) / scale)
+        Reads no coefficient: each member of a part is a routed row with
+        weight 1 or a realizing row with weight its scale, so the identity
+        holds exactly where every row's weights over the parts add up to its
+        weight on the right.
+        """
+        left = [m for part in self.parts for m in part.series.rule.members]
+        right = [g.rule for g in self.g_rows] + [self.f_rows[-1].rule.row(1, 1 / len(self.parts))]
+        weights: dict = {}
+        for side, rules in enumerate((left, right)):
+            for rule in rules:
+                # a scaled copy of a realizing row is known by its first degree
+                key = rule.base if isinstance(rule, SupportWeighted) else rule
+                weights.setdefault(key, [0.0, 0.0])[side] += getattr(rule, "scale", 1.0)
+        worst = max(
+            (abs(a - b) / max(abs(a), abs(b)) for a, b in weights.values() if a or b), default=0.0
+        )
         return {"worst_rel_err": worst, "ok": worst <= 1e-12}
-
-
-def _scaled(c: complex, t: float) -> complex:
-    """c * t, except that an overflowed inf + 0j scales to inf + 0j, not inf + nanj."""
-    return c * t if abs(c) < inf else complex(c.real * t, c.imag * t)
 
 
 def decompose_simple(
@@ -202,41 +193,31 @@ def decompose_simple(
     """Wedge decomposition at the working truncation.
 
     g_n are the routed rows of the series, f_n the rows of the realizing
-    series for the region.  Part tables are explicit at the truncation: the
-    rule language stays closed and the telescoping identity
-    sum(sigma_n) = sum(g_n) + f_M/M holds coefficient for coefficient.
+    series for the region.  Part n is the symbolic sum of g_n, f_n scaled by
+    1/(n+1) and, from the second part on, f_(n-1) scaled by -1/n (0-based),
+    so no coefficient is combined or rounded until a scan asks for it.
     """
     dirs = as_directions(directions)
     if len(dirs) < 2:
         raise NeedTwoDirections("wedges need at least two distinct directions")
     eld = decompose_elementary(series, dirs, max_degree)
     f_rule = series_for_domain(domain, dirs, per_row=max_degree).rule
-    m = len(dirs)
     halfspaces = tuple(HalfSpace(alpha, h) for alpha, h in zip(dirs, f_rule.values))
     f_rows = tuple(
         SeriesSpec(series.dimension, f_rule.row(n + 1), label=f"realizing row {n}")
-        for n in range(m)
+        for n in range(len(dirs))
     )
-    f_tables = [{j: c for j, c, _ in f.terms(range(1, max_degree + 1))} for f in f_rows]
     g_rows = tuple(p.series for p in eld.parts)
 
     parts = []
-    for n in range(m):
-        combined = dict(eld.parts[n].series.rule.table)
-        scale = 1.0 / (n + 1)
-        for j, c in f_tables[n].items():
-            combined[j] = combined.get(j, 0.0j) + _scaled(c, scale)
-        if n == 0:
-            rule = ExplicitTable(combined)
-            wedge = None
-        else:
-            prev_scale = 1.0 / n
-            negated = {j: _scaled(-c, prev_scale) for j, c in f_tables[n - 1].items()}
-            rule = SumRule([ExplicitTable(combined), ExplicitTable(negated)])
-            wedge = (halfspaces[n], halfspaces[n - 1])
-        part_series = SeriesSpec(series.dimension, rule, label=f"wedge part {n}")
+    for n, g in enumerate(g_rows):
+        members = [g.rule, f_rule.row(n + 1, 1.0 / (n + 1))]
+        if n:
+            members.append(f_rule.row(n, -1.0 / n))
+        wedge = (halfspaces[n], halfspaces[n - 1]) if n else None
+        part_series = SeriesSpec(series.dimension, SumRule(members), label=f"wedge part {n}")
         parts.append(SimplePart(part_series, dirs[n], wedge))
-    return SimpleDecomposition(tuple(parts), g_rows, f_rows, halfspaces, max_degree)
+    return SimpleDecomposition(tuple(parts), g_rows, f_rows, halfspaces)
 
 
 @dataclass(frozen=True)

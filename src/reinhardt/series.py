@@ -244,25 +244,30 @@ class ExplicitTable(CoefficientRule):
 
 
 class SupportWeighted(CoefficientRule):
-    """Coefficients exp(-|J| h_n) on a doubly-indexed family of lattice points.
+    """Coefficients exp(-|J| h_n) * scale on a doubly-indexed family of lattice points.
 
     Row n tracks the direction alpha_n with weight h_n.  Slot (n, k) lives at
     degree base + (n-1) stride + (k-1) M stride, so every slot owns a unique
     degree and the family members are distinct by construction; the slot index
     is the nearest degree-d lattice direction to alpha_n.  Normalized log
-    magnitudes are reported as -h_n exactly, never through exp.
+    magnitudes are reported as -h_n + log|scale|/|J| exactly, never through
+    exp; at scale 1 that is -h_n itself.
     """
 
     kind = "support_weighted"
 
-    def __init__(self, directions, values, per_row: int, base: int = 8, stride: int = 1):
+    def __init__(self, directions, values, per_row: int, base: int = 8, stride: int = 1,
+                 scale: float = 1.0):
         directions = as_directions(directions)
         values = tuple(float(v) for v in values)
+        scale = float(scale)
         if len(directions) != len(values):
             raise ValueError("directions and values must have equal length")
         for v in values:
             if not math.isfinite(v):
                 raise ValueError("support weights must be finite")
+        if not math.isfinite(scale) or scale == 0.0:
+            raise ValueError("scale must be finite and nonzero")
         if per_row < 1:
             raise ValueError("per_row must be >= 1")
         if base < 1 or stride < 1:
@@ -272,6 +277,7 @@ class SupportWeighted(CoefficientRule):
         self.per_row = per_row
         self.base = base
         self.stride = stride
+        self.scale = scale
 
     @property
     def rows(self) -> int:
@@ -303,8 +309,8 @@ class SupportWeighted(CoefficientRule):
             for row in range(1, self.rows + 1):
                 yield row, slot, self.index_at(row, slot)
 
-    def row(self, row: int) -> "SupportWeighted":
-        """Single row as its own rule; degrees are preserved exactly."""
+    def row(self, row: int, scale: float = 1.0) -> "SupportWeighted":
+        """Single row as its own rule, its scale times scale; degrees are preserved exactly."""
         if not 1 <= row <= self.rows:
             raise ValueError(f"row must be in 1..{self.rows}")
         return SupportWeighted(
@@ -313,6 +319,7 @@ class SupportWeighted(CoefficientRule):
             per_row=self.per_row,
             base=self.base + (row - 1) * self.stride,
             stride=self.rows * self.stride,
+            scale=self.scale * scale,
         )
 
     def check_dimension(self, dimension: int) -> None:
@@ -322,12 +329,12 @@ class SupportWeighted(CoefficientRule):
                 f"series has {dimension}"
             )
 
-    @staticmethod
-    def _value(degree: int, h: float) -> complex:
+    def _value(self, degree: int, h: float) -> complex:
+        """exp(-|J| h) * scale, an overflowed exp kept as an infinity of the scale's sign."""
         try:
-            return complex(math.exp(-degree * h))
+            return complex(math.exp(-degree * h) * self.scale)
         except OverflowError:
-            return complex(inf, 0.0)
+            return complex(math.copysign(inf, self.scale), 0.0)
 
     def coefficient(self, index: MultiIndex) -> complex:
         slot = self.slot_of_degree(index.degree)
@@ -340,11 +347,13 @@ class SupportWeighted(CoefficientRule):
         if slot is None:
             return ()
         h = self.values[slot[0] - 1]
-        return ((self.index_at(*slot), self._value(degree, h), -h),)
+        # -h + 0.0 would turn -h = -0.0 into 0.0, so scale 1 keeps -h itself
+        v = -h if self.scale == 1.0 else -h + log(abs(self.scale)) / degree
+        return ((self.index_at(*slot), self._value(degree, h), v),)
 
     def to_json(self) -> dict:
         dirs = [list(d.coords) for d in self.directions]
-        return {
+        data = {
             "kind": self.kind,
             "support": {"directions": dirs, "values": list(self.values)},
             "family": {
@@ -354,6 +363,9 @@ class SupportWeighted(CoefficientRule):
                 "directions": dirs,
             },
         }
+        if self.scale != 1.0:  # scale 1 writes the unscaled format unchanged
+            data["scale"] = self.scale
+        return data
 
 
 class SumRule(CoefficientRule):
@@ -439,6 +451,7 @@ def _rule_from_json(data: dict) -> CoefficientRule:
             per_row=family["per_row"],
             base=family.get("base", 8),
             stride=family.get("stride", 1),
+            scale=data.get("scale", 1.0),
         )
     if kind == SumRule.kind:
         return SumRule([_rule_from_json(m) for m in data["members"]])
@@ -579,7 +592,7 @@ class SeriesSpec(JsonFile):
         Supported zeros are included with log -inf.  Degrees (all >= 1) come
         in the order given and indices in lexicographic order within a
         degree.  This is the only truncation scan: coefficient_table keeps it
-        once per truncation, and one-shot scans of fresh series iterate it.
+        once per truncation, and extremal_sequence reads its degree bands.
         """
         for k in degrees:
             yield from self.rule.terms(self.dimension, k)

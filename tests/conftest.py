@@ -288,6 +288,8 @@ def differential_rules(n):
         "explicit_table_empty_window": ExplicitTable({_index(3, n): 2.0, (0,) * n: 1.0}),
         "support_weighted": weighted,
         "support_weighted_h0": SupportWeighted([diag], [0.0], per_row=130, base=1),
+        "support_weighted_scaled": SupportWeighted(sw_dirs, sw_values, per_row=80, base=4,
+                                                   scale=-0.375),
         "sum_dense": SumRule([FullGeometric(), RayGeometric((1,) * n, 2.0), ExplicitTable(table)]),
         # opposite infinities meet at one index, where the sum is undefined
         "sum_nan_log": SumRule(

@@ -406,3 +406,34 @@ def test_one_parser_serves_every_call(capsys, files):
                        {"degree": 64, "epsilon": 0.05, "margin": 0.1},
                        {"degree": 64, "margin": 0.1}]
     assert _parser.cache_info().misses == 1 and _parser() is _parser()
+
+
+@pytest.mark.parametrize(
+    "argv, out, error",
+    [
+        (["decompose", "f0", "--mode", "elementary", "--directions", "dirs"], "afile",
+         "File exists"),
+        (["construct", "--domain", "wedge", "--directions", "dirs"], "nodir/x.json",
+         "No such file or directory"),
+        (["domain", "f0", "--grid=-1:1:2"], "nodir/x.csv", "No such file or directory"),
+    ],
+)
+def test_an_unwritable_output_path_exits_2(tmp_path, capsys, files, argv, out, error):
+    # an existing file where decompose makes its directory, or a missing parent directory
+    (tmp_path / "afile").write_text("kept\n")
+    code = main([files.get(a, a) for a in argv] + ["--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and error in captured.err
+    assert "Traceback" not in captured.err
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert not (tmp_path / "nodir").exists()
+
+
+def test_decompose_takes_one_domain_source(tmp_path, capsys, files):
+    with pytest.raises(SystemExit) as exit_:
+        main(["decompose", files["f0"], "--mode", "simple", "--directions", files["dirs"],
+              "--domain", files["wedge"], "--estimate-domain", "--out", str(tmp_path / "parts")])
+    assert exit_.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "parts").exists()

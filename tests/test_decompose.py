@@ -1,9 +1,9 @@
-import cmath
 import json
 import math
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reinhardt import (
@@ -220,20 +220,20 @@ def test_estimate_domain_refuses_a_truncation_below_1(f_zero):
             estimate_domain(f_zero, uniform_directions_2d(5), max_degree)
 
 
-def test_overflowed_wedge_entries_stay_free_of_nan(f_zero):
-    # offsets -30 overflow exp(30 |J|) in the realizing rows to inf + 0j
+def test_overflowed_wedge_entries_stay_free_of_nan(f_zero, tmp_path):
+    # offsets -30 overflow exp(30 |J|) in the realizing rows to +-inf + 0j, but only
+    # when a scan computes them: the part files hold the offsets, never an infinity
     domain = HDomain(2, (HalfSpace((1.0, 0.0), -30.0), HalfSpace((0.0, 1.0), -30.0)))
     dec = decompose_simple(f_zero, domain, uniform_directions_2d(5), 64)
-    values = [
-        c
-        for part in dec.parts
-        for member in getattr(part.series.rule, "members", (part.series.rule,))
-        for c in member.table.values()
-    ]
-    assert any(cmath.isinf(c) for c in values)
-    assert not any(cmath.isnan(c) for c in values)
-    for part in dec.parts:
-        assert SeriesSpec.from_json(part.series.to_json()).to_json() == part.series.to_json()
+    scanned = np.concatenate([p.series.coefficient_table(64).coefficients for p in dec.parts])
+    assert np.isinf(scanned).any()
+    assert not np.isnan(scanned).any()
+    for n, part in enumerate(dec.parts):
+        path = tmp_path / f"part_{n}.json"
+        part.series.save(path)
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert SeriesSpec.load(path).to_json() == part.series.to_json()
 
 
 ROUTING_DEGREES = {2: 24, 3: 16, 4: 12}
@@ -284,8 +284,8 @@ def _golden_directions(name):
 @pytest.mark.parametrize(
     "series_file, domain_file, degree, want",
     [
-        # the absorption defect: f dwarfs g and the wedge tables absorb it
-        ("f0.json", "box_caps_minus1.json", 64, {"worst_rel_err": 1.0, "ok": False}),
+        # f dwarfs g here: symbolic parts keep g, where expanded tables absorbed it
+        ("f0.json", "box_caps_minus1.json", 64, {"worst_rel_err": 0.0, "ok": True}),
         ("wedge_real.json", "triangle.json", 32, {"worst_rel_err": 0.0, "ok": True}),
     ],
 )
@@ -294,6 +294,27 @@ def test_simple_decomposition_reports_its_exactness(series_file, domain_file, de
     domain = HDomain.load(GOLDEN_INPUTS / domain_file)
     dec = decompose_simple(series, domain, _golden_directions("dirs5.json"), degree)
     assert dec.exactness() == want
+
+
+def test_simple_exactness_reads_no_coefficient(monkeypatch, full_geom, third_quadrant):
+    dec = decompose_simple(full_geom, third_quadrant, uniform_directions_2d(5), 32)
+    calls = []
+    for cls in (ExplicitTable, SupportWeighted, SumRule):
+        for name in ("terms", "coefficient"):
+            monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(SeriesSpec, "coefficient_table", lambda *args: calls.append("table"))
+    assert dec.exactness() == {"worst_rel_err": 0.0, "ok": True}
+    assert calls == []
+
+
+def test_wedge_parts_are_sums_of_their_rows(full_geom, third_quadrant):
+    dec = decompose_simple(full_geom, third_quadrant, uniform_directions_2d(4), 16)
+    base = [f.rule.base for f in dec.f_rows]
+    for n, part in enumerate(dec.parts):
+        g, *f = part.series.rule.members
+        assert g is dec.g_rows[n].rule
+        want = [(base[n], 1.0 / (n + 1))] + ([(base[n - 1], -1.0 / n)] if n else [])
+        assert [(r.base, r.scale) for r in f] == want
 
 
 def test_elementary_decomposition_reports_its_exactness():

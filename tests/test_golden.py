@@ -5,10 +5,13 @@ with relative paths (the domain header and the construct/decompose stdout
 embed the paths they were given) and compares its exit code, its stdout and
 every file it wrote against tests/golden/expected/<case>/.
 
-The corpus is fixed and includes a known defect on purpose: the absorption
-in decompose --mode simple --domain (worst_rel_err 1.0).  A change that moves
-these bytes must say which and why; regenerate the expected files of the
-named cases, or of every case when none is named, with
+The corpus is fixed and keeps the numerical edge cases on purpose: overflowed
+coefficients and probe sums, an empty tail window, N=3 routing on lattice
+directions, and a wedge decomposition whose realizing rows dwarf the series
+(decompose_simple_domain_f0_absorption).  Every directory under expected/ is
+a case.  A change that moves these bytes must say which and why; regenerate
+the expected files of the named cases, or of every case when none is named,
+with
 
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
@@ -126,6 +129,11 @@ def test_golden_bytes(name):
     assert sorted(produced) == sorted(expected)
     for key in expected:
         assert produced[key] == expected[key], f"{name}: {key} differs"
+
+
+def test_every_expected_directory_is_a_case():
+    # a directory no case names would never be compared
+    assert sorted(p.name for p in EXPECTED.iterdir()) == sorted(CASES)
 
 
 def regenerate(names) -> None:

@@ -282,6 +282,7 @@ def test_differential_rules_reach_their_edge_values():
     assert -INF in logs["explicit_table_with_zeros"] and INF in logs["explicit_table_with_inf"]
     assert len(logs["explicit_table_empty_window"]) == 0
     assert all(math.copysign(1.0, v) == -1.0 and v == 0.0 for v in logs["support_weighted_h0"])
+    assert (tables["support_weighted_scaled"].coefficients.real < 0).all()
     assert hadamard_indicator(series["explicit_table_with_inf"], (0.0, 0.0), 8) == INF
     assert hadamard_indicator(series["explicit_table_empty_window"], (0.0, 0.0), 8) == -INF
 

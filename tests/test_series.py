@@ -23,6 +23,7 @@ from reinhardt import (
     hadamard_indicator,
     probe,
 )
+from reinhardt.cli import main
 from reinhardt.series import tail_window
 
 from conftest import (
@@ -151,6 +152,44 @@ def test_support_weighted_row_extraction_preserves_degrees():
             assert row.index_at(1, k) == rule.index_at(n, k)
 
 
+def test_support_weighted_scale_multiplies_coefficients_and_shifts_logs():
+    rule = SupportWeighted([(0.5, 0.5), (1.0, 0.0)], [0.3, -0.2], per_row=3, scale=-0.25)
+    for n, k, j in rule.family_indices():
+        d, h = j.degree, rule.values[n - 1]
+        assert rule.coefficient(j) == complex(math.exp(-d * h) * -0.25)
+        ((_, c, v),) = rule.terms(2, d)
+        assert c == rule.coefficient(j) and v == -h + math.log(0.25) / d
+    # the row of a scaled rule keeps its scale, times the row's own factor
+    assert rule.row(2).scale == -0.25 and rule.row(1, 1 / 3).scale == -0.25 / 3
+    assert rule.row(2).coefficient(rule.index_at(2, 1)) == rule.coefficient(rule.index_at(2, 1))
+    # an overflowed exp keeps the sign of the scale
+    assert SupportWeighted([(1.0, 0.0)], [-800.0], per_row=1, scale=-2.0).coefficient(
+        MultiIndex((8, 0))) == complex(-math.inf, 0.0)
+
+
+def test_support_weighted_scale_1_writes_the_unscaled_format():
+    rule = SupportWeighted([(0.5, 0.5)], [0.0], per_row=2)
+    assert "scale" not in rule.to_json() and "scale" not in rule.row(1).to_json()
+    # -h stays -0.0 at scale 1: no log(1) is added to it
+    assert all(math.copysign(1.0, v) == -1.0 for _, _, v in SeriesSpec(2, rule).terms(range(8, 10)))
+    scaled = rule.row(1, -0.5)
+    assert scaled.to_json()["scale"] == -0.5
+    loaded = SeriesSpec.from_json(SeriesSpec(2, scaled).to_json()).rule
+    assert loaded.scale == -0.5 and loaded.to_json() == scaled.to_json()
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -0.0])
+def test_support_weighted_refuses_a_non_finite_or_zero_scale(tmp_path, capsys, scale):
+    with pytest.raises(ValueError, match="scale must be finite and nonzero"):
+        SupportWeighted([(0.5, 0.5)], [0.0], per_row=2, scale=scale)
+    data = SeriesSpec(2, SupportWeighted([(0.5, 0.5)], [0.0], per_row=2)).to_json()
+    data["rule"]["scale"] = scale
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    assert main(["probe", str(path), "--point", "0.5", "0.5"]) == 2
+    assert "scale must be finite and nonzero" in capsys.readouterr().err
+
+
 def test_ray_geometric_off_ray_is_zero(ray_diag):
     assert ray_diag.coefficient((3, 4)) == 0.0
     assert ray_diag.coefficient((0, 0)) == 0.0
@@ -220,6 +259,9 @@ ITERATOR_RULES = {
         [FullGeometric(), RayGeometric((1, 1), 2.0), ExplicitTable({(2, 2): -5.0})]
     ),
     "support_weighted": SupportWeighted([(0.5, 0.5), (1.0, 0.0)], [0.3, -0.2], per_row=4),
+    "support_weighted_scaled": SupportWeighted(
+        [(0.5, 0.5), (1.0, 0.0)], [0.3, -0.2], per_row=4, scale=-2.5
+    ),
 }
 
 
