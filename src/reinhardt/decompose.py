@@ -99,12 +99,18 @@ class ElementaryPart:
 class ElementaryDecomposition:
     parts: tuple[ElementaryPart, ...]
     constant_part: complex
-    assignment: dict[MultiIndex, int] = field(repr=False)
     occurring: int
+    entries: np.ndarray = field(repr=False, compare=False)  # the scanned indices' entries
+    routes: np.ndarray = field(repr=False, compare=False)  # and the row each one went to
+
+    @property
+    def assignment(self) -> dict[MultiIndex, int]:
+        """Row of every scanned index, built when read."""
+        return dict(zip(map(MultiIndex, map(tuple, self.entries.tolist())), self.routes.tolist()))
 
     def exactness(self) -> dict:
         """Routed coefficients against the occurring ones; ok when they are equal."""
-        routed = sum(len(p.series.rule.table) for p in self.parts)
+        routed = sum(len(p.series.rule.coefficients) for p in self.parts)
         return {"routed": routed, "occurring": self.occurring, "ok": routed == self.occurring}
 
 
@@ -128,8 +134,7 @@ def decompose_elementary(
     # within the summation slack the array sum may order them unlike fsum.
     close = (dist - dist.min(axis=0) <= L1_SLACK_PER_COORD * series.dimension).sum(axis=0)
     for k in np.flatnonzero(close > 1):
-        routes[k] = route_index(table.indices[k], dirs)
-    assignment = dict(zip(table.indices, routes.tolist()))
+        routes[k] = route_index(MultiIndex(tuple(table.entries[k].tolist())), dirs)
     occurring = np.flatnonzero(table.coefficients)
 
     parts = []
@@ -143,7 +148,9 @@ def decompose_elementary(
             series.dimension, ExplicitTable.from_rows(table, rows), label=f"routed part {n}"
         )
         parts.append(ElementaryPart(part_series, alpha, level, halfspace))
-    return ElementaryDecomposition(tuple(parts), series.constant_term(), assignment, len(occurring))
+    return ElementaryDecomposition(
+        tuple(parts), series.constant_term(), len(occurring), table.entries, routes
+    )
 
 
 @dataclass(frozen=True)
@@ -249,15 +256,15 @@ def sum_domain_check(
     if not parts:
         raise ValueError("need at least one part")
     dim = parts[0].dimension
-    seen: set[MultiIndex] = set()
+    seen: set[tuple[int, ...]] = set()
     for p in parts:
         if p.dimension != dim:
             raise ValueError("parts have mixed dimensions")
         table = p.coefficient_table(max_degree)
-        for k in np.flatnonzero(table.coefficients):
-            if table.indices[k] in seen:
-                raise SupportsOverlap(table.indices[k])
-            seen.add(table.indices[k])
+        for j in map(tuple, table.entries[table.coefficients != 0].tolist()):
+            if j in seen:
+                raise SupportsOverlap(MultiIndex(j))
+            seen.add(j)
     total = SeriesSpec(dim, SumRule([p.rule for p in parts]), label="sum of parts")
     table = total.coefficient_table(max_degree)
     tail_occupied = table.coefficients[table.tail_start:].any()

@@ -167,8 +167,8 @@ def elementary_halfspace(series: SeriesSpec, max_degree: int = DEFAULT_MAX_DEGRE
         collected.append(pk)
     level = max(table.logs[rows].tolist())
     if level == inf:  # decompose_elementary gives such a row the empty estimate
-        j = table.indices[rows[table.logs[rows].argmax()]]
-        raise NotElementary(f"the tail coefficient at {j.entries} overflowed: no half-space")
+        j = tuple(table.entries[rows[table.logs[rows].argmax()]].tolist())
+        raise NotElementary(f"the tail coefficient at {j} overflowed: no half-space")
     entry_sums = table.entries[rows].sum(axis=0).tolist()
     degree_sum = sum(entry_sums)
     normal = SimplexDirection(tuple(s / degree_sum for s in entry_sums))

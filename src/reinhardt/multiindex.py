@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -23,8 +24,10 @@ __all__ = [
     "ZeroIndexNotProjectable",
     "as_direction",
     "as_directions",
+    "compositions",
     "enumerate_degree",
     "l1_distances",
+    "nearest_entries",
     "nearest_index_of_degree",
     "project",
     "uniform_directions_2d",
@@ -72,12 +75,6 @@ class MultiIndex:
     @property
     def dimension(self) -> int:
         return len(self.entries)
-
-    def scaled(self, m: int) -> "MultiIndex":
-        """Return m*J; overflow past 64 bits is a hard error."""
-        if m < 0:
-            raise ValueError("scale factor must be non-negative")
-        return MultiIndex(tuple(m * e for e in self.entries))
 
     def __repr__(self):
         return f"MultiIndex({self.entries!r})"
@@ -157,28 +154,37 @@ def project(index: MultiIndex) -> SimplexDirection:
     return SimplexDirection(tuple(e / d for e in index.entries))
 
 
-@lru_cache(maxsize=None)
-def enumerate_degree(dimension: int, degree: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices of exact degree, in lexicographic order."""
+def compositions(dimension: int, degrees) -> np.ndarray:
+    """Entries (M x dimension, int64) of every index of the degrees, lexicographic within each.
+
+    Stars and bars: bar positions in lexicographic order delimit entries in lexicographic order.
+    """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    out: list[MultiIndex] = []
+    blocks = [np.empty((0, dimension), np.int64)]
+    for k in degrees:
+        if k < 0:
+            raise ValueError("degree must be >= 0")
+        cells = k + dimension - 1
+        bars = np.fromiter(chain.from_iterable(combinations(range(cells), dimension - 1)), np.int64)
+        bars = bars.reshape(math.comb(cells, dimension - 1), dimension - 1)
+        edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, cells)))
+        blocks.append(np.diff(edges, axis=1) - 1)
+    return np.concatenate(blocks)
 
-    def emit(prefix: tuple[int, ...], remaining: int):
-        if len(prefix) == dimension - 1:
-            out.append(MultiIndex(prefix + (remaining,)))
-            return
-        for v in range(remaining + 1):
-            emit(prefix + (v,), remaining - v)
 
-    emit((), degree)
-    return tuple(out)
+def enumerate_degree(dimension: int, degree: int) -> tuple[MultiIndex, ...]:
+    """All multi-indices of exact degree, in lexicographic order."""
+    return tuple(MultiIndex(tuple(j)) for j in compositions(dimension, (degree,)).tolist())
 
 
 def nearest_index_of_degree(alpha: SimplexDirection, degree: int) -> MultiIndex:
-    """Degree-k index J minimizing the l1 distance |J/k - alpha|.
+    """nearest_entries as a MultiIndex."""
+    return MultiIndex(nearest_entries(alpha, degree))
+
+
+def nearest_entries(alpha: SimplexDirection, degree: int) -> tuple[int, ...]:
+    """Entries of the degree-k index J minimizing the l1 distance |J/k - alpha|.
 
     Largest-remainder apportionment of k units: floor the targets k*alpha_i
     and hand the leftover units to the largest fractional parts.  Any
@@ -198,7 +204,7 @@ def nearest_index_of_degree(alpha: SimplexDirection, degree: int) -> MultiIndex:
         order = sorted(range(n), key=lambda i: (-fracs[i], -i))
         for i in order[:leftover]:
             floors[i] += 1
-    return MultiIndex(tuple(floors))
+    return tuple(floors)
 
 
 def uniform_directions_2d(count: int) -> list[SimplexDirection]:

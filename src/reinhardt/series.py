@@ -7,7 +7,7 @@ support-weighted index families, and index-wise sums) so that series
 specifications serialize to JSON and command-line runs reproduce exactly.
 
 Coefficient magnitudes enter the geometry only through log|c_J| / |J|, so
-every rule's one scan, terms, reports that quantity next to c_J, in closed
+every rule's one scan reports that quantity next to c_J, in closed
 form wherever one exists: exp(-|J| h) underflows to zero near |J| ~ 700/h,
 while -h is exact at every degree.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import pairwise
 from math import fsum, inf, log
 from typing import NamedTuple
 
@@ -27,7 +26,8 @@ from .jsonfile import JsonFile
 from .multiindex import (
     MultiIndex,
     as_directions,
-    enumerate_degree,
+    compositions,
+    nearest_entries,
     nearest_index_of_degree,
 )
 
@@ -74,17 +74,13 @@ def _complex_from_json(value) -> complex:
 def _log_abs_over(c: complex, degree: int) -> float:
     """log|c| / degree for a rule without a closed form; -inf for zero."""
     mag = abs(c)
-    if mag == 0.0:
-        return -inf
-    if math.isinf(mag):
-        return inf
-    return log(mag) / degree
+    return log(mag) / degree if mag else -inf
 
 
 class CoefficientRule:
     """Total assignment of a complex coefficient to every multi-index.
 
-    terms is the one scan; coefficient stays an independent per-index
+    scan is the one scan; coefficient stays an independent per-index
     reference with its own membership test.
     """
 
@@ -96,10 +92,11 @@ class CoefficientRule:
     def coefficient(self, index: MultiIndex) -> complex:
         raise NotImplementedError
 
-    def terms(self, dimension: int, degree: int):
-        """(J, c_J, log|c_J|/|J|) for the supported J of a degree >= 1.
+    def scan(self, dimension: int, degrees: range):
+        """int64 entries (M x N), complex128 c_J and float64 log|c_J|/|J| of the supported J.
 
-        Indices come in lexicographic order; supported zeros carry -inf.
+        J has its degree in degrees, a range of consecutive degrees >= 1; rows
+        come by degree, then lexicographically, and supported zeros log -inf.
         """
         raise NotImplementedError
 
@@ -118,8 +115,9 @@ class FullGeometric(CoefficientRule):
     def coefficient(self, index: MultiIndex) -> complex:
         return 1.0 + 0.0j
 
-    def terms(self, dimension: int, degree: int):
-        return ((j, 1.0 + 0.0j, 0.0) for j in enumerate_degree(dimension, degree))
+    def scan(self, dimension: int, degrees: range):
+        entries = compositions(dimension, degrees)
+        return entries, np.ones(len(entries), np.complex128), np.zeros(len(entries))
 
     def to_json(self) -> dict:
         return {"kind": self.kind}
@@ -161,23 +159,23 @@ class RayGeometric(CoefficientRule):
         return k if k is not None and k >= 1 else None
 
     def _value(self, k: int) -> complex:
+        """ratio**k; an overflow reads +inf, also where repeated squaring left a NaN."""
         try:
-            return self.ratio**k
+            value = self.ratio**k
         except OverflowError:
             return complex(inf, 0.0)
+        return complex(inf, 0.0) if cmath.isnan(value) else value
 
     def coefficient(self, index: MultiIndex) -> complex:
         k = self._multiple(index)
         return 0.0j if k is None else self._value(k)
 
-    def terms(self, dimension: int, degree: int):
-        q, r = divmod(degree, self.direction.degree)
-        if r or q < 1:
-            return ()
-        mag = abs(self.ratio)
+    def scan(self, dimension: int, degrees: range):
+        qs = [k // self.direction.degree for k in degrees if k % self.direction.degree == 0]
         # log|ratio**q| / (q |J0|) collapses to a degree-free constant
-        v = log(mag) / self.direction.degree if mag else -inf
-        return ((self.direction.scaled(q), self._value(q), v),)
+        v = _log_abs_over(self.ratio, self.direction.degree)
+        entries = np.multiply.outer(np.array(qs, np.int64), self.direction.entries)
+        return entries, np.array([self._value(q) for q in qs], np.complex128), np.full(len(qs), v)
 
     def to_json(self) -> dict:
         return {
@@ -188,57 +186,51 @@ class RayGeometric(CoefficientRule):
 
 
 class ExplicitTable(CoefficientRule):
-    """Finite table of coefficients; everything absent is zero."""
+    """Finite table of coefficients; everything absent is zero.
+
+    Stored as the scan arrays of every degree; a constant term is the first
+    row, with log -inf, and no scan reaches it.
+    """
 
     kind = "explicit_table"
 
     def __init__(self, table):
-        items: dict[MultiIndex, complex] = {}
-        dim = None
-        for j, c in dict(table).items():
-            j = _as_multiindex(j)
-            if dim is None:
-                dim = j.dimension
-            elif j.dimension != dim:
-                raise DimensionMismatch("table indices have mixed dimensions")
-            items[j] = _no_nan(c)
-        self.table = items
-        self._dimension = dim
-        by_degree: dict[int, list] = {}
-        for j, c in sorted(items.items(), key=lambda item: item[0].entries):
-            if j.degree:
-                by_degree.setdefault(j.degree, []).append((j, c, _log_abs_over(c, j.degree)))
-        self._by_degree = {k: tuple(v) for k, v in by_degree.items()}
+        items = {_as_multiindex(j): _no_nan(c) for j, c in dict(table).items()}
+        if len({j.dimension for j in items}) > 1:
+            raise DimensionMismatch("table indices have mixed dimensions")
+        rows = sorted(items, key=lambda j: (j.degree, j.entries))
+        self.entries = np.array([j.entries for j in rows] or np.empty((0, 0)), np.int64)
+        self.coefficients = np.array([items[j] for j in rows], np.complex128)
+        logs = [_log_abs_over(items[j], j.degree) if j.degree else -inf for j in rows]
+        self.logs = np.array(logs, np.float64)
 
     @classmethod
     def from_rows(cls, table: "CoefficientTable", rows: np.ndarray) -> "ExplicitTable":
-        """The sorted nonzero rows of a checked table, its logs kept; nothing is recomputed."""
+        """The sorted rows of a checked table, its logs kept; nothing is recomputed."""
         self = cls.__new__(cls)
-        indices = [table.indices[k] for k in rows.tolist()]
-        terms = list(zip(indices, table.coefficients[rows].tolist(), table.logs[rows].tolist()))
-        self.table = {j: c for j, c, _ in terms}
-        self._dimension = table.entries.shape[1] if terms else None
-        cuts = np.searchsorted(rows, table.offsets).tolist()  # each degree's block of rows
-        self._by_degree = {k: tuple(terms[a:b]) for k, (a, b) in enumerate(pairwise(cuts)) if b > a}
+        self.entries, self.logs = table.entries[rows], table.logs[rows]
+        self.coefficients = table.coefficients[rows]
         return self
 
     def check_dimension(self, dimension: int) -> None:
-        if self._dimension is not None and self._dimension != dimension:
+        if len(self.entries) and self.entries.shape[1] != dimension:
             raise DimensionMismatch(
-                f"table indices have dimension {self._dimension}, series has {dimension}"
+                f"table indices have dimension {self.entries.shape[1]}, series has {dimension}"
             )
 
     def coefficient(self, index: MultiIndex) -> complex:
-        return self.table.get(index, 0.0j)
+        k = np.flatnonzero((self.entries == index.entries).all(axis=1)) if len(self.entries) else ()
+        return self.coefficients[k[0]].item() if len(k) else 0.0j
 
-    def terms(self, dimension: int, degree: int):
-        return self._by_degree.get(degree, ())
+    def scan(self, dimension: int, degrees: range):
+        rows = slice(*np.searchsorted(self.entries.sum(axis=1), (degrees.start, degrees.stop)))
+        return self.entries[rows].reshape(-1, dimension), self.coefficients[rows], self.logs[rows]
 
     def to_json(self) -> dict:
-        items = sorted(self.table.items(), key=lambda item: item[0].entries)
+        items = sorted(zip(self.entries.tolist(), self.coefficients.tolist()))  # no two J tie
         return {
             "kind": self.kind,
-            "indices": [list(j.entries) for j, _ in items],
+            "indices": [j for j, _ in items],
             "values": [_complex_to_json(c) for _, c in items],
         }
 
@@ -330,9 +322,13 @@ class SupportWeighted(CoefficientRule):
             )
 
     def _value(self, degree: int, h: float) -> complex:
-        """exp(-|J| h) * scale, an overflowed exp kept as an infinity of the scale's sign."""
+        """exp(-|J| h) * scale; if the exp overflows, exp(-|J| h + log|scale|) signed, or +-inf."""
         try:
             return complex(math.exp(-degree * h) * self.scale)
+        except OverflowError:
+            pass
+        try:
+            return complex(math.copysign(math.exp(-degree * h + log(abs(self.scale))), self.scale))
         except OverflowError:
             return complex(math.copysign(inf, self.scale), 0.0)
 
@@ -342,14 +338,18 @@ class SupportWeighted(CoefficientRule):
             return 0.0j
         return self._value(index.degree, self.values[slot[0] - 1])
 
-    def terms(self, dimension: int, degree: int):
-        slot = self.slot_of_degree(degree)
-        if slot is None:
-            return ()
-        h = self.values[slot[0] - 1]
-        # -h + 0.0 would turn -h = -0.0 into 0.0, so scale 1 keeps -h itself
-        v = -h if self.scale == 1.0 else -h + log(abs(self.scale)) / degree
-        return ((self.index_at(*slot), self._value(degree, h), v),)
+    def scan(self, dimension: int, degrees: range):
+        entries, coefficients, logs = [], [], []
+        for d in degrees:
+            slot = self.slot_of_degree(d)
+            if slot:
+                h = self.values[slot[0] - 1]
+                entries.append(nearest_entries(self.directions[slot[0] - 1], d))
+                coefficients.append(self._value(d, h))
+                # -h + 0.0 would turn -h = -0.0 into 0.0, so scale 1 keeps -h itself
+                logs.append(-h if self.scale == 1.0 else -h + log(abs(self.scale)) / d)
+        entries = np.array(entries, np.int64).reshape(len(entries), dimension)
+        return entries, np.array(coefficients, np.complex128), np.array(logs)
 
     def to_json(self) -> dict:
         dirs = [list(d.coords) for d in self.directions]
@@ -389,40 +389,40 @@ class SumRule(CoefficientRule):
     def coefficient(self, index: MultiIndex) -> complex:
         return sum((m.coefficient(index) for m in self.members), 0.0j)
 
-    def terms(self, dimension: int, degree: int):
-        """Member blocks merged by index, coefficients summed as coefficient does.
+    def scan(self, dimension: int, degrees: range):
+        """Member scans merged by index, coefficients summed as coefficient does.
 
-        An index where exactly one member has a log above -inf keeps that
-        member's log; log|sum|/|J| is used only where two or more are nonzero.
-        Members holding +inf and -inf at one index raise ValueError.
+        One index's rows are added onto 0j in member order.  An index where
+        exactly one member has a log above -inf keeps that member's log;
+        log|sum|/|J| is used only where two or more are nonzero.  Members
+        holding +inf and -inf at one index raise ValueError.
         """
-        merged: dict[MultiIndex, list] = {}
-        for m in self.members:
-            for j, c, v in m.terms(dimension, degree):
-                entry = merged.setdefault(j, [0.0j, -inf, 0])
-                entry[0] += c
-                if v != -inf:
-                    entry[1] = v
-                    entry[2] += 1
-        # a list, not tuple(generator): growing tuples by resizing fills the
-        # interpreter's per-size tuple free lists and raises peak memory
-        return [
-            (j, c, v if n < 2 else _summed_log(j, c, degree))
-            for j, (c, v, n) in sorted(merged.items(), key=lambda item: item[0].entries)
-        ]
+        entries, coefficients, logs = (np.concatenate(a) for a in zip(
+            *(m.scan(dimension, degrees) for m in self.members)))
+        # a stable sort keeps each index's rows in member order
+        order = np.lexsort((*entries.T[::-1], entries.sum(axis=1)))
+        entries, coefficients, logs = entries[order], coefficients[order], logs[order]
+        first = np.ones(len(entries), bool)
+        first[1:] = (entries[1:] != entries[:-1]).any(axis=1)
+        starts, group = np.flatnonzero(first), np.cumsum(first) - 1
+        summed = np.zeros(len(starts), np.complex128)
+        with np.errstate(invalid="ignore"):  # opposite infinities: NaN, refused below
+            np.add.at(summed, group, coefficients)
+        nonzero = np.bincount(group, logs != -inf, len(starts))
+        # with one log above -inf, that log is its index's maximum
+        merged = np.maximum.reduceat(logs, starts) if len(starts) else logs
+        for k in np.flatnonzero(nonzero > 1).tolist():
+            c, j = summed[k].item(), tuple(entries[starts[k]].tolist())
+            if cmath.isnan(c):
+                raise ValueError(
+                    f"sum members hold opposite infinities at index {j}; "
+                    "the coefficient there is undefined"
+                )
+            merged[k] = _log_abs_over(c, sum(j))
+        return entries[starts], summed, merged
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "members": [m.to_json() for m in self.members]}
-
-
-def _summed_log(index: MultiIndex, c: complex, degree: int) -> float:
-    """log|c|/|J| of a sum; members holding +inf and -inf at J leave it undefined."""
-    if cmath.isnan(c):
-        raise ValueError(
-            f"sum members hold opposite infinities at index {index.entries}; "
-            "the coefficient there is undefined"
-        )
-    return _log_abs_over(c, degree)
 
 
 def _rule_from_json(data: dict) -> CoefficientRule:
@@ -477,16 +477,15 @@ def tail_window(max_degree: int) -> range:
 
 
 class CoefficientTable(NamedTuple):
-    """The terms scan of degrees 1..K as read-only arrays, one per series and K.
+    """The rule's scan of degrees 1..K as read-only arrays, one per series and K.
 
-    The M scanned indices with their M x N int64 entries, the N x M
-    projections J / |J| (rounded as project rounds them), the c_J (supported
-    zeros included), abs(c_J) and log|c_J|/|J|; the rows of degree k are
+    The M x N int64 entries of the M scanned indices, the N x M projections
+    J / |J| (rounded as project rounds them), the c_J (supported zeros
+    included), abs(c_J) and log|c_J|/|J|; the rows of degree k are
     offsets[k]:offsets[k + 1], and the tail window's rows are tail_start:.
     The probe reads no logs or projections.
     """
 
-    indices: tuple[MultiIndex, ...]
     entries: np.ndarray
     projections: np.ndarray
     coefficients: np.ndarray
@@ -577,56 +576,44 @@ class SeriesSpec(JsonFile):
         index = self._check_index(index)
         if index.degree < 1:
             raise ValueError("normalized log magnitude needs degree >= 1")
-        for j, _, v in self.rule.terms(self.dimension, index.degree):
-            if j == index:
-                return v
-        return -inf
+        degree = range(index.degree, index.degree + 1)
+        return next((v for j, _, v in self.terms(degree) if j == index), -inf)
 
     def supported_indices(self, degree: int):
         """Indices of the given degree where the coefficient may be nonzero."""
-        return tuple(j for j, _, _ in self.rule.terms(self.dimension, degree))
+        return tuple(j for j, _, _ in self.terms(range(degree, degree + 1)))
 
-    def terms(self, degrees: range):
-        """(J, c_J, log|c_J|/|J|) for every supported J with |J| in degrees.
+    def terms(self, degrees: range) -> list:
+        """The rule's scan of the degrees as (J, c_J, log|c_J|/|J|) triples, for callers keyed on J.
 
-        Supported zeros are included with log -inf.  Degrees (all >= 1) come
-        in the order given and indices in lexicographic order within a
-        degree.  This is the only truncation scan: coefficient_table keeps it
-        once per truncation, and extremal_sequence reads its degree bands.
+        coefficient_table keeps the scan of 1..K as arrays instead.
         """
-        for k in degrees:
-            yield from self.rule.terms(self.dimension, k)
+        entries, coefficients, logs = (a.tolist() for a in self.rule.scan(self.dimension, degrees))
+        return list(zip(map(MultiIndex, map(tuple, entries)), coefficients, logs))
 
     def coefficient_table(self, max_degree: int) -> CoefficientTable:
-        """The terms scan of degrees 1..max_degree as a CoefficientTable.
+        """The rule's scan of degrees 1..max_degree as a CoefficientTable.
 
         Memoized per max_degree for the lifetime of this series, so the
         estimators, the decomposer and the probe share one scan.  Offsets
-        come from the int64 row sums: reading MultiIndex.degree would cache
-        a value into every scanned index.
+        come from the int64 row sums.
         """
         table = self._tables.get(max_degree)
         if table is None:
-            indices, coefficients, logs = [], [], []
-            for j, c, v in self.terms(range(1, max_degree + 1)):
-                indices.append(j)
-                coefficients.append(c)
-                logs.append(v)
-            entries = np.array([j.entries for j in indices], np.int64).reshape(-1, self.dimension)
+            entries, coefficients, logs = self.rule.scan(self.dimension, range(1, max_degree + 1))
             sums = entries.sum(axis=1)
             offsets = tuple(np.searchsorted(sums, range(max_degree + 2)).tolist())
             table = CoefficientTable(
-                tuple(indices),
                 entries,
                 (entries / sums[:, None]).T.copy(),
-                np.array(coefficients, np.complex128),
-                np.fromiter(map(abs, coefficients), np.float64, len(coefficients)),
-                np.array(logs, np.float64),
+                coefficients,
+                np.fromiter(map(abs, coefficients.tolist()), np.float64, len(coefficients)),
+                logs,
                 offsets,
                 # below degree 1 the table is empty, and so is its tail window
                 offsets[tail_window(max_degree).start] if max_degree >= 1 else 0,
             )
-            for array in table[1:6]:
+            for array in table[:5]:
                 array.flags.writeable = False
             self._tables[max_degree] = table
         return table

@@ -4,9 +4,11 @@ The LP oracle enumerates basic solutions directly and never touches the
 simplex code, and the per-row simplex that the array kernel replaced is kept
 as its bit-for-bit reference, as are the per-term fsum routing, direction
 functional and elementary half-space; series-side expected values come from
-closed forms or raw enumeration of the coefficient rules.
+closed forms or raw enumeration of the coefficient rules.  The per-degree
+terms loops that the array scans replaced are kept as the scans' reference.
 """
 
+import cmath
 import math
 import random
 from itertools import combinations
@@ -21,6 +23,7 @@ from reinhardt import (
     FullGeometric,
     HalfSpace,
     HDomain,
+    MultiIndex,
     RayGeometric,
     SeriesSpec,
     SimplexDirection,
@@ -207,6 +210,87 @@ def reference_elementary_halfspace(series, max_degree) -> HalfSpace:
     normal = SimplexDirection(tuple(s / degree_sum for s in entry_sums))
     level = max(v for _, v in collected)
     return HalfSpace(normal, -level)
+
+
+# The per-degree terms loops of the five rules, with the recursive lattice
+# enumeration and the SumRule dict merge, that the array scans replaced, kept
+# verbatim (as functions of the rule) as their bit-for-bit references.
+
+
+def reference_enumerate_degree(dimension: int, degree: int):
+    """All multi-indices of exact degree, in lexicographic order."""
+    out = []
+
+    def emit(prefix, remaining):
+        if len(prefix) == dimension - 1:
+            out.append(MultiIndex(prefix + (remaining,)))
+            return
+        for v in range(remaining + 1):
+            emit(prefix + (v,), remaining - v)
+
+    emit((), degree)
+    return tuple(out)
+
+
+def _reference_log_abs_over(c, degree):
+    mag = abs(c)
+    if mag == 0.0:
+        return -inf
+    if math.isinf(mag):
+        return inf
+    return math.log(mag) / degree
+
+
+def _reference_summed_log(index, c, degree):
+    if cmath.isnan(c):
+        raise ValueError(
+            f"sum members hold opposite infinities at index {index.entries}; "
+            "the coefficient there is undefined"
+        )
+    return _reference_log_abs_over(c, degree)
+
+
+def reference_terms(rule, dimension: int, degree: int):
+    """(J, c_J, log|c_J|/|J|) for the supported J of a degree >= 1, lexicographic.
+
+    An explicit table is read back from its JSON form, as its dict was.
+    """
+    if isinstance(rule, FullGeometric):
+        return ((j, 1.0 + 0.0j, 0.0) for j in reference_enumerate_degree(dimension, degree))
+    if isinstance(rule, RayGeometric):
+        q, r = divmod(degree, rule.direction.degree)
+        if r or q < 1:
+            return ()
+        mag = abs(rule.ratio)
+        v = math.log(mag) / rule.direction.degree if mag else -inf
+        return ((MultiIndex(tuple(q * e for e in rule.direction.entries)), rule._value(q), v),)
+    if isinstance(rule, ExplicitTable):
+        data = rule.to_json()
+        items = {MultiIndex(tuple(j)): complex(*c) for j, c in zip(data["indices"], data["values"])}
+        by_degree = {}
+        for j, c in sorted(items.items(), key=lambda item: item[0].entries):
+            if j.degree:
+                by_degree.setdefault(j.degree, []).append((j, c, _reference_log_abs_over(c, j.degree)))
+        return tuple(by_degree.get(degree, ()))
+    if isinstance(rule, SupportWeighted):
+        slot = rule.slot_of_degree(degree)
+        if slot is None:
+            return ()
+        h = rule.values[slot[0] - 1]
+        v = -h if rule.scale == 1.0 else -h + math.log(abs(rule.scale)) / degree
+        return ((rule.index_at(*slot), rule._value(degree, h), v),)
+    merged = {}
+    for m in rule.members:
+        for j, c, v in reference_terms(m, dimension, degree):
+            entry = merged.setdefault(j, [0.0j, -inf, 0])
+            entry[0] += c
+            if v != -inf:
+                entry[1] = v
+                entry[2] += 1
+    return [
+        (j, c, v if n < 2 else _reference_summed_log(j, c, degree))
+        for j, (c, v, n) in sorted(merged.items(), key=lambda item: item[0].entries)
+    ]
 
 
 def lattice_directions(dimension: int, degree: int):

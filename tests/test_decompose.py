@@ -10,6 +10,7 @@ from reinhardt import (
     ExplicitTable,
     HalfSpace,
     HDomain,
+    MultiIndex,
     NeedTwoDirections,
     SeriesSpec,
     SimplexDirection,
@@ -300,7 +301,7 @@ def test_simple_exactness_reads_no_coefficient(monkeypatch, full_geom, third_qua
     dec = decompose_simple(full_geom, third_quadrant, uniform_directions_2d(5), 32)
     calls = []
     for cls in (ExplicitTable, SupportWeighted, SumRule):
-        for name in ("terms", "coefficient"):
+        for name in ("scan", "coefficient"):
             monkeypatch.setattr(cls, name, lambda *args, name=name: calls.append(name))
     monkeypatch.setattr(SeriesSpec, "coefficient_table", lambda *args: calls.append("table"))
     assert dec.exactness() == {"worst_rel_err": 0.0, "ok": True}
@@ -346,22 +347,42 @@ def test_routed_parts_are_rows_of_the_parent_table(monkeypatch, series_file, dir
     monkeypatch.undo()
 
     parent = series.coefficient_table(degree)
-    parent_log = dict(zip(parent.indices, parent.logs.tolist()))
+    parent_log = dict(zip(map(tuple, parent.entries.tolist()), parent.logs.tolist()))
     moved = 0
     for part in dec.parts:
         rule = part.series.rule
-        rebuilt = ExplicitTable(dict(rule.table))
-        assert rule.to_json() == rebuilt.to_json() and rule.table == rebuilt.table
+        rebuilt = ExplicitTable(dict(zip(map(tuple, rule.entries.tolist()), rule.coefficients.tolist())))
+        assert rule.to_json() == rebuilt.to_json()
+        assert rule.entries.tolist() == rebuilt.entries.tolist()
+        assert rule.coefficients.tolist() == rebuilt.coefficients.tolist()
+        rebuilt = SeriesSpec(series.dimension, rebuilt)
         for k in range(1, degree + 1):
-            got, want = rule.terms(series.dimension, k), rebuilt.terms(series.dimension, k)
+            got, want = part.series.terms(range(k, k + 1)), rebuilt.terms(range(k, k + 1))
             assert [j for j, _, _ in got] == [j for j, _, _ in want]
             for (j, c, v), (_, c_want, v_recomputed) in zip(got, want):
                 assert (_bits(c.real), _bits(c.imag)) == (_bits(c_want.real), _bits(c_want.imag))
                 # the parent scan's log, closed form included, not log|c|/|J| recomputed
-                assert _bits(v) == _bits(parent_log[j])
+                assert _bits(v) == _bits(parent_log[j.entries])
                 moved += v != v_recomputed
     # -h and log(exp(-|J| h))/|J| differ in the last bits at some indices
     assert (moved > 0) == (series_file == "wedge_real.json")
+
+
+def test_scans_build_no_multiindex_and_parts_no_dict(monkeypatch):
+    built = []
+    check = MultiIndex.__post_init__
+    monkeypatch.setattr(MultiIndex, "__post_init__", lambda self: built.append(1) or check(self))
+    for series_file, degree in [("f0.json", 64), ("g3.json", 32), ("wedge_real.json", 64)]:
+        series = SeriesSpec.load(GOLDEN_INPUTS / series_file)
+        built.clear()
+        table = series.coefficient_table(degree)
+        assert built == [], series_file
+    dec = decompose_elementary(series, _golden_directions("dirs25.json"), 64)
+    for part in dec.parts:
+        # a routed part is three row arrays of the parent table, and nothing else
+        assert sorted(vars(part.series.rule)) == ["coefficients", "entries", "logs"]
+    built.clear()
+    assert len(dec.assignment) == len(table.entries) == len(built)
 
 
 @pytest.mark.parametrize("table_index", [(3, 1), (7, 1)])  # before and after the slot

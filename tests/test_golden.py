@@ -6,8 +6,9 @@ embed the paths they were given) and compares its exit code, its stdout and
 every file it wrote against tests/golden/expected/<case>/.
 
 The corpus is fixed and keeps the numerical edge cases on purpose: overflowed
-coefficients and probe sums, an empty tail window, N=3 routing on lattice
-directions, and a wedge decomposition whose realizing rows dwarf the series
+coefficients and probe sums, ray powers that overflow past repeated squaring,
+an empty tail window, N=3 routing on lattice directions, and a wedge
+decomposition whose realizing rows dwarf the series
 (decompose_simple_domain_f0_absorption).  Every directory under expected/ is
 a case.  A change that moves these bytes must say which and why; regenerate
 the expected files of the named cases, or of every case when none is named,
@@ -26,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from reinhardt import SeriesSpec
 from reinhardt.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -69,6 +71,10 @@ CASES = {
     "decompose_elementary_overflow": [
         "decompose", "overflow.json", "--mode", "elementary", "--directions", "dirs5.json",
         "-K", "8", "--out", "out/parts",
+    ],
+    "decompose_elementary_ray_overflow": [
+        "decompose", "ray_overflow.json", "--mode", "elementary", "--directions", "dirs5.json",
+        "-K", "128", "--out", "out/parts",
     ],
     "decompose_elementary_g3_lattice": [
         "decompose", "g3.json", "--mode", "elementary", "--directions", "dirs_n3_lattice.json",
@@ -134,6 +140,14 @@ def test_golden_bytes(name):
 def test_every_expected_directory_is_a_case():
     # a directory no case names would never be compared
     assert sorted(p.name for p in EXPECTED.iterdir()) == sorted(CASES)
+
+
+def test_every_expected_part_file_loads_and_holds_no_nan():
+    parts = sorted(EXPECTED.rglob("part_*.json"))
+    assert parts
+    for path in parts:
+        assert "NaN" not in path.read_text(), path
+        SeriesSpec.load(path)
 
 
 def regenerate(names) -> None:

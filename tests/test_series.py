@@ -28,10 +28,12 @@ from reinhardt.series import tail_window
 
 from conftest import (
     brute_force_coefficients,
+    differential_rules,
     linear_scan_corpus,
     linear_scan_radii,
     reference_partial_sum_abs,
     reference_slice_coefficients,
+    reference_terms,
     same_float,
 )
 
@@ -157,7 +159,7 @@ def test_support_weighted_scale_multiplies_coefficients_and_shifts_logs():
     for n, k, j in rule.family_indices():
         d, h = j.degree, rule.values[n - 1]
         assert rule.coefficient(j) == complex(math.exp(-d * h) * -0.25)
-        ((_, c, v),) = rule.terms(2, d)
+        ((_, c, v),) = SeriesSpec(2, rule).terms(range(d, d + 1))
         assert c == rule.coefficient(j) and v == -h + math.log(0.25) / d
     # the row of a scaled rule keeps its scale, times the row's own factor
     assert rule.row(2).scale == -0.25 and rule.row(1, 1 / 3).scale == -0.25 / 3
@@ -165,6 +167,28 @@ def test_support_weighted_scale_multiplies_coefficients_and_shifts_logs():
     # an overflowed exp keeps the sign of the scale
     assert SupportWeighted([(1.0, 0.0)], [-800.0], per_row=1, scale=-2.0).coefficient(
         MultiIndex((8, 0))) == complex(-math.inf, 0.0)
+
+
+def test_support_weighted_keeps_a_finite_product_of_an_overflowed_exp():
+    # exp(8 * 89) overflows, but exp(8 * 89) * 1e-3 is about 1.2e306
+    for scale in (1e-3, -1e-3):
+        rule = SupportWeighted([(1.0, 0.0)], [-89.0], per_row=1, base=8, scale=scale)
+        want = complex(math.copysign(math.exp(8 * 89.0 + math.log(1e-3)), scale))
+        assert math.isfinite(want.real)
+        _, coefficients, _ = rule.scan(2, range(1, 9))
+        assert coefficients.tolist() == [want] and rule.coefficient(MultiIndex((8, 0))) == want
+    # past the float range even with the scale folded in: an infinity of the scale's sign
+    rule = SupportWeighted([(1.0, 0.0)], [-800.0], per_row=1, scale=-1e-3)
+    assert rule.coefficient(MultiIndex((8, 0))) == complex(-math.inf, 0.0)
+
+
+def test_ray_powers_that_overflow_read_inf_not_nan():
+    # repeated squaring overflows 1e10**64 to NaN without raising OverflowError
+    rule = RayGeometric((1,), 1e10)
+    assert rule.coefficient(MultiIndex((64,))) == complex(math.inf, 0.0)
+    _, coefficients, logs = rule.scan(1, range(1, 129))
+    assert not np.isnan(coefficients.view(np.float64)).any()
+    assert (coefficients[30:] == math.inf).all() and (logs == math.log(1e10)).all()
 
 
 def test_support_weighted_scale_1_writes_the_unscaled_format():
@@ -348,15 +372,15 @@ def tail_rows(series, max_degree):
     return table.projections[:, table.tail_start:], table.logs[table.tail_start:]
 
 
-def _counting_terms(monkeypatch, rule):
+def _counting_scans(monkeypatch, rule):
     calls = []
-    original = rule.terms
+    original = rule.scan
 
-    def terms(dimension, degree):
-        calls.append(degree)
-        return original(dimension, degree)
+    def scan(dimension, degrees):
+        calls.append(degrees)
+        return original(dimension, degrees)
 
-    monkeypatch.setattr(rule, "terms", terms)
+    monkeypatch.setattr(rule, "scan", scan)
     return calls
 
 
@@ -364,38 +388,38 @@ def test_one_coefficient_table_per_series_and_truncation(monkeypatch):
     rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
     series = SeriesSpec(2, rule, "f0")
     before = (repr(series), series.to_json())
-    calls = _counting_terms(monkeypatch, rule)
+    calls = _counting_scans(monkeypatch, rule)
 
     # the estimators, the probe and the decomposer at K share one scan of 1..K
     first = classify(series, (0.1, -0.2), max_degree=32)
-    assert calls == list(range(1, 33))
+    assert calls == [range(1, 33)]
     direction_functional(series, (0.5, 0.5), 0.1, 32)
     probe(series, (0.5, 0.5), 32)
     series.partial_sum_abs((0.8, 0.1), 32)
     series.slice_coefficients((0.8, 0.1), 32)
     decompose_elementary(series, [(0.5, 0.5), (1.0, 0.0)], 32)
     assert classify(series, (0.1, -0.2), max_degree=32) == first
-    assert calls == list(range(1, 33))
+    assert calls == [range(1, 33)]
 
     calls.clear()
     probe(series, (0.5, 0.5), 33)
-    assert calls == list(range(1, 34))
+    assert calls == [range(1, 34)]
     table = series.coefficient_table(33)
     assert table is series.coefficient_table(33)
     assert table is not series.coefficient_table(32)
     assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
-    assert [list(j.entries) for j in table.indices] == table.entries.tolist()
+    assert [list(j.entries) for j, _, _ in series.terms(range(1, 34))] == table.entries.tolist()
     assert table.tail_start == table.offsets[tail_window(33).start]
     projections, logs = tail_rows(series, 33)
     assert np.shares_memory(projections, table.projections) and np.shares_memory(logs, table.logs)
-    for a in (*table[1:6], projections, logs):
+    for a in (*table[:5], projections, logs):
         with pytest.raises(ValueError):
             a[0] = 0
 
     calls.clear()
     other = SeriesSpec(2, rule, "f0")
     assert classify(other, (0.1, -0.2), max_degree=32) == first
-    assert calls == list(range(1, 33))
+    assert calls == [range(1, 33)]
 
     assert (repr(series), series.to_json()) == before
     assert "_tables" not in repr(series)
@@ -409,18 +433,18 @@ def test_log_table_is_built_once_per_series_and_window(monkeypatch):
     rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
     series = SeriesSpec(2, rule, "f0")
     before = (repr(series), series.to_json())
-    calls = _counting_terms(monkeypatch, rule)
+    calls = _counting_scans(monkeypatch, rule)
 
     # the tail window at K is a view of the scan of degrees 1..K
     first = classify(series, (0.1, -0.2), max_degree=16)
-    assert calls == list(range(1, 17))
+    assert calls == [range(1, 17)]
     calls.clear()
     assert classify(series, (0.1, -0.2), max_degree=16) == first
     classify(series, (-1.0, 0.5), max_degree=16)
     assert calls == []
 
     classify(series, (0.1, -0.2), max_degree=32)
-    assert calls == list(range(1, 33))
+    assert calls == [range(1, 33)]
     calls.clear()
     again = zip(tail_rows(series, 32), tail_rows(series, 32))
     assert all(np.shares_memory(a, b) for a, b in again)
@@ -429,7 +453,7 @@ def test_log_table_is_built_once_per_series_and_window(monkeypatch):
 
     other = SeriesSpec(2, rule, "f0")
     assert classify(other, (0.1, -0.2), max_degree=16) == first
-    assert calls == list(range(1, 17))
+    assert calls == [range(1, 17)]
 
     assert (repr(series), series.to_json()) == before
     assert "_tables" not in repr(series)
@@ -442,10 +466,10 @@ def test_log_table_is_built_once_per_series_and_window(monkeypatch):
 def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
     rule = SumRule([FullGeometric(), RayGeometric((1, 1), 2.0)])
     series = SeriesSpec(2, rule, "f0")
-    calls = _counting_terms(monkeypatch, rule)
+    calls = _counting_scans(monkeypatch, rule)
 
     first = probe(series, (0.5, 0.5), 32)
-    assert calls == list(range(1, 33))
+    assert calls == [range(1, 33)]
     calls.clear()
     assert probe(series, (0.5, 0.5), 32) == first
     probe(series, (0.8, 0.1), 32)
@@ -454,11 +478,11 @@ def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
     assert calls == []
 
     probe(series, (0.5, 0.5), 33)
-    assert calls == list(range(1, 34))
+    assert calls == [range(1, 34)]
     table = series.coefficient_table(33)
     assert table is not series.coefficient_table(32)
     assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
-    for a in table[1:6]:
+    for a in table[:5]:
         with pytest.raises(ValueError):
             a[0] = 0
     # the tail rows at 32 are every row of the table at 32 from degree 16 on
@@ -543,3 +567,33 @@ def test_sum_of_opposite_infinities_names_the_index(evaluate):
     for max_degree in (8, 18):
         with pytest.raises(ValueError, match=r"opposite infinities at index \(4, 4\)"):
             evaluate(_opposite_infinities(), max_degree)
+
+
+def _bits(values) -> list:
+    return np.asarray(values).reshape(-1).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("max_degree", [8, 9, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_matches_the_per_degree_terms_bit_for_bit(n, max_degree):
+    rules = {**differential_rules(n), "explicit_table_empty": ExplicitTable({})}
+    degrees = range(1, max_degree + 1)
+    for kind, rule in rules.items():
+        try:
+            entries, coefficients, logs = rule.scan(n, degrees)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as want:
+                for k in degrees:
+                    list(reference_terms(rule, n, k))
+            assert str(exc) == str(want.value), kind
+            continue
+        assert entries.dtype == np.int64 and entries.shape == (len(coefficients), n), kind
+        assert coefficients.dtype == np.complex128 and logs.dtype == np.float64, kind
+        cuts = np.searchsorted(entries.sum(axis=1), range(1, max_degree + 2)).tolist()
+        for k, (a, b) in zip(degrees, zip(cuts, cuts[1:])):
+            want = list(reference_terms(rule, n, k))
+            assert entries[a:b].tolist() == [list(j.entries) for j, _, _ in want], (kind, k)
+            # the bits, so the sign of every zero counts
+            assert _bits(coefficients[a:b]) == _bits(np.array([c for _, c, _ in want], complex))
+            assert _bits(logs[a:b]) == _bits(np.array([v for _, _, v in want], float)), (kind, k)
+        assert cuts[-1] == len(entries), kind
