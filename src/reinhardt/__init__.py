@@ -4,8 +4,8 @@ Given a coefficient rule for a power series in several variables, this
 package estimates the logarithmic image of its domain of absolute
 convergence, evaluates support functions and convex closures over the
 probability simplex, constructs a series realizing a prescribed
-logarithmically convex region, and decomposes a series into elementary
-(half-space) and wedge summands.
+logarithmically convex region, and decomposes a series along a direction
+set into routed (elementary) and wedge summands.
 """
 
 from .construct import (
@@ -47,6 +47,7 @@ from .hadamard import (
     slice_radius,
 )
 from .multiindex import (
+    Directions,
     MultiIndex,
     SimplexDirection,
     ZeroIndexNotProjectable,

@@ -46,7 +46,7 @@ from .hadamard import (
     slice_radius,
 )
 from .jsonfile import json_text
-from .multiindex import SimplexDirection, uniform_directions_2d
+from .multiindex import Directions, SimplexDirection, uniform_directions_2d
 from .oracle import DEFAULT_MARGIN, agreement_grid, probe
 from .series import SeriesSpec
 
@@ -81,15 +81,15 @@ def _load(path: str, cls):
         raise InputError(f"{path} is not a valid {_FILE_KINDS[cls]} file: {exc}") from exc
 
 
-def _load_directions(path: str) -> list[SimplexDirection]:
+def _load_directions(path: str) -> Directions:
     data = _load_json(path)
     raw = data.get("directions") if isinstance(data, dict) else data
     if not isinstance(raw, list) or not raw:
         raise InputError(f"{path} must hold a non-empty 'directions' list")
     try:
-        return [SimplexDirection(tuple(d)) for d in raw]
+        return Directions(raw)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path} holds a malformed direction: {exc}") from exc
+        raise InputError(f"{path} is not a valid directions file: {exc}") from exc
 
 
 def _parse_grid(spec: str, dimension: int):
@@ -201,7 +201,7 @@ def _cmd_cfunc(args) -> dict:
     if delta is None:
         delta = band_radius(series.dimension, math.sqrt(args.degree))
     values = [direction_functional(series, alpha, delta, args.degree) for alpha in directions]
-    payload = SampledFunction(tuple(directions), tuple(values)).to_json()
+    payload = SampledFunction(directions, tuple(values)).to_json()
     payload["config"] = {"degree": args.degree, "delta": delta}
     return payload
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .convex import HDomain, support_value
-from .multiindex import MultiIndex, as_direction, as_directions, project
+from .multiindex import Directions, MultiIndex, as_direction, project
 from .series import SeriesSpec, SupportWeighted
 
 __all__ = [
@@ -50,7 +50,7 @@ def build_family(directions, per_row: int) -> tuple[tuple[MultiIndex, ...], ...]
     2N/|J| along each row.  The slots are those of the support-weighted rule
     over the same directions.
     """
-    dirs = as_directions(directions)
+    dirs = Directions(directions)
     slots = SupportWeighted(dirs, (0.0,) * len(dirs), per_row)
     return tuple(
         tuple(slots.index_at(n, k) for k in range(1, per_row + 1))
@@ -115,8 +115,8 @@ def series_for_domain(domain: HDomain, directions, per_row: int) -> SeriesSpec:
     Raises EmptyDomain for an infeasible region and InfiniteSupport when a
     prescribed direction lies outside the effective domain of h.
     """
-    dirs = as_directions(directions)
-    if dirs[0].dimension != domain.dimension:
+    dirs = Directions(directions)
+    if dirs.dimension != domain.dimension:
         raise ValueError("direction dimension does not match the domain")
     values = []
     for alpha in dirs:

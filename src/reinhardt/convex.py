@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .jsonfile import JsonFile
-from .multiindex import SimplexDirection, as_direction, as_directions
+from .multiindex import Directions, SimplexDirection, as_direction
 
 __all__ = [
     "EmptyDomain",
@@ -125,11 +125,11 @@ class SampledFunction(JsonFile):
     empty region, raises EmptyDomain.  Directions must be pairwise distinct.
     """
 
-    directions: tuple[SimplexDirection, ...]
+    directions: Directions
     values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "directions", as_directions(self.directions))
+        object.__setattr__(self, "directions", Directions(self.directions))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.directions) != len(self.values):
             raise ValueError("directions and values must have equal length")
@@ -141,7 +141,7 @@ class SampledFunction(JsonFile):
 
     @property
     def dimension(self) -> int:
-        return self.directions[0].dimension
+        return self.directions.dimension
 
     def finite_samples(self):
         return [
@@ -157,7 +157,7 @@ class SampledFunction(JsonFile):
     @classmethod
     def from_json(cls, data: dict) -> "SampledFunction":
         values = [inf if v == "inf" else float(v) for v in data["values"]]
-        return cls(tuple(tuple(d) for d in data["directions"]), tuple(values))
+        return cls(data["directions"], tuple(values))
 
 
 @dataclass

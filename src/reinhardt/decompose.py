@@ -5,20 +5,20 @@ truncation to the nearest prescribed direction, turning a series into
 monomial-wise disjoint sub-series: each part is a selection of rows of the
 series' coefficient table, coefficients moved, never transformed, so the
 partition is exact to the bit, and logs kept in the scan's closed forms (a
-saved part reloads as an ExplicitTable that recomputes log|c|/|J|).  Each row
-receives a half-space estimate from the tail window of its own coefficients;
-a row with an empty or overflowed tail window keeps an infinite level and an
-empty half-space marker rather than being dropped, so the partition stays
-exhaustive.  Its exactness report counts the routed coefficients against the
-occurring ones of the scan.
+saved part reloads as an ExplicitTable that recomputes log|c|/|J|).  A row's
+half-space estimate at its direction comes from its own tail window; the
+row's log image itself is a cone over the directions routed to it.  A row
+with an empty or overflowed tail window keeps an infinite level and an empty
+half-space marker, so the partition stays exhaustive.  Its exactness report
+counts the routed coefficients against the occurring ones of the scan.
 
 decompose_simple pairs each routed row with the matching row of the
 realizing series for the prescribed region, then telescopes: with
 f_0/0 := 0, part n is g_n + f_n/n - f_(n-1)/(n-1), kept as the symbolic sum
 of those three rules (the realizing rows carry their factor as a scale, logs
 in closed form), never expanded into a table.  Partial sums collapse to
-sum(g_n) + f_M/M exactly, and part n >= 2 converges precisely on the wedge
-cut by the supporting half-spaces at directions n and n-1.  Its exactness
+sum(g_n) + f_M/M exactly, and part n >= 2 is reported with the wedge cut by
+the supporting half-spaces at directions n and n-1.  Its exactness
 report is the worst relative gap in that identity, weighed row by row over
 the parts' members; it reads no coefficient.
 
@@ -43,7 +43,7 @@ from .hadamard import (
     DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, Membership, classify, direction_functional,
 )
 from .multiindex import (
-    L1_SLACK_PER_COORD, MultiIndex, SimplexDirection, as_directions, l1_distances, project,
+    Directions, L1_SLACK_PER_COORD, MultiIndex, SimplexDirection, l1_distances, project,
 )
 from .series import ExplicitTable, SeriesSpec, SumRule, SupportWeighted
 
@@ -124,8 +124,8 @@ def decompose_elementary(
     of the series' coefficient table routed to it, coefficients and logs
     unchanged.  The constant term is reported separately.
     """
-    dirs = as_directions(directions)
-    if dirs[0].dimension != series.dimension:
+    dirs = Directions(directions)
+    if dirs.dimension != series.dimension:
         raise ValueError("direction dimension does not match the series")
     table = series.coefficient_table(max_degree)
     dist = l1_distances(table.projections, dirs)
@@ -204,7 +204,7 @@ def decompose_simple(
     1/(n+1) and, from the second part on, f_(n-1) scaled by -1/n (0-based),
     so no coefficient is combined or rounded until a scan asks for it.
     """
-    dirs = as_directions(directions)
+    dirs = Directions(directions)
     if len(dirs) < 2:
         raise NeedTwoDirections("wedges need at least two distinct directions")
     eld = decompose_elementary(series, dirs, max_degree)
@@ -309,7 +309,7 @@ def estimate_domain(
     direction), carves the region of the samples, and reduces it back to
     supporting half-spaces on the same directions.
     """
-    dirs = as_directions(directions)
+    dirs = Directions(directions)
     delta = band_radius(series.dimension, max_degree)
     values = tuple(direction_functional(series, alpha, delta, max_degree) for alpha in dirs)
     samples = SampledFunction(dirs, values)

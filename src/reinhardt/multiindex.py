@@ -19,11 +19,11 @@ from itertools import chain, combinations
 import numpy as np
 
 __all__ = [
+    "Directions",
     "MultiIndex",
     "SimplexDirection",
     "ZeroIndexNotProjectable",
     "as_direction",
-    "as_directions",
     "compositions",
     "enumerate_degree",
     "l1_distances",
@@ -122,24 +122,32 @@ def as_direction(value) -> SimplexDirection:
     return value if isinstance(value, SimplexDirection) else SimplexDirection(tuple(value))
 
 
-def as_directions(values) -> tuple[SimplexDirection, ...]:
+class Directions(tuple):
     """Non-empty direction set of one dimension, pairwise l1 distance > 1e-10.
 
+    Checked once, when built; a Directions given again is returned as it is.
     The pairwise test is quadratic on purpose: comparing neighbours after a
     sort would miss close pairs that are not adjacent in the sort order.
     """
-    dirs = tuple(as_direction(v) for v in values)
-    if not dirs:
-        raise ValueError("need at least one direction")
-    dim = dirs[0].dimension
-    for d in dirs:
-        if d.dimension != dim:
-            raise ValueError("directions have mixed dimensions")
-    for i in range(len(dirs)):
-        for j in range(i):
-            if dirs[i].l1_distance(dirs[j]) <= _DISTINCT_TOL:
-                raise ValueError("directions must be pairwise distinct")
-    return dirs
+
+    def __new__(cls, values):
+        if isinstance(values, Directions):
+            return values
+        dirs = super().__new__(cls, map(as_direction, values))
+        if not dirs:
+            raise ValueError("need at least one direction")
+        for d in dirs:
+            if d.dimension != dirs.dimension:
+                raise ValueError("directions have mixed dimensions")
+        for i in range(len(dirs)):
+            for j in range(i):
+                if dirs[i].l1_distance(dirs[j]) <= _DISTINCT_TOL:
+                    raise ValueError("directions must be pairwise distinct")
+        return dirs
+
+    @property
+    def dimension(self) -> int:
+        return self[0].dimension
 
 
 def project(index: MultiIndex) -> SimplexDirection:
@@ -168,8 +176,7 @@ def compositions(dimension: int, degrees) -> np.ndarray:
         cells = k + dimension - 1
         bars = np.fromiter(chain.from_iterable(combinations(range(cells), dimension - 1)), np.int64)
         bars = bars.reshape(math.comb(cells, dimension - 1), dimension - 1)
-        edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, cells)))
-        blocks.append(np.diff(edges, axis=1) - 1)
+        blocks.append(np.diff(bars, axis=1, prepend=-1, append=cells) - 1)
     return np.concatenate(blocks)
 
 
@@ -207,9 +214,9 @@ def nearest_entries(alpha: SimplexDirection, degree: int) -> tuple[int, ...]:
     return tuple(floors)
 
 
-def uniform_directions_2d(count: int) -> list[SimplexDirection]:
+def uniform_directions_2d(count: int) -> Directions:
     """count equally spaced directions on the 2-dimensional simplex edge."""
     if count < 2:
         raise ValueError("need at least two directions")
     step = count - 1
-    return [SimplexDirection((i / step, 1.0 - i / step)) for i in range(count)]
+    return Directions(SimplexDirection((i / step, 1.0 - i / step)) for i in range(count))

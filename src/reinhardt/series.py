@@ -24,8 +24,8 @@ import numpy as np
 
 from .jsonfile import JsonFile
 from .multiindex import (
+    Directions,
     MultiIndex,
-    as_directions,
     compositions,
     nearest_entries,
     nearest_index_of_degree,
@@ -250,7 +250,7 @@ class SupportWeighted(CoefficientRule):
 
     def __init__(self, directions, values, per_row: int, base: int = 8, stride: int = 1,
                  scale: float = 1.0):
-        directions = as_directions(directions)
+        directions = Directions(directions)
         values = tuple(float(v) for v in values)
         scale = float(scale)
         if len(directions) != len(values):
@@ -306,7 +306,7 @@ class SupportWeighted(CoefficientRule):
         if not 1 <= row <= self.rows:
             raise ValueError(f"row must be in 1..{self.rows}")
         return SupportWeighted(
-            (self.directions[row - 1],),
+            Directions((self.directions[row - 1],)),
             (self.values[row - 1],),
             per_row=self.per_row,
             base=self.base + (row - 1) * self.stride,
@@ -315,9 +315,9 @@ class SupportWeighted(CoefficientRule):
         )
 
     def check_dimension(self, dimension: int) -> None:
-        if self.directions[0].dimension != dimension:
+        if self.directions.dimension != dimension:
             raise DimensionMismatch(
-                f"support directions have dimension {self.directions[0].dimension}, "
+                f"support directions have dimension {self.directions.dimension}, "
                 f"series has {dimension}"
             )
 
@@ -512,10 +512,11 @@ class CoefficientTable(NamedTuple):
         return out
 
     def absolute_terms(self, r) -> tuple[np.ndarray, list[int]]:
-        """abs(c_J) r^J on the rows with c_J != 0, and where each degree starts among them."""
+        """abs(c_J) r^J (+inf where abs(c_J) is) where c_J != 0, and where each degree starts."""
         keep = self.magnitudes != 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             terms = self.magnitudes[keep] * self.monomials(r)[keep]
+        terms[self.magnitudes[keep] == inf] = inf
         return terms, np.concatenate(([0], np.cumsum(keep)))[list(self.offsets)].tolist()
 
 

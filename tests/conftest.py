@@ -9,8 +9,10 @@ terms loops that the array scans replaced are kept as the scans' reference.
 """
 
 import cmath
+import functools
 import math
 import random
+import weakref
 from itertools import combinations
 from math import inf
 from typing import Sequence
@@ -126,6 +128,17 @@ def brute_force_coefficients(series, degrees):
     }
 
 
+_TRIPLES = weakref.WeakKeyDictionary()
+
+
+def reference_triples(series, degrees):
+    """series.terms(degrees), scanned once per series and degrees for the per-point references."""
+    memo = _TRIPLES.setdefault(series, {})
+    if degrees not in memo:
+        memo[degrees] = tuple(series.terms(degrees))
+    return memo[degrees]
+
+
 def brute_force_indicator(series, point, max_degree):
     """Tail-window maximum of <J/|J|, s> + log|c_J|/|J|, one term at a time.
 
@@ -134,7 +147,7 @@ def brute_force_indicator(series, point, max_degree):
     """
     point = tuple(float(x) for x in point)
     best = -math.inf
-    for j, _, v in series.terms(tail_window(max_degree)):
+    for j, _, v in reference_triples(series, tail_window(max_degree)):
         acc = 0.0
         for a, x in zip(project(j).coords, point):
             acc = acc + a * x
@@ -171,7 +184,7 @@ def reference_direction_functional(series, center, radius, max_degree) -> float:
     if center.dimension != series.dimension:
         raise ValueError("window center dimension does not match the series")
     best = -inf
-    for j, _, v in series.terms(tail_window(max_degree)):
+    for j, _, v in reference_triples(series, tail_window(max_degree)):
         if project(j).l1_distance(center) <= radius and v > best:
             best = v
     return inf if best == -inf else -best
@@ -217,6 +230,7 @@ def reference_elementary_halfspace(series, max_degree) -> HalfSpace:
 # verbatim (as functions of the rule) as their bit-for-bit references.
 
 
+@functools.cache
 def reference_enumerate_degree(dimension: int, degree: int):
     """All multi-indices of exact degree, in lexicographic order."""
     out = []
@@ -299,7 +313,8 @@ def lattice_directions(dimension: int, degree: int):
 
 
 # The per-term linear scans that the coefficient table replaced, kept
-# verbatim (as functions of the series) as their bit-for-bit references.
+# verbatim (as functions of the series) as their bit-for-bit references;
+# an overflowed |c_J| reads +inf beside any r^J, as in the table.
 
 
 def _power(point, index) -> float:
@@ -317,22 +332,22 @@ def reference_block_sums(series, point, max_degree):
     """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree."""
     r = series._check_point(point, radius=True)
     blocks = [[abs(series.constant_term())]] + [[] for _ in range(max_degree)]
-    for j, c, _ in series.terms(range(1, max_degree + 1)):
+    for j, c, _ in reference_triples(series, range(1, max_degree + 1)):
         mag = abs(c)
         if mag:
-            blocks[j.degree].append(mag * _power(r, j))
+            blocks[j.degree].append(inf if mag == inf else mag * _power(r, j))
     return [math.fsum(b) for b in blocks]
 
 
 def reference_partial_sum_abs(series, point, max_degree):
     r = series._check_point(point, radius=True)
     parts = [abs(series.constant_term())]
-    for j, c, _ in series.terms(range(1, max_degree + 1)):
+    for j, c, _ in reference_triples(series, range(1, max_degree + 1)):
         mag = abs(c)
         if mag == 0.0:
             continue
         t = mag * _power(r, j)
-        if math.isinf(t):
+        if mag == inf or math.isinf(t):
             return math.inf
         parts.append(t)
     return math.fsum(parts)
@@ -341,7 +356,7 @@ def reference_partial_sum_abs(series, point, max_degree):
 def reference_slice_coefficients(series, point, max_degree):
     r = series._check_point(point, positive=True)
     out = [series.constant_term()] + [0.0j] * max_degree
-    for j, c, _ in series.terms(range(1, max_degree + 1)):
+    for j, c, _ in reference_triples(series, range(1, max_degree + 1)):
         out[j.degree] += c * _power(r, j)
     return out
 

@@ -437,3 +437,69 @@ def test_decompose_takes_one_domain_source(tmp_path, capsys, files):
     assert exit_.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert not (tmp_path / "parts").exists()
+
+
+BAD_DIRECTION_FILES = {
+    "within_1e-10": ([[0.0, 1.0], [0.5, 0.5], [0.5 + 4e-11, 0.5 - 4e-11]],
+                     "directions must be pairwise distinct"),
+    "mixed_dimensions": ([[0.0, 1.0], [0.2, 0.3, 0.5]], "directions have mixed dimensions"),
+    "off_the_simplex": ([[0.0, 1.0], [0.5, 0.6]],
+                        "simplex coordinates must sum to 1, got (0.5, 0.6)"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DIRECTION_FILES))
+@pytest.mark.parametrize("command", ["cfunc", "construct", "decompose"])
+def test_an_invalid_directions_file_is_refused_when_it_loads(
+    tmp_path, capsys, monkeypatch, files, command, bad
+):
+    import reinhardt.cli
+    import reinhardt.construct
+    import reinhardt.decompose
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was scanned or an LP ran before the directions loaded")
+
+    for module in (reinhardt.cli, reinhardt.decompose):
+        monkeypatch.setattr(module, "direction_functional", refuse)
+    monkeypatch.setattr(reinhardt.construct, "support_value", refuse)
+    monkeypatch.setattr(SeriesSpec, "coefficient_table", refuse)
+    directions, message = BAD_DIRECTION_FILES[bad]
+    path = tmp_path / f"{bad}.json"
+    path.write_text(json.dumps({"directions": directions}))
+    out = tmp_path / "out"
+    argv = {
+        "cfunc": ["cfunc", files["f0"], "--out", str(out)],
+        "construct": ["construct", "--domain", files["wedge"], "--out", str(out)],
+        "decompose": ["decompose", files["f0"], "--mode", "simple", "--estimate-domain",
+                      "--out", str(out)],
+    }[command]
+    code = main(argv + ["--directions", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not a valid directions file: {message}\n"
+    assert not out.exists()
+
+
+def test_a_direction_set_is_checked_once_per_run(tmp_path, capsys, monkeypatch, files):
+    from reinhardt.multiindex import Directions
+
+    checks = []
+    build = Directions.__new__
+
+    def counting(cls, values):
+        dirs = build(cls, values)
+        if dirs is not values and len(dirs) > 1:  # a new set of two or more: a full check
+            checks.append(len(dirs))
+        return dirs
+
+    monkeypatch.setattr(Directions, "__new__", counting)
+    dirs = tmp_path / "dirs25.json"
+    dirs.write_text(json.dumps({"directions": [[i / 24, 1 - i / 24] for i in range(25)]}))
+    code = main(["decompose", files["f0"], "--mode", "simple", "--estimate-domain",
+                 "--directions", str(dirs), "--out", str(tmp_path / "parts")])
+    capsys.readouterr()
+    assert code == 0
+    # the file's set is checked when it loads and passed down every layer unchecked
+    assert checks == [25]

@@ -496,6 +496,16 @@ def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
     assert ref() is None
 
 
+def test_an_overflowed_coefficient_reads_inf_beside_an_underflowed_monomial():
+    # |c_k| = 1e10^k overflows from degree 31 on, where (1e-12)^k has underflowed to 0
+    from reinhardt.oracle import ProbeOutcome, block_sums
+
+    series = SeriesSpec(1, RayGeometric((1,), 1e10))
+    assert series.partial_sum_abs((1e-12,), 64) == math.inf
+    assert block_sums(series, (1e-12,), 64)[31:] == [math.inf] * 34
+    assert probe(series, (1e-12,), 64).outcome is ProbeOutcome.DIVERGES
+
+
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
 def test_linear_scans_match_the_per_term_loops_bit_for_bit(dimension):
     for series in linear_scan_corpus(dimension, 33):
