@@ -306,7 +306,7 @@ class SupportWeighted(CoefficientRule):
         if not 1 <= row <= self.rows:
             raise ValueError(f"row must be in 1..{self.rows}")
         return SupportWeighted(
-            Directions((self.directions[row - 1],)),
+            (self.directions[row - 1],),
             (self.values[row - 1],),
             per_row=self.per_row,
             base=self.base + (row - 1) * self.stride,
@@ -514,9 +514,10 @@ class CoefficientTable(NamedTuple):
     def absolute_terms(self, r) -> tuple[np.ndarray, list[int]]:
         """abs(c_J) r^J (+inf where abs(c_J) is) where c_J != 0, and where each degree starts."""
         keep = self.magnitudes != 0.0
+        mags = self.magnitudes[keep]
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.magnitudes[keep] * self.monomials(r)[keep]
-        terms[self.magnitudes[keep] == inf] = inf
+            terms = mags * self.monomials(r)[keep]
+        terms[mags == inf] = inf
         return terms, np.concatenate(([0], np.cumsum(keep)))[list(self.offsets)].tolist()
 
 

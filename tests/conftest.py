@@ -230,9 +230,13 @@ def reference_elementary_halfspace(series, max_degree) -> HalfSpace:
 # verbatim (as functions of the rule) as their bit-for-bit references.
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def reference_enumerate_degree(dimension: int, degree: int):
-    """All multi-indices of exact degree, in lexicographic order."""
+    """All multi-indices of exact degree, in lexicographic order.
+
+    Only the last degree is kept, so the dense rules checked at one degree
+    share one enumeration and a large dimension holds one degree at a time.
+    """
     out = []
 
     def emit(prefix, remaining):

@@ -588,9 +588,10 @@ def _bits(values) -> list:
 def test_scan_matches_the_per_degree_terms_bit_for_bit(n, max_degree):
     rules = {**differential_rules(n), "explicit_table_empty": ExplicitTable({})}
     degrees = range(1, max_degree + 1)
+    scans, cuts = {}, {}
     for kind, rule in rules.items():
         try:
-            entries, coefficients, logs = rule.scan(n, degrees)
+            entries, coefficients, logs = scans[kind] = rule.scan(n, degrees)
         except ValueError as exc:
             with pytest.raises(ValueError) as want:
                 for k in degrees:
@@ -599,11 +600,14 @@ def test_scan_matches_the_per_degree_terms_bit_for_bit(n, max_degree):
             continue
         assert entries.dtype == np.int64 and entries.shape == (len(coefficients), n), kind
         assert coefficients.dtype == np.complex128 and logs.dtype == np.float64, kind
-        cuts = np.searchsorted(entries.sum(axis=1), range(1, max_degree + 2)).tolist()
-        for k, (a, b) in zip(degrees, zip(cuts, cuts[1:])):
-            want = list(reference_terms(rule, n, k))
+        cuts[kind] = np.searchsorted(entries.sum(axis=1), range(1, max_degree + 2)).tolist()
+        assert cuts[kind][-1] == len(entries), kind
+    # degree by degree, so the dense rules share one reference enumeration of each degree
+    for i, k in enumerate(degrees):
+        for kind, (entries, coefficients, logs) in scans.items():
+            a, b = cuts[kind][i:i + 2]
+            want = list(reference_terms(rules[kind], n, k))
             assert entries[a:b].tolist() == [list(j.entries) for j, _, _ in want], (kind, k)
             # the bits, so the sign of every zero counts
             assert _bits(coefficients[a:b]) == _bits(np.array([c for _, c, _ in want], complex))
             assert _bits(logs[a:b]) == _bits(np.array([v for _, _, v in want], float)), (kind, k)
-        assert cuts[-1] == len(entries), kind
