@@ -92,6 +92,14 @@ def _load_directions(path: str) -> Directions:
         raise InputError(f"{path} is not a valid directions file: {exc}") from exc
 
 
+def _same_dimension(path: str, dimension: int, other_path: str, other_dimension: int) -> None:
+    """Two loaded files of one dimension, checked before any scan or LP reads them."""
+    if dimension != other_dimension:
+        raise InputError(
+            f"{path} has dimension {dimension}, but {other_path} has dimension {other_dimension}"
+        )
+
+
 def _parse_grid(spec: str, dimension: int):
     """Axis specs lo:hi:count joined by commas; one spec replicates to all axes."""
     parts = spec.split(",")
@@ -191,6 +199,7 @@ def _cmd_cfunc(args) -> dict:
     series = _load(args.series, SeriesSpec)
     if args.directions:
         directions = _load_directions(args.directions)
+        _same_dimension(args.directions, directions.dimension, args.series, series.dimension)
     elif args.grid_t:
         if series.dimension != 2:
             raise InputError("--grid-t applies to dimension 2 only; use --directions")
@@ -221,6 +230,7 @@ def _cmd_direction_value(args) -> dict:
 def _cmd_construct(args) -> dict:
     domain = _load(args.domain, HDomain)
     directions = _load_directions(args.directions)
+    _same_dimension(args.directions, directions.dimension, args.domain, domain.dimension)
     series = series_for_domain(domain, directions, per_row=args.per_row)
     series.save(args.target)
     return _report(args, directions=len(directions), out=args.target)
@@ -229,11 +239,13 @@ def _cmd_construct(args) -> dict:
 def _cmd_decompose(args) -> dict:
     series = _load(args.series, SeriesSpec)
     directions = _load_directions(args.directions)
+    _same_dimension(args.directions, directions.dimension, args.series, series.dimension)
     if args.mode == "elementary":
         dec = decompose_elementary(series, directions, args.degree)
     else:
         if args.domain:
             domain = _load(args.domain, HDomain)
+            _same_dimension(args.domain, domain.dimension, args.series, series.dimension)
         elif args.estimate_domain:
             domain = estimate_domain(series, directions, args.degree)
         else:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .convex import HDomain, support_value
-from .multiindex import Directions, MultiIndex, as_direction, project
+from .multiindex import Directions, MultiIndex, as_direction, l1_nearest, l1_within
 from .series import SeriesSpec, SupportWeighted
 
 __all__ = [
@@ -83,20 +85,18 @@ def extremal_sequence(series: SeriesSpec, alpha, max_degree: int) -> list[MultiI
     alpha = as_direction(alpha)
     if alpha.dimension != series.dimension:
         raise ValueError("direction dimension does not match the series")
+    center = np.array(alpha.coords)
     out: list[MultiIndex] = []
     band = BASE_DEGREE
     while band <= max_degree:
-        radius = band_radius(series.dimension, band)
-        best = None  # (-value, distance, index)
-        for j, _, v in series.terms(range(band, band + 1)):
-            dist = project(j).l1_distance(alpha)
-            if v == -math.inf or dist > radius:
-                continue
-            key = (-v, dist, j)
-            if best is None or key < best:
-                best = key
-        if best is not None:
-            out.append(best[2])
+        entries, _, logs = series.rule.scan(series.dimension, range(band, band + 1))
+        projections = (entries / band).T
+        near = l1_within(projections, center, band_radius(series.dimension, band))
+        near = np.flatnonzero(near & (logs != -math.inf))
+        if len(near):
+            best = near[logs[near] == logs[near].max()]
+            pick = best[l1_nearest(center[:, None], projections[:, best])[0]]
+            out.append(MultiIndex(tuple(entries[pick].tolist())))
         band *= 2
     if not out:
         raise EmptyWindow(f"no supported index near {alpha.coords} in any degree band")

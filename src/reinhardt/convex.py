@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .jsonfile import JsonFile
+from .jsonfile import JsonFile, json_int
 from .multiindex import Directions, SimplexDirection, as_direction
 
 __all__ = [
@@ -112,7 +112,7 @@ class HDomain(JsonFile):
     @classmethod
     def from_json(cls, data: dict) -> "HDomain":
         return cls(
-            int(data["dimension"]),
+            json_int(data, "dimension"),
             tuple(HalfSpace.from_json(h) for h in data["halfspaces"]),
         )
 

@@ -42,9 +42,7 @@ from .convex import HalfSpace, HDomain, SampledFunction, reduce_to_dense_subset
 from .hadamard import (
     DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, Membership, classify, direction_functional,
 )
-from .multiindex import (
-    Directions, L1_SLACK_PER_COORD, MultiIndex, SimplexDirection, l1_distances, project,
-)
+from .multiindex import Directions, MultiIndex, SimplexDirection, l1_nearest
 from .series import ExplicitTable, SeriesSpec, SumRule, SupportWeighted
 
 __all__ = [
@@ -71,12 +69,6 @@ class SupportsOverlap(ValueError):
     def __init__(self, index: MultiIndex):
         super().__init__(f"parts share the monomial at {index.entries}")
         self.index = index
-
-
-def route_index(index: MultiIndex, directions) -> int:
-    """Row receiving this index: nearest direction in l1 (fsum), ties to the smallest row."""
-    dists = [project(index).l1_distance(alpha) for alpha in directions]
-    return dists.index(min(dists))
 
 
 @dataclass(frozen=True)
@@ -128,13 +120,7 @@ def decompose_elementary(
     if dirs.dimension != series.dimension:
         raise ValueError("direction dimension does not match the series")
     table = series.coefficient_table(max_degree)
-    dist = l1_distances(table.projections, dirs)
-    routes = dist.argmin(axis=0)
-    # argmin's first minimum is route_index's smallest row; where another row lies
-    # within the summation slack the array sum may order them unlike fsum.
-    close = (dist - dist.min(axis=0) <= L1_SLACK_PER_COORD * series.dimension).sum(axis=0)
-    for k in np.flatnonzero(close > 1):
-        routes[k] = route_index(MultiIndex(tuple(table.entries[k].tolist())), dirs)
+    routes = l1_nearest(table.projections, dirs.columns)
     occurring = np.flatnonzero(table.coefficients)
 
     parts = []

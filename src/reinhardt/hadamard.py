@@ -24,7 +24,7 @@ from math import inf
 import numpy as np
 
 from .convex import HalfSpace
-from .multiindex import L1_SLACK_PER_COORD, SimplexDirection, as_direction, l1_distances
+from .multiindex import SimplexDirection, as_direction, l1_within
 from .series import SeriesSpec, tail_window
 
 __all__ = [
@@ -128,13 +128,8 @@ def direction_functional(
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     table = series.coefficient_table(max_degree)
-    projections, logs = table.projections[:, table.tail_start:], table.logs[table.tail_start:]
-    dist = l1_distances(projections, (center,))[0]
-    inside = dist <= radius
-    # Beside the radius the array sum may round unlike fsum, which decides there.
-    for k in np.flatnonzero(abs(dist - radius) <= L1_SLACK_PER_COORD * series.dimension):
-        inside[k] = SimplexDirection(tuple(projections[:, k])).l1_distance(center) <= radius
-    best = float(np.fmax.reduce(logs[inside], initial=-inf))
+    inside = l1_within(table.projections[:, table.tail_start:], np.array(center.coords), radius)
+    best = float(np.fmax.reduce(table.logs[table.tail_start:][inside], initial=-inf))
     return inf if best == -inf else -best
 
 
@@ -155,16 +150,14 @@ def elementary_halfspace(series: SeriesSpec, max_degree: int = DEFAULT_MAX_DEGRE
     rows = table.tail_start + np.flatnonzero(table.logs[table.tail_start:] != -inf)
     if not len(rows):
         raise NotElementary("no supported index in the tail degree window")
-    collected: list[SimplexDirection] = []
-    for k in rows:
-        pk = SimplexDirection(tuple(table.projections[:, k].tolist()))
-        for prev in collected:
-            if prev.l1_distance(pk) > ELEMENTARY_DIAMETER:
-                raise NotElementary(
-                    f"tail projections spread {prev.coords} .. {pk.coords}; "
-                    f"diameter exceeds {ELEMENTARY_DIAMETER}"
-                )
-        collected.append(pk)
+    columns = table.projections[:, rows]
+    for i in range(1, len(rows)):
+        far = ~l1_within(columns[:, :i], columns[:, i], ELEMENTARY_DIAMETER)
+        if far.any():
+            raise NotElementary(
+                f"tail projections spread {tuple(columns[:, far.argmax()].tolist())} .. "
+                f"{tuple(columns[:, i].tolist())}; diameter exceeds {ELEMENTARY_DIAMETER}"
+            )
     level = max(table.logs[rows].tolist())
     if level == inf:  # decompose_elementary gives such a row the empty estimate
         j = tuple(table.entries[rows[table.logs[rows].argmax()]].tolist())

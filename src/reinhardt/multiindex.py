@@ -26,7 +26,8 @@ __all__ = [
     "as_direction",
     "compositions",
     "enumerate_degree",
-    "l1_distances",
+    "l1_nearest",
+    "l1_within",
     "nearest_entries",
     "nearest_index_of_degree",
     "project",
@@ -36,9 +37,9 @@ __all__ = [
 _INT64_MAX = 2**63 - 1
 _SIMPLEX_SUM_TOL = 1e-12
 _DISTINCT_TOL = 1e-10
-# l1_distances sums left to right, which equals l1_distance's fsum at N = 2 but can
-# differ by up to N eps at N >= 3; comparisons closer than N times this need fsum.
-L1_SLACK_PER_COORD = 4 * float(np.finfo(np.float64).eps)
+# l1 distance is SimplexDirection.l1_distance's fsum; an array sum differs by up to N eps
+# at N >= 3, so l1_nearest and l1_within run fsum on decisions within N times this slack.
+_L1_SLACK_PER_COORD = 4 * float(np.finfo(np.float64).eps)
 
 
 class ZeroIndexNotProjectable(ValueError):
@@ -109,13 +110,36 @@ class SimplexDirection:
         return f"SimplexDirection({self.coords!r})"
 
 
-def l1_distances(columns: np.ndarray, directions) -> np.ndarray:
-    """D x M l1 distances from each direction to each column of an N x M array."""
-    centers = np.array([d.coords for d in directions])
-    out = np.zeros((len(centers), columns.shape[1]))
-    for coord, center in zip(columns, centers.T):
+def _l1_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """D x M array sums of |column - center| for N x M columns and N x D centers."""
+    out = np.zeros((centers.shape[1], columns.shape[1]))
+    for coord, center in zip(columns, centers):
         out += np.abs(coord - center[:, None])
     return out
+
+
+def _l1_fsum(column: np.ndarray, center: np.ndarray) -> float:
+    return math.fsum(abs(a - b) for a, b in zip(column.tolist(), center.tolist()))
+
+
+def l1_nearest(columns: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Per column (N x M), its nearest direction column (N x D) in l1, ties to the first."""
+    dist = _l1_distances(columns, directions)
+    nearest = dist.argmin(axis=0)
+    close = dist - dist.min(axis=0) <= _L1_SLACK_PER_COORD * len(columns)
+    for k in np.flatnonzero(close.sum(axis=0) > 1):
+        exact = [_l1_fsum(columns[:, k], d) for d in directions.T]
+        nearest[k] = exact.index(min(exact))
+    return nearest
+
+
+def l1_within(columns: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Mask of the columns (N x M) within l1 distance radius of the center (N array)."""
+    dist = _l1_distances(columns, center[:, None])[0]
+    inside = dist <= radius
+    for k in np.flatnonzero(abs(dist - radius) <= _L1_SLACK_PER_COORD * len(columns)):
+        inside[k] = _l1_fsum(columns[:, k], center) <= radius
+    return inside
 
 
 def as_direction(value) -> SimplexDirection:
@@ -136,18 +160,21 @@ class Directions(tuple):
         dirs = super().__new__(cls, map(as_direction, values))
         if not dirs:
             raise ValueError("need at least one direction")
-        for d in dirs:
-            if d.dimension != dirs.dimension:
-                raise ValueError("directions have mixed dimensions")
-        for i in range(len(dirs)):
-            for j in range(i):
-                if dirs[i].l1_distance(dirs[j]) <= _DISTINCT_TOL:
-                    raise ValueError("directions must be pairwise distinct")
+        if len({d.dimension for d in dirs}) > 1:
+            raise ValueError("directions have mixed dimensions")
+        for i in range(1, len(dirs)):
+            if l1_within(dirs.columns[:, :i], dirs.columns[:, i], _DISTINCT_TOL).any():
+                raise ValueError("directions must be pairwise distinct")
         return dirs
 
     @property
     def dimension(self) -> int:
         return self[0].dimension
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The N x D coordinate array, one column per direction."""
+        return np.array([d.coords for d in self]).T
 
 
 def project(index: MultiIndex) -> SimplexDirection:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jsonfile import JsonFile
+from .jsonfile import JsonFile, json_int
 from .multiindex import (
     Directions,
     MultiIndex,
@@ -448,9 +448,9 @@ def _rule_from_json(data: dict) -> CoefficientRule:
         return SupportWeighted(
             support["directions"],
             support["values"],
-            per_row=family["per_row"],
-            base=family.get("base", 8),
-            stride=family.get("stride", 1),
+            per_row=json_int(family, "per_row"),
+            base=json_int(family, "base", 8),
+            stride=json_int(family, "stride", 1),
             scale=data.get("scale", 1.0),
         )
     if kind == SumRule.kind:
@@ -574,24 +574,17 @@ class SeriesSpec(JsonFile):
         return self.rule.coefficient(self._check_index(index))
 
     def log_abs_coeff_normalized(self, index) -> float:
-        """log|c_J| / |J| from the scan of J's degree; -inf for a vanishing coefficient."""
+        """log|c_J| / |J| from J's row, if any, in its degree's scan; -inf for none or c_J = 0."""
         index = self._check_index(index)
         if index.degree < 1:
             raise ValueError("normalized log magnitude needs degree >= 1")
-        degree = range(index.degree, index.degree + 1)
-        return next((v for j, _, v in self.terms(degree) if j == index), -inf)
+        entries, _, logs = self.rule.scan(self.dimension, range(index.degree, index.degree + 1))
+        return max(logs[(entries == index.entries).all(axis=1)].tolist(), default=-inf)
 
     def supported_indices(self, degree: int):
         """Indices of the given degree where the coefficient may be nonzero."""
-        return tuple(j for j, _, _ in self.terms(range(degree, degree + 1)))
-
-    def terms(self, degrees: range) -> list:
-        """The rule's scan of the degrees as (J, c_J, log|c_J|/|J|) triples, for callers keyed on J.
-
-        coefficient_table keeps the scan of 1..K as arrays instead.
-        """
-        entries, coefficients, logs = (a.tolist() for a in self.rule.scan(self.dimension, degrees))
-        return list(zip(map(MultiIndex, map(tuple, entries)), coefficients, logs))
+        entries, _, _ = self.rule.scan(self.dimension, range(degree, degree + 1))
+        return tuple(map(MultiIndex, map(tuple, entries.tolist())))
 
     def coefficient_table(self, max_degree: int) -> CoefficientTable:
         """The rule's scan of degrees 1..max_degree as a CoefficientTable.
@@ -659,7 +652,7 @@ class SeriesSpec(JsonFile):
     @classmethod
     def from_json(cls, data: dict) -> "SeriesSpec":
         return cls(
-            dimension=int(data["dimension"]),
+            dimension=json_int(data, "dimension"),
             rule=_rule_from_json(data["rule"]),
             label=str(data.get("label", "")),
         )

@@ -3,8 +3,8 @@
 The LP oracle enumerates basic solutions directly and never touches the
 simplex code, and the per-row simplex that the array kernel replaced is kept
 as its bit-for-bit reference, as are the per-term fsum routing, direction
-functional and elementary half-space; series-side expected values come from
-closed forms or raw enumeration of the coefficient rules.  The per-degree
+functional, elementary half-space and extremal sequence; series-side expected
+values come from closed forms or raw enumeration of the coefficient rules.  The per-degree
 terms loops that the array scans replaced are kept as the scans' reference.
 """
 
@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from reinhardt import (
+    EmptyWindow,
     ExplicitTable,
     FullGeometric,
     HalfSpace,
@@ -35,6 +36,7 @@ from reinhardt import (
     project,
     uniform_directions_2d,
 )
+from reinhardt.construct import BASE_DEGREE, band_radius
 from reinhardt.convex import (
     _ITERATION_CAP,
     FEASIBILITY_TOL,
@@ -45,6 +47,7 @@ from reinhardt.convex import (
     _constraint_rows,
 )
 from reinhardt.hadamard import ELEMENTARY_DIAMETER, NotElementary, tail_window
+from reinhardt.multiindex import as_direction
 
 LN2 = math.log(2.0)
 
@@ -115,11 +118,17 @@ def coeff_table(series, max_degree):
     return out
 
 
+def scan_terms(series, degrees: range) -> list:
+    """The rule's scan of the degrees as (J, c_J, log|c_J|/|J|) triples, for tests keyed on J."""
+    entries, coefficients, logs = (a.tolist() for a in series.rule.scan(series.dimension, degrees))
+    return list(zip(map(MultiIndex, map(tuple, entries)), coefficients, logs))
+
+
 def brute_force_coefficients(series, degrees):
     """Every lattice index of the degrees with its coefficient, off the rule.
 
     Scans the whole lattice shell instead of the rule's supported indices, so
-    it checks SeriesSpec.terms without sharing its enumeration.
+    it checks the scan without sharing its enumeration.
     """
     return {
         j: series.rule.coefficient(j)
@@ -132,10 +141,10 @@ _TRIPLES = weakref.WeakKeyDictionary()
 
 
 def reference_triples(series, degrees):
-    """series.terms(degrees), scanned once per series and degrees for the per-point references."""
+    """scan_terms(series, degrees), once per series and degrees for the per-point references."""
     memo = _TRIPLES.setdefault(series, {})
     if degrees not in memo:
-        memo[degrees] = tuple(series.terms(degrees))
+        memo[degrees] = tuple(scan_terms(series, degrees))
     return memo[degrees]
 
 
@@ -204,7 +213,7 @@ def reference_elementary_halfspace(series, max_degree) -> HalfSpace:
     collected: list[tuple[SimplexDirection, float]] = []
     entry_sums = [0] * series.dimension
     degree_sum = 0
-    for j, _, v in series.terms(tail_window(max_degree)):
+    for j, _, v in scan_terms(series, tail_window(max_degree)):
         if v == -inf:
             continue
         pj = project(j)
@@ -223,6 +232,38 @@ def reference_elementary_halfspace(series, max_degree) -> HalfSpace:
     normal = SimplexDirection(tuple(s / degree_sum for s in entry_sums))
     level = max(v for _, v in collected)
     return HalfSpace(normal, -level)
+
+
+def reference_extremal_sequence(series, alpha, max_degree: int) -> list[MultiIndex]:
+    """Per band b = 8, 16, 32, ... <= K, the best supported index near alpha.
+
+    The per-term loop over each band's triples, reading them through
+    reference_triples: largest log, then smallest fsum distance, then
+    smallest index, among the indices within band_radius.
+    """
+    if max_degree < 8:
+        raise ValueError("max_degree must be >= 8")
+    alpha = as_direction(alpha)
+    if alpha.dimension != series.dimension:
+        raise ValueError("direction dimension does not match the series")
+    out: list[MultiIndex] = []
+    band = BASE_DEGREE
+    while band <= max_degree:
+        radius = band_radius(series.dimension, band)
+        best = None  # (-value, distance, index)
+        for j, _, v in reference_triples(series, range(band, band + 1)):
+            dist = project(j).l1_distance(alpha)
+            if v == -math.inf or dist > radius:
+                continue
+            key = (-v, dist, j)
+            if best is None or key < best:
+                best = key
+        if best is not None:
+            out.append(best[2])
+        band *= 2
+    if not out:
+        raise EmptyWindow(f"no supported index near {alpha.coords} in any degree band")
+    return out
 
 
 # The per-degree terms loops of the five rules, with the recursive lattice
@@ -408,7 +449,7 @@ def scan_refuses(series, max_degree) -> bool:
     every estimator, decomposer and probe at K must raise too.
     """
     try:
-        for _ in series.terms(range(1, max_degree + 1)):
+        for _ in scan_terms(series, range(1, max_degree + 1)):
             pass
     except ValueError:
         return True

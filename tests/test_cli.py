@@ -503,3 +503,92 @@ def test_a_direction_set_is_checked_once_per_run(tmp_path, capsys, monkeypatch, 
     assert code == 0
     # the file's set is checked when it loads and passed down every layer unchecked
     assert checks == [25]
+
+
+def _three_dimensional_files(tmp_path):
+    dirs3 = tmp_path / "dirs3.json"
+    dirs3.write_text(json.dumps({"directions": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]}))
+    box3 = tmp_path / "box3.json"
+    box3.write_text(json.dumps({"dimension": 3, "halfspaces": [
+        {"normal": normal, "offset": 0.0}
+        for normal in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    ]}))
+    return str(dirs3), str(box3)
+
+
+@pytest.mark.parametrize("case", [
+    "cfunc", "construct", "construct_domain",
+    "decompose_elementary", "decompose_estimate", "decompose_domain",
+])
+def test_files_of_two_dimensions_are_refused_when_they_load(
+    tmp_path, capsys, monkeypatch, files, case
+):
+    import reinhardt.convex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was scanned or an LP ran before the check")
+
+    monkeypatch.setattr(SeriesSpec, "coefficient_table", refuse)
+    monkeypatch.setattr(reinhardt.convex, "lp_maximize", refuse)
+    dirs3, box3 = _three_dimensional_files(tmp_path)
+    f0, dirs, wedge, out = files["f0"], files["dirs"], files["wedge"], str(tmp_path / "out")
+    argv, first, second = {
+        "cfunc": (["cfunc", f0, "--directions", dirs3], dirs3, f0),
+        "construct": (["construct", "--domain", wedge, "--directions", dirs3], dirs3, wedge),
+        "construct_domain": (["construct", "--domain", box3, "--directions", dirs], dirs, box3),
+        "decompose_elementary": (
+            ["decompose", f0, "--mode", "elementary", "--directions", dirs3], dirs3, f0
+        ),
+        "decompose_estimate": (
+            ["decompose", f0, "--mode", "simple", "--estimate-domain", "--directions", dirs3],
+            dirs3, f0,
+        ),
+        "decompose_domain": (
+            ["decompose", f0, "--mode", "simple", "--domain", box3, "--directions", dirs], box3, f0
+        ),
+    }[case]
+    code = main(argv + ["--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    dims = {f0: 2, dirs: 2, wedge: 2, dirs3: 3, box3: 3}
+    assert captured.err == (
+        f"error: {first} has dimension {dims[first]}, but {second} has dimension {dims[second]}\n"
+    )
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("dimension", 2.7, "series"),
+    ("dimension", True, "series"),
+    ("dimension", 2.7, "H-domain"),
+    ("base", 8.5, "series"),
+    ("per_row", True, "series"),
+    ("stride", 1.5, "series"),
+])
+def test_an_integer_field_holding_another_type_is_refused(
+    tmp_path, capsys, files, field, value, kind
+):
+    if kind == "H-domain":
+        data = json.loads(Path(files["wedge"]).read_text())
+        argv = ["support", "--domain", "--direction", "0.5", "0.5"]
+    else:
+        data = {"dimension": 2, "label": "", "rule": {
+            "kind": "support_weighted",
+            "support": {"directions": [[0.5, 0.5]], "values": [0.0]},
+            "family": {"base": 8, "per_row": 4, "stride": 1},
+        }}
+        argv = ["domain", "--grid=-1:1:2"]
+    if field == "dimension":
+        data["dimension"] = value
+    else:
+        data["rule"]["family"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main(argv[:2] + [str(path)] + argv[2:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path} is not a valid {kind} file: {field} must be an integer, got {value!r}\n"
+    )

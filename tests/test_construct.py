@@ -1,15 +1,20 @@
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from reinhardt import (
     EmptyWindow,
     ExplicitTable,
+    FullGeometric,
     HalfSpace,
     HDomain,
     InfiniteSupport,
+    RayGeometric,
     SeriesSpec,
     SimplexDirection,
+    SumRule,
     build_family,
     classify,
     elementary_halfspace,
@@ -19,7 +24,10 @@ from reinhardt import (
     support_value,
     uniform_directions_2d,
 )
+from conftest import lattice_directions, reference_extremal_sequence
+
 INF = math.inf
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def test_build_family_single_direction():
@@ -61,6 +69,44 @@ def test_extremal_sequence_examples(f_zero, full_geom):
     assert [j.entries for j in got] == [(8, 0), (16, 0), (32, 0)]
     with pytest.raises(EmptyWindow):
         extremal_sequence(SeriesSpec(2, ExplicitTable({})), (0.5, 0.5), 64)
+
+
+def _random_directions(rng, n, count):
+    out = []
+    for _ in range(count):
+        raw = [rng.random() for _ in range(n)]
+        coords = [x / sum(raw) for x in raw[:-1]]
+        out.append(SimplexDirection((*coords, 1.0 - math.fsum(coords))))
+    return out
+
+
+def _extremal_outcome(build, series, alpha, max_degree):
+    try:
+        return [j.entries for j in build(series, alpha, max_degree)]
+    except EmptyWindow as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["f0", "g3", "full_geometric_4", "geometric_plus_ray_3"])
+def test_extremal_sequence_matches_the_per_term_loop(name, f_zero):
+    series = {
+        "f0": f_zero,
+        "g3": SeriesSpec.load(GOLDEN_INPUTS / "g3.json"),
+        "full_geometric_4": SeriesSpec(4, FullGeometric()),
+        "geometric_plus_ray_3": SeriesSpec(
+            3, SumRule([FullGeometric(), RayGeometric((1, 2, 0), 0.7)])
+        ),
+    }[name]
+    n = series.dimension
+    # lattice directions put indices of every multiple degree at exact distance ties;
+    # at N = 4 the ten of degree 2, as the reference's band 64 holds 47,905 indices
+    lattice = lattice_directions(n, 3 if n < 4 else 2)
+    directions = lattice + _random_directions(random.Random(n), n, 4 if n < 4 else 2)
+    for max_degree in (8, 16, 33, 64):
+        for alpha in directions:
+            want = _extremal_outcome(reference_extremal_sequence, series, alpha, max_degree)
+            got = _extremal_outcome(extremal_sequence, series, alpha, max_degree)
+            assert got == want, (alpha, max_degree)
 
 
 def test_extremal_sequence_approaches_direction_functional(f_zero):

@@ -32,6 +32,7 @@ from conftest import (
     reference_direction_functional,
     reference_elementary_halfspace,
     scan_refuses,
+    scan_terms,
 )
 
 INF = math.inf
@@ -289,7 +290,7 @@ def test_differential_rules_reach_their_edge_values():
 
 def _attained_radii(series, center, degrees, count=4):
     """The l1 distances to the center that most rows of the degrees attain."""
-    seen = Counter(project(j).l1_distance(center) for j, _, _ in series.terms(degrees))
+    seen = Counter(project(j).l1_distance(center) for j, _, _ in scan_terms(series, degrees))
     return [r for r, _ in seen.most_common() if 0.0 < r <= 2.0][:count]
 
 

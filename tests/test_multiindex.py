@@ -1,8 +1,12 @@
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from reinhardt import (
+    Directions,
     MultiIndex,
     SimplexDirection,
     ZeroIndexNotProjectable,
@@ -10,6 +14,7 @@ from reinhardt import (
     nearest_index_of_degree,
     project,
 )
+from reinhardt.multiindex import l1_nearest, l1_within
 
 
 def brute_nearest(alpha, degree):
@@ -166,3 +171,95 @@ def test_direction_sets_are_validated_at_every_entry_point(entry, bad):
     directions, message = BAD_DIRECTION_SETS[bad]
     with pytest.raises(ValueError, match=message):
         _direction_entry_points()[entry](directions)
+
+
+def _random_direction(rng, n):
+    raw = [rng.random() + 0.05 for _ in range(n)]
+    coords = [x / sum(raw) for x in raw[:-1]]
+    return SimplexDirection((*coords, 1.0 - math.fsum(coords)))
+
+
+def _shifted(direction, i, j, t):
+    """The direction with t/2 moved from coordinate j to coordinate i, each rounded once."""
+    coords = list(direction.coords)
+    coords[i] += t / 2
+    coords[j] -= t / 2
+    return SimplexDirection(tuple(coords))
+
+
+def _fsum_distinct(dirs):
+    """The pairwise fsum loop: no two directions within l1 distance 1e-10."""
+    for i in range(len(dirs)):
+        for j in range(i):
+            if dirs[i].l1_distance(dirs[j]) <= 1e-10:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_directions_refuse_exactly_the_pairs_the_fsum_loop_refuses(n):
+    rng = random.Random(n)
+    verdicts = set()
+    for _ in range(60):
+        a = _random_direction(rng, n)
+        # a few ulps of the coordinates either side of the 1e-10 distance
+        b = _shifted(a, *rng.sample(range(n), 2), 1e-10 + rng.randint(-6, 6) * 2.0**-54)
+        others = [_random_direction(rng, n) for _ in range(3)]
+        dirs = [others[0], b, others[1], a, others[2]]  # the close pair is not adjacent
+        want = _fsum_distinct(dirs)
+        try:
+            got = len(Directions(dirs)) == len(dirs)
+        except ValueError as exc:
+            assert str(exc) == "directions must be pairwise distinct"
+            got = False
+        assert got == want, (a, b)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _left_to_right(column, center):
+    """The l1 distance summed coordinate by coordinate, as the array pass rounds it."""
+    acc = 0.0
+    for a, b in zip(column, center):
+        acc += abs(a - b)
+    return acc
+
+
+# Lattice projections sit at exact l1 ties with the lattice directions, which
+# one rounding decides: the array sum alone decides some of them unlike fsum.
+SLACK_DEGREES = {3: 16, 4: 10, 5: 8}
+
+
+def _lattice_columns(n):
+    columns = [project(j) for k in range(1, SLACK_DEGREES[n] + 1) for j in enumerate_degree(n, k)]
+    return columns, np.array([c.coords for c in columns]).T
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_l1_within_decides_as_fsum_inside_the_slack(n):
+    columns, array = _lattice_columns(n)
+    flips = 0
+    for center in random.Random(n).sample([project(j) for j in enumerate_degree(n, 3)], 4):
+        distances = [c.l1_distance(center) for c in columns]
+        for radius, _ in Counter(distances).most_common(6):
+            got = l1_within(array, np.array(center.coords), radius).tolist()
+            assert got == [d <= radius for d in distances], (center, radius)
+            flips += sum(
+                (_left_to_right(c.coords, center.coords) <= radius) != g
+                for c, g in zip(columns, got)
+            )
+    assert flips
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_l1_nearest_decides_as_fsum_inside_the_slack(n):
+    columns, array = _lattice_columns(n)
+    directions = [project(j) for j in enumerate_degree(n, 3)]
+    got = l1_nearest(array, np.array([d.coords for d in directions]).T).tolist()
+    flips = 0
+    for c, g in zip(columns, got):
+        exact = [c.l1_distance(d) for d in directions]
+        assert g == exact.index(min(exact)), c
+        rounded = [_left_to_right(c.coords, d.coords) for d in directions]
+        flips += rounded.index(min(rounded)) != g
+    assert flips

@@ -35,6 +35,7 @@ from conftest import (
     reference_slice_coefficients,
     reference_terms,
     same_float,
+    scan_terms,
 )
 
 LN2 = math.log(2.0)
@@ -159,7 +160,7 @@ def test_support_weighted_scale_multiplies_coefficients_and_shifts_logs():
     for n, k, j in rule.family_indices():
         d, h = j.degree, rule.values[n - 1]
         assert rule.coefficient(j) == complex(math.exp(-d * h) * -0.25)
-        ((_, c, v),) = SeriesSpec(2, rule).terms(range(d, d + 1))
+        ((_, c, v),) = scan_terms(SeriesSpec(2, rule), range(d, d + 1))
         assert c == rule.coefficient(j) and v == -h + math.log(0.25) / d
     # the row of a scaled rule keeps its scale, times the row's own factor
     assert rule.row(2).scale == -0.25 and rule.row(1, 1 / 3).scale == -0.25 / 3
@@ -195,7 +196,8 @@ def test_support_weighted_scale_1_writes_the_unscaled_format():
     rule = SupportWeighted([(0.5, 0.5)], [0.0], per_row=2)
     assert "scale" not in rule.to_json() and "scale" not in rule.row(1).to_json()
     # -h stays -0.0 at scale 1: no log(1) is added to it
-    assert all(math.copysign(1.0, v) == -1.0 for _, _, v in SeriesSpec(2, rule).terms(range(8, 10)))
+    logs = [v for _, _, v in scan_terms(SeriesSpec(2, rule), range(8, 10))]
+    assert all(math.copysign(1.0, v) == -1.0 for v in logs)
     scaled = rule.row(1, -0.5)
     assert scaled.to_json()["scale"] == -0.5
     loaded = SeriesSpec.from_json(SeriesSpec(2, scaled).to_json()).rule
@@ -296,7 +298,7 @@ def test_terms_and_log_terms_match_brute_force(kind):
     brute = brute_force_coefficients(series, degrees)
     occurring = {j for j, c in brute.items() if c != 0}
 
-    terms = list(series.terms(degrees))
+    terms = list(scan_terms(series, degrees))
     table = {j: (c, v) for j, c, v in terms}
     assert len(table) == len(terms)  # every index once, overlaps merged
     assert [j for j, _, _ in terms] == sorted(table, key=lambda j: (j.degree, j.entries))
@@ -316,14 +318,14 @@ def test_terms_and_log_terms_match_brute_force(kind):
 def test_terms_give_supported_zeros_a_log_of_minus_inf():
     for kind in ("explicit_table_with_zero", "sum_overlapping"):
         series = SeriesSpec(2, ITERATOR_RULES[kind])
-        table = {j: (c, v) for j, c, v in series.terms(range(4, 5))}
+        table = {j: (c, v) for j, c, v in scan_terms(series, range(4, 5))}
         assert table[MultiIndex((2, 2))] == (0.0, -math.inf)
 
 
 def test_log_terms_are_exact_for_support_weighted_rows():
     row = SupportWeighted([(0.5, 0.5)], [40.0], per_row=64)
     for rule in (row, SumRule([row])):
-        terms = list(SeriesSpec(2, rule).terms(range(1, 72)))
+        terms = list(scan_terms(SeriesSpec(2, rule), range(1, 72)))
         assert len(terms) == 64
         assert all(v == -40.0 for _, _, v in terms)
         # exp(-40 |J|) itself underflows to 0 from |J| = 19 on
@@ -408,7 +410,8 @@ def test_one_coefficient_table_per_series_and_truncation(monkeypatch):
     assert table is series.coefficient_table(33)
     assert table is not series.coefficient_table(32)
     assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
-    assert [list(j.entries) for j, _, _ in series.terms(range(1, 34))] == table.entries.tolist()
+    rows = [list(j.entries) for j, _, _ in scan_terms(series, range(1, 34))]
+    assert rows == table.entries.tolist()
     assert table.tail_start == table.offsets[tail_window(33).start]
     projections, logs = tail_rows(series, 33)
     assert np.shares_memory(projections, table.projections) and np.shares_memory(logs, table.logs)
