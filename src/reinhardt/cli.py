@@ -8,8 +8,8 @@ probe.  Runs are seedless and outputs carry the resolved configuration, so
 identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 malformed input (files, flags or non-finite
-numbers) or an output path that cannot be written, 3 infeasible or
-empty-domain conditions.
+numbers), an output path that cannot be written or an LP that overflowed
+or hit its iteration cap, 3 infeasible or empty-domain conditions.
 """
 
 from __future__ import annotations
@@ -396,7 +396,8 @@ def main(argv=None) -> int:
     except (EmptyDomain, InfiniteSupport, NeedTwoDirections, SupportsOverlap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, OSError) as exc:  # InputError; or an unwritable output path
+    # InputError; an unwritable output path; an LP that overflowed or hit its iteration cap
+    except (ValueError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .jsonfile import JsonFile, json_int
-from .multiindex import Directions, SimplexDirection, as_direction
+from .jsonfile import JsonFile
+from .multiindex import Directions, SimplexDirection, as_direction, as_int, as_real
 
 __all__ = [
     "EmptyDomain",
@@ -60,7 +60,7 @@ class HalfSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "normal", as_direction(self.normal))
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", as_real(self.offset, "half-space offset"))
         if not math.isfinite(self.offset):
             raise ValueError("half-space offset must be finite")
 
@@ -69,10 +69,6 @@ class HalfSpace:
 
     def to_json(self) -> dict:
         return {"normal": list(self.normal.coords), "offset": self.offset}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HalfSpace":
-        return cls(SimplexDirection(tuple(data["normal"])), float(data["offset"]))
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ class HDomain(JsonFile):
 
     def __post_init__(self):
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        if self.dimension < 1:
+        if as_int(self.dimension, "dimension") < 1:
             raise ValueError("domain dimension must be >= 1")
         for hs in self.halfspaces:
             if hs.normal.dimension != self.dimension:
@@ -111,10 +107,8 @@ class HDomain(JsonFile):
 
     @classmethod
     def from_json(cls, data: dict) -> "HDomain":
-        return cls(
-            json_int(data, "dimension"),
-            tuple(HalfSpace.from_json(h) for h in data["halfspaces"]),
-        )
+        halfspaces = tuple(HalfSpace(h["normal"], h["offset"]) for h in data["halfspaces"])
+        return cls(data["dimension"], halfspaces)
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ class SampledFunction(JsonFile):
 
     def __post_init__(self):
         object.__setattr__(self, "directions", Directions(self.directions))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(as_real(v, "sampled value") for v in self.values))
         if len(self.directions) != len(self.values):
             raise ValueError("directions and values must have equal length")
         for d, v in zip(self.directions, self.values):
@@ -156,7 +150,7 @@ class SampledFunction(JsonFile):
 
     @classmethod
     def from_json(cls, data: dict) -> "SampledFunction":
-        values = [inf if v == "inf" else float(v) for v in data["values"]]
+        values = [inf if v == "inf" else v for v in data["values"]]
         return cls(data["directions"], tuple(values))
 
 
@@ -230,22 +224,22 @@ def _simplex_min(T, rhs, basis, cost, allowed):
 
 
 def _constraint_rows(constraints, dimension: int):
-    if isinstance(constraints, HDomain):
+    if isinstance(constraints, HDomain):  # its constructor checked each normal's dimension
         if constraints.dimension != dimension:
             raise ValueError(
                 f"objective has dimension {dimension}, domain has {constraints.dimension}"
             )
-        rows = constraints.constraint_rows()
-    else:
-        rows = [(tuple(float(a) for a in coeffs), float(rhs)) for coeffs, rhs in constraints]
-        if not all(math.isfinite(x) for coeffs, rhs in rows for x in (rhs, *coeffs)):
-            raise ValueError("constraint coefficients and right-hand sides must be finite")
+        return constraints.constraint_rows()
+    rows = [(tuple(float(a) for a in coeffs), float(rhs)) for coeffs, rhs in constraints]
+    if not all(math.isfinite(x) for coeffs, rhs in rows for x in (rhs, *coeffs)):
+        raise ValueError("constraint coefficients and right-hand sides must be finite")
     for coeffs, _ in rows:
         if len(coeffs) != dimension:
             raise ValueError("constraint row dimension mismatch")
     return rows
 
 
+@np.errstate(over="raise", invalid="raise")
 def lp_maximize(objective: Sequence[float], constraints) -> LpResult:
     """Supremum of <objective, s> over the closed region {<a_i, s> <= c_i}.
 
@@ -253,7 +247,8 @@ def lp_maximize(objective: Sequence[float], constraints) -> LpResult:
     slack per row.  Rows whose right-hand side is negative receive a phase-one
     artificial.  Constraints may be an HDomain or an iterable of raw
     (coefficients, rhs) pairs, which are not restricted to simplex normals.
-    A non-finite objective entry, coefficient or rhs raises ValueError.
+    A non-finite objective entry, coefficient or rhs raises ValueError, and an
+    overflowing tableau raises FloatingPointError (an ArithmeticError).
     """
     coords = tuple(float(x) for x in objective)
     n = len(coords)

@@ -5,7 +5,6 @@ With an indent json has no C encoder, so a list of equal-length flat lists of
 all int (not bool) or all finite float, as in a table, fills one %-template:
 %r is the int.__repr__ or float.__repr__ json writes.  Strings, None, bools,
 non-finite floats, numpy scalars and anything else go through json.dumps.
-json_int reads an integer field, refusing the float or bool that int() would cast.
 """
 
 import json
@@ -45,14 +44,6 @@ def _encode(data, pad: str) -> str:
 def json_text(data) -> str:
     """data as JSON text in the one file format."""
     return _encode(data, "") + "\n"
-
-
-def json_int(data: dict, key: str, default: int | None = None) -> int:
-    """data[key], or default when given and the key is absent, if it is an int and not a bool."""
-    value = data[key] if default is None else data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 class JsonFile:

@@ -5,8 +5,8 @@ the l1 sum of the entries.  Nonzero indices project radially onto the
 probability simplex (the non-negative face of the l1 unit sphere), and the
 projections of degree-k indices form the rational grid with denominator k.
 This module provides the projection, degree-ordered enumeration of the
-lattice, and the inverse problem of finding the degree-k index whose
-projection best approximates a prescribed simplex direction.
+lattice, the degree-k index whose projection best approximates a prescribed
+simplex direction, and the field checks every constructor runs (as_int, as_real).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from numbers import Real
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "SimplexDirection",
     "ZeroIndexNotProjectable",
     "as_direction",
+    "as_int",
+    "as_real",
     "compositions",
     "enumerate_degree",
     "l1_nearest",
@@ -37,6 +40,8 @@ __all__ = [
 _INT64_MAX = 2**63 - 1
 _SIMPLEX_SUM_TOL = 1e-12
 _DISTINCT_TOL = 1e-10
+# real number types, no bool among them, that as_real takes without the slower Real ABC check
+_PLAIN_REALS = frozenset((float, int, np.float64))
 # l1 distance is SimplexDirection.l1_distance's fsum; an array sum differs by up to N eps
 # at N >= 3, so l1_nearest and l1_within run fsum on decisions within N times this slack.
 _L1_SLACK_PER_COORD = 4 * float(np.finfo(np.float64).eps)
@@ -44,6 +49,20 @@ _L1_SLACK_PER_COORD = 4 * float(np.finfo(np.float64).eps)
 
 class ZeroIndexNotProjectable(ValueError):
     """Raised when the zero multi-index is radially projected."""
+
+
+def as_int(value, name: str) -> int:
+    """value if it is an int and not a bool, so the float or bool int() would cast is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def as_real(value, name: str) -> float:
+    """float(value) for a real number that is not a bool (numpy scalars included); no strings."""
+    if type(value) not in _PLAIN_REALS and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, order=True)
@@ -60,9 +79,7 @@ class MultiIndex:
         if not self.entries:
             raise ValueError("multi-index needs at least one entry")
         for e in self.entries:
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise TypeError(f"multi-index entries must be integers, got {e!r}")
-            if e < 0:
+            if as_int(e, "multi-index entry") < 0:
                 raise ValueError(f"multi-index entries must be non-negative, got {e}")
             if e > _INT64_MAX:
                 raise OverflowError("multi-index entry exceeds the 64-bit range")
@@ -88,7 +105,7 @@ class SimplexDirection:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(as_real(c, "coordinate") for c in self.coords))
         if not self.coords:
             raise ValueError("direction needs at least one coordinate")
         for c in self.coords:

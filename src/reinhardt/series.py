@@ -22,10 +22,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jsonfile import JsonFile, json_int
+from .jsonfile import JsonFile
 from .multiindex import (
     Directions,
     MultiIndex,
+    as_int,
+    as_real,
     compositions,
     nearest_entries,
     nearest_index_of_degree,
@@ -64,11 +66,9 @@ def _no_nan(c) -> complex:
     return c
 
 
-def _complex_from_json(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    re, im = value
-    return complex(re, im)
+def _complex_from_json(value, name: str) -> complex:
+    re, im = value if isinstance(value, list) else (value, 0.0)
+    return complex(as_real(re, name), as_real(im, name))
 
 
 def _log_abs_over(c: complex, degree: int) -> float:
@@ -81,13 +81,12 @@ class CoefficientRule:
     """Total assignment of a complex coefficient to every multi-index.
 
     scan is the one scan; coefficient stays an independent per-index
-    reference with its own membership test.
+    reference with its own membership test.  dimension is the one series
+    dimension the rule fits, or None where it fits any.
     """
 
     kind = "abstract"
-
-    def check_dimension(self, dimension: int) -> None:
-        raise NotImplementedError
+    dimension: int | None
 
     def coefficient(self, index: MultiIndex) -> complex:
         raise NotImplementedError
@@ -108,9 +107,7 @@ class FullGeometric(CoefficientRule):
     """c_J = 1 for every J: the standard N-variable geometric series."""
 
     kind = "full_geometric"
-
-    def check_dimension(self, dimension: int) -> None:
-        pass
+    dimension = None
 
     def coefficient(self, index: MultiIndex) -> complex:
         return 1.0 + 0.0j
@@ -135,11 +132,9 @@ class RayGeometric(CoefficientRule):
         self.direction = direction
         self.ratio = _no_nan(ratio)
 
-    def check_dimension(self, dimension: int) -> None:
-        if self.direction.dimension != dimension:
-            raise DimensionMismatch(
-                f"ray direction has dimension {self.direction.dimension}, series has {dimension}"
-            )
+    @property
+    def dimension(self) -> int:
+        return self.direction.dimension
 
     def _multiple(self, index: MultiIndex):
         """k >= 1 with index == k * direction, else None."""
@@ -212,11 +207,9 @@ class ExplicitTable(CoefficientRule):
         self.coefficients = table.coefficients[rows]
         return self
 
-    def check_dimension(self, dimension: int) -> None:
-        if len(self.entries) and self.entries.shape[1] != dimension:
-            raise DimensionMismatch(
-                f"table indices have dimension {self.entries.shape[1]}, series has {dimension}"
-            )
+    @property
+    def dimension(self) -> int | None:
+        return self.entries.shape[1] if len(self.entries) else None
 
     def coefficient(self, index: MultiIndex) -> complex:
         k = np.flatnonzero((self.entries == index.entries).all(axis=1)) if len(self.entries) else ()
@@ -251,8 +244,8 @@ class SupportWeighted(CoefficientRule):
     def __init__(self, directions, values, per_row: int, base: int = 8, stride: int = 1,
                  scale: float = 1.0):
         directions = Directions(directions)
-        values = tuple(float(v) for v in values)
-        scale = float(scale)
+        values = tuple(as_real(v, "support weight") for v in values)
+        scale = as_real(scale, "scale")
         if len(directions) != len(values):
             raise ValueError("directions and values must have equal length")
         for v in values:
@@ -260,9 +253,9 @@ class SupportWeighted(CoefficientRule):
                 raise ValueError("support weights must be finite")
         if not math.isfinite(scale) or scale == 0.0:
             raise ValueError("scale must be finite and nonzero")
-        if per_row < 1:
+        if as_int(per_row, "per_row") < 1:
             raise ValueError("per_row must be >= 1")
-        if base < 1 or stride < 1:
+        if as_int(base, "base") < 1 or as_int(stride, "stride") < 1:
             raise ValueError("base and stride must be >= 1")
         self.directions = directions
         self.values = values
@@ -314,12 +307,9 @@ class SupportWeighted(CoefficientRule):
             scale=self.scale * scale,
         )
 
-    def check_dimension(self, dimension: int) -> None:
-        if self.directions.dimension != dimension:
-            raise DimensionMismatch(
-                f"support directions have dimension {self.directions.dimension}, "
-                f"series has {dimension}"
-            )
+    @property
+    def dimension(self) -> int:
+        return self.directions.dimension
 
     def _value(self, degree: int, h: float) -> complex:
         """exp(-|J| h) * scale; if the exp overflows, exp(-|J| h + log|scale|) signed, or +-inf."""
@@ -380,11 +370,11 @@ class SumRule(CoefficientRule):
         for m in members:
             if not isinstance(m, CoefficientRule):
                 raise TypeError(f"sum members must be coefficient rules, got {m!r}")
+        dims = {m.dimension for m in members} - {None}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"sum members have dimensions {sorted(dims)}")
         self.members = members
-
-    def check_dimension(self, dimension: int) -> None:
-        for m in self.members:
-            m.check_dimension(dimension)
+        self.dimension = dims.pop() if dims else None
 
     def coefficient(self, index: MultiIndex) -> complex:
         return sum((m.coefficient(index) for m in self.members), 0.0j)
@@ -430,14 +420,14 @@ def _rule_from_json(data: dict) -> CoefficientRule:
     if kind == FullGeometric.kind:
         return FullGeometric()
     if kind == RayGeometric.kind:
-        return RayGeometric(data["direction"], _complex_from_json(data["ratio"]))
+        return RayGeometric(data["direction"], _complex_from_json(data["ratio"], "ratio"))
     if kind == ExplicitTable.kind:
         indices = data["indices"]
         values = data["values"]
         if len(indices) != len(values):
             raise ValueError("explicit table indices and values differ in length")
         return ExplicitTable(
-            {tuple(j): _complex_from_json(c) for j, c in zip(indices, values)}
+            {tuple(j): _complex_from_json(c, "coefficient") for j, c in zip(indices, values)}
         )
     if kind == SupportWeighted.kind:
         support = data["support"]
@@ -448,9 +438,9 @@ def _rule_from_json(data: dict) -> CoefficientRule:
         return SupportWeighted(
             support["directions"],
             support["values"],
-            per_row=json_int(family, "per_row"),
-            base=json_int(family, "base", 8),
-            stride=json_int(family, "stride", 1),
+            per_row=family["per_row"],
+            base=family.get("base", 8),
+            stride=family.get("stride", 1),
             scale=data.get("scale", 1.0),
         )
     if kind == SumRule.kind:
@@ -531,9 +521,13 @@ class SeriesSpec(JsonFile):
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
+        if as_int(self.dimension, "dimension") < 1:
             raise ValueError("series dimension must be >= 1")
-        self.rule.check_dimension(self.dimension)
+        if self.rule.dimension not in (None, self.dimension):
+            raise DimensionMismatch(
+                f"{self.rule.kind} rule has dimension {self.rule.dimension}, "
+                f"series has {self.dimension}"
+            )
 
     def _check_index(self, index: MultiIndex) -> MultiIndex:
         index = _as_multiindex(index)
@@ -652,7 +646,7 @@ class SeriesSpec(JsonFile):
     @classmethod
     def from_json(cls, data: dict) -> "SeriesSpec":
         return cls(
-            dimension=json_int(data, "dimension"),
+            dimension=data["dimension"],
             rule=_rule_from_json(data["rule"]),
             label=str(data.get("label", "")),
         )

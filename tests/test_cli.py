@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from reinhardt import SeriesSpec
+from reinhardt import FullGeometric, SeriesSpec
 from reinhardt.cli import main
 from conftest import LN2
 
@@ -592,3 +592,104 @@ def test_an_integer_field_holding_another_type_is_refused(
     assert captured.err == (
         f"error: {path} is not a valid {kind} file: {field} must be an integer, got {value!r}\n"
     )
+
+
+SUPPORT_WEIGHTED = {"dimension": 2, "label": "", "rule": {
+    "kind": "support_weighted",
+    "support": {"directions": [[0.5, 0.5]], "values": [0.0]},
+    "family": {"base": 8, "per_row": 4, "stride": 1},
+}}
+SERIES_ARGV = ["domain", "FILE", "--grid=-1:1:2"]
+
+
+@pytest.mark.parametrize("case", [
+    "halfspace_normal", "halfspace_offset", "support_values", "support_scale",
+    "ray_ratio", "table_values", "samples_values",
+])
+def test_a_number_field_holding_a_bool_or_a_string_is_refused(tmp_path, capsys, case):
+    domain = {"dimension": 2, "halfspaces": [{"normal": [1.0, 0.0], "offset": 0.5}]}
+    bad_domain = {"dimension": 2, "halfspaces": [{"normal": [True, False], "offset": "0.5"}]}
+    scaled = json.loads(json.dumps(SUPPORT_WEIGHTED))
+    scaled["rule"]["scale"] = "2"
+    true_weight = json.loads(json.dumps(SUPPORT_WEIGHTED))
+    true_weight["rule"]["support"]["values"] = [True]
+    kind, data, argv, error = {
+        "halfspace_normal": (
+            "H-domain", bad_domain, ["support", "--domain", "FILE", "--direction", "1", "0"],
+            "coordinate must be a number, got True",
+        ),
+        "halfspace_offset": (
+            "H-domain", {**domain, "halfspaces": [{"normal": [1.0, 0.0], "offset": "0.5"}]},
+            ["support", "--domain", "FILE", "--direction", "1", "0"],
+            "half-space offset must be a number, got '0.5'",
+        ),
+        "support_values": (
+            "series", true_weight, SERIES_ARGV, "support weight must be a number, got True",
+        ),
+        "support_scale": ("series", scaled, SERIES_ARGV, "scale must be a number, got '2'"),
+        "ray_ratio": (
+            "series",
+            {"dimension": 2, "rule": {"kind": "ray_geometric", "direction": [1, 1], "ratio": True}},
+            SERIES_ARGV, "ratio must be a number, got True",
+        ),
+        "table_values": (
+            "series",
+            {"dimension": 2, "rule": {
+                "kind": "explicit_table", "indices": [[1, 0]], "values": [[True, False]],
+            }},
+            SERIES_ARGV, "coefficient must be a number, got True",
+        ),
+        "samples_values": (
+            "samples", {"directions": [[1.0, 0.0], [0.0, 1.0]], "values": ["1.5", False]},
+            ["envelope", "--samples", "FILE", "--direction", "0.5", "0.5"],
+            "sampled value must be a number, got '1.5'",
+        ),
+    }[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code = main([str(path) if a == "FILE" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {path} is not a valid {kind} file: {error}\n"
+
+
+def test_an_lp_whose_tableau_overflows_exits_2(tmp_path, capsys):
+    from reinhardt import HalfSpace, HDomain
+
+    # {s1 <= -1.7e308, s2 <= 1.7e308, (s1 + s2)/2 <= -1.7e308}: the support at
+    # (0.3, 0.7) is finite (about -3.4e307), at a vertex outside the float range
+    path = tmp_path / "huge.json"
+    HDomain(2, (
+        HalfSpace((1.0, 0.0), -1.7e308),
+        HalfSpace((0.0, 1.0), 1.7e308),
+        HalfSpace((0.5, 0.5), -1.7e308),
+    )).save(path)
+    code = main(["support", "--domain", str(path), "--direction", "0.3", "0.7"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: overflow encountered")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["domain", "f0", "--grid=-1:1:2,-1:1:2,-1:1:2"],
+     "--grid has 3 axes but the input has dimension 2"),
+    (["domain", "f0", "--grid=-1:1"], "--grid axis '-1:1' is not lo:hi:count"),
+    (["check", "f0", "--grid=-1:one:2"],
+     "--grid axis '-1:one:2': could not convert string to float: 'one'"),
+    (["domain", "f0", "--grid=-1:1:0"], "--grid axis '-1:1:0' needs count >= 1"),
+    (["cfunc", "f0"], "cfunc needs --directions or --grid-t"),
+    (["cfunc", "g3", "--grid-t", "5"], "--grid-t applies to dimension 2 only; use --directions"),
+    (["support", "--domain", "wedge", "--direction", "0.5", "0.6"],
+     "--direction is not a simplex direction: simplex coordinates must sum to 1, got (0.5, 0.6)"),
+])
+def test_a_bad_flag_exits_2_with_its_message(tmp_path, capsys, files, argv, error):
+    g3 = tmp_path / "g3.json"
+    SeriesSpec(3, FullGeometric()).save(g3)
+    files = {**files, "g3": str(g3)}
+    code = main([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

@@ -358,6 +358,13 @@ def test_lp_matches_the_per_row_simplex_bit_for_bit(n, monkeypatch):
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
+def test_an_lp_whose_tableau_overflows_raises():
+    # the region holds (-1, 0, 1e-299); the overflowed tableau once read it as infeasible
+    rows = [((1e300, 1.5e-9, 1.5e-9), -1.0), ((-1.0, 1.0, -1e300), 0.0)]
+    with pytest.raises(ArithmeticError, match="overflow"):
+        lp_maximize((0.5, 0.5, 0.5), rows)
+
+
 def test_pivot_leaves_rows_with_a_zero_multiplier_untouched():
     # 1e300 / 2**-40 overflows to inf in the pivot row; updating the row with
     # a zero in the pivot column as well would write 0 * inf = NaN into it

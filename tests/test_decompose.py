@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -10,6 +11,7 @@ from reinhardt import (
     ExplicitTable,
     HalfSpace,
     HDomain,
+    Membership,
     MultiIndex,
     NeedTwoDirections,
     SeriesSpec,
@@ -25,6 +27,7 @@ from reinhardt import (
     sum_domain_check,
     uniform_directions_2d,
 )
+from reinhardt import decompose
 from reinhardt.convex import SampledFunction
 from reinhardt.hadamard import tail_window
 from conftest import (
@@ -184,6 +187,29 @@ def test_sum_domain_check_finite_family(full_geom):
     assert not report.containment_only
     assert report.decisive > 0
     assert report.disagreements == ()
+
+
+def test_sum_domain_check_lists_each_decisive_disagreement(monkeypatch, full_geom):
+    dirs = [SimplexDirection((1.0, 0.0)), SimplexDirection((0.0, 1.0))]
+    parts = [p.series for p in decompose_elementary(full_geom, dirs, 16).parts]
+    points = grid2(-1.0, 1.0, 5)
+    real = decompose.classify
+
+    def flipped(series, s, max_degree, epsilon):
+        """The sum of the parts reads outside wherever it reads inside."""
+        verdict = real(series, s, max_degree, epsilon)
+        if series.label == "sum of parts" and verdict.membership is Membership.INSIDE:
+            return dataclasses.replace(verdict, membership=Membership.OUTSIDE)
+        return verdict
+
+    inside = [
+        s for s in points if all(real(p, s, 16).membership is Membership.INSIDE for p in parts)
+    ]
+    assert inside
+    monkeypatch.setattr(decompose, "classify", flipped)
+    report = sum_domain_check(parts, 16, points)
+    assert report.disagreements == tuple((tuple(s), "outside", "inside") for s in inside)
+    assert report.agreement == (report.decisive - len(inside)) / report.decisive
 
 
 def test_sum_domain_check_flags_vacuous_truncations(full_geom):

@@ -7,6 +7,7 @@ every file it wrote against tests/golden/expected/<case>/.
 
 The corpus is fixed and keeps the numerical edge cases on purpose: overflowed
 coefficients and probe sums, ray powers that overflow past repeated squaring,
+a probe whose blocks all lie above K/2 (a NaN tail ratio, printed as null),
 an empty tail window, N=3 routing on lattice directions, and a wedge
 decomposition whose realizing rows dwarf the series
 (decompose_simple_domain_f0_absorption).  Every directory under expected/ is
@@ -40,6 +41,7 @@ CASES = {
     "probe_g3": ["probe", "g3.json", "--point", "0.3", "0.3", "0.3", "-K", "32"],
     "probe_f0_overflow": ["probe", "f0.json", "--point", "40", "40"],
     "probe_g3_overflow_zero": ["probe", "g3.json", "--point", "1e200", "1e200", "0", "-K", "32"],
+    "probe_upper_blocks_nan": ["probe", "upper_blocks.json", "--point", "0.5", "0.5", "-K", "32"],
     "domain_f0": ["domain", "f0.json", "--grid=-1:1:5"],
     "domain_g3": ["domain", "g3.json", "--grid=-1:1:3", "-K", "32"],
     "domain_wedge_real": ["domain", "wedge_real.json", "--grid=-1:1:5"],

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,12 +6,17 @@ import pytest
 
 from reinhardt import (
     ExplicitTable,
+    Membership,
     ProbeOutcome,
+    ProbeVerdict,
     RayGeometric,
     SeriesSpec,
     agreement_grid,
+    classify,
+    oracle,
     probe,
 )
+from reinhardt.cli import main
 from reinhardt.oracle import block_sums
 from reinhardt.series import CoefficientTable
 from conftest import (
@@ -104,6 +110,40 @@ def test_agreement_grid_ray(ray_diag):
     report = agreement_grid(ray_diag, grid2(-1.0, 1.0, 11))
     assert report.agreement == 1.0
     assert report.decisive > 0
+
+
+@pytest.mark.parametrize("degrees, outcome, ratio", [
+    (range(9, 17), ProbeOutcome.CONVERGES, 0.0),  # every block at K/2 or below
+    (range(17, 25), ProbeOutcome.INCONCLUSIVE, math.nan),  # every block above K/2
+])
+def test_a_probe_with_one_empty_half_of_the_blocks(degrees, outcome, ratio):
+    series = SeriesSpec(2, ExplicitTable({(k, 0): 1.0 for k in degrees}))
+    verdict = probe(series, (0.5, 0.5), 32)
+    assert verdict.outcome is outcome
+    assert same_float(verdict.tail_ratio, ratio)
+    assert verdict.partial == math.fsum(0.5**k for k in degrees)
+
+
+def test_agreement_grid_lists_each_decisive_mismatch(monkeypatch, capsys, tmp_path, f_zero):
+    # a probe that always diverges disagrees with every decisive inside verdict
+    monkeypatch.setattr(
+        oracle, "probe", lambda *args: ProbeVerdict(ProbeOutcome.DIVERGES, 2.0, 1.0)
+    )
+    points = grid2(-1.0, 1.0, 3)
+    verdicts = [classify(f_zero, s).membership for s in points]
+    inside = [s for s, v in zip(points, verdicts) if v is Membership.INSIDE]
+    decisive = sum(v is not Membership.UNKNOWN for v in verdicts)
+    assert inside and decisive > len(inside)
+    report = agreement_grid(f_zero, points)
+    assert report.decisive == decisive
+    assert report.agreement == (decisive - len(inside)) / decisive
+    assert report.mismatches == tuple((tuple(s), "inside", "diverges") for s in inside)
+
+    path = tmp_path / "f0.json"
+    f_zero.save(path)
+    assert main(["check", str(path), "--grid=-1:1:3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["mismatches"] == [[list(s), "inside", "diverges"] for s in inside]
 
 
 def test_agreement_grid_empty_series_is_vacuous():

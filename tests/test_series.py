@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import re
 import weakref
 
 import numpy as np
@@ -11,9 +12,13 @@ from reinhardt import (
     DimensionMismatch,
     ExplicitTable,
     FullGeometric,
+    HalfSpace,
+    HDomain,
     MultiIndex,
     RayGeometric,
+    SampledFunction,
     SeriesSpec,
+    SimplexDirection,
     SumRule,
     SupportWeighted,
     classify,
@@ -24,7 +29,7 @@ from reinhardt import (
     probe,
 )
 from reinhardt.cli import main
-from reinhardt.series import tail_window
+from reinhardt.series import CoefficientRule, tail_window
 
 from conftest import (
     brute_force_coefficients,
@@ -268,6 +273,77 @@ def test_sum_dimension_consistency():
 def test_explicit_table_mixed_dimensions_rejected():
     with pytest.raises(DimensionMismatch):
         ExplicitTable({(1, 0): 1.0, (1, 0, 0): 2.0})
+
+
+# One sample per rule kind and the dimension it states; a new CoefficientRule
+# subclass joins the protocol test below by adding its sample here.
+RULE_SAMPLES = {
+    FullGeometric: (FullGeometric(), None),
+    RayGeometric: (RayGeometric((1, 2), 1.5 - 0.5j), 2),
+    ExplicitTable: (ExplicitTable({(0, 0, 0): 1.0, (2, 1, 0): -2.0j, (3, 3, 3): 0.5}), 3),
+    SupportWeighted: (
+        SupportWeighted([(0.5, 0.5), (1.0, 0.0)], [0.3, -0.2], per_row=4, base=2, scale=-0.375),
+        2,
+    ),
+    SumRule: (SumRule([FullGeometric(), RayGeometric((1, 1, 1), 2.0), ExplicitTable({})]), 3),
+}
+
+
+@pytest.mark.parametrize("cls", CoefficientRule.__subclasses__(), ids=lambda cls: cls.kind)
+def test_every_rule_states_its_dimension_and_survives_its_own_file(cls):
+    rule, dimension = RULE_SAMPLES[cls]
+    assert rule.dimension == dimension
+    n = dimension or 2
+    if dimension is not None:
+        with pytest.raises(DimensionMismatch, match=f"{rule.kind} rule has dimension {dimension}"):
+            SeriesSpec(n + 1, rule)
+    loaded = SeriesSpec.from_json(SeriesSpec(n, rule).to_json()).rule
+    assert type(loaded) is cls and loaded.dimension == dimension
+    for want, got in zip(rule.scan(n, range(1, 17)), loaded.scan(n, range(1, 17))):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_rule_of_no_fixed_dimension_fits_any_series():
+    for rule in (FullGeometric(), ExplicitTable({}), SumRule([FullGeometric(), ExplicitTable({})])):
+        assert rule.dimension is None
+        for n in (1, 2, 5):
+            assert SeriesSpec(n, rule).dimension == n
+
+
+def test_a_sum_of_two_dimensions_is_refused_where_it_is_built():
+    with pytest.raises(DimensionMismatch, match=r"sum members have dimensions \[2, 3\]"):
+        SumRule([RayGeometric((1, 1), 2.0), FullGeometric(), RayGeometric((1, 1, 1), 2.0)])
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: SupportWeighted([(0.5, 0.5)], [0.0], per_row=4, base=8.5),
+     "base must be an integer, got 8.5"),
+    (lambda: SupportWeighted([(0.5, 0.5)], [0.0], per_row=True), "per_row must be an integer"),
+    (lambda: SupportWeighted([(0.5, 0.5)], [0.0], per_row=4, stride=np.int64(1)),
+     "stride must be an integer"),
+    (lambda: SupportWeighted([(0.5, 0.5)], [True], per_row=4), "support weight must be a number"),
+    (lambda: SupportWeighted([(0.5, 0.5)], [0.0], per_row=4, scale="2"),
+     "scale must be a number, got '2'"),
+    (lambda: SeriesSpec(2.0, FullGeometric()), "dimension must be an integer, got 2.0"),
+    (lambda: MultiIndex((1, 2.0)), "multi-index entry must be an integer, got 2.0"),
+    (lambda: HDomain(True, ()), "dimension must be an integer, got True"),
+    (lambda: HalfSpace((0.5, 0.5), "0.5"), "half-space offset must be a number, got '0.5'"),
+    (lambda: SimplexDirection(("0.5", "0.5")), "coordinate must be a number, got '0.5'"),
+    (lambda: SampledFunction([(1.0, 0.0)], [False]), "sampled value must be a number, got False"),
+])
+def test_each_type_refuses_a_field_of_another_type_where_it_is_built(make, error):
+    with pytest.raises(TypeError, match=re.escape(error)):
+        make()
+
+
+def test_numpy_scalars_are_numbers_and_are_stored_as_floats():
+    rule = SupportWeighted(
+        [(np.float64(0.5), np.float32(0.5))], [np.float32(0.25)], per_row=4, scale=np.float64(2.0)
+    )
+    assert rule.values == (0.25,) and type(rule.values[0]) is float
+    assert type(rule.scale) is float and type(rule.directions[0].coords[1]) is float
+    assert HalfSpace((1.0, 0.0), np.float16(0.5)).offset == 0.5
 
 
 def test_zero_index_constant_term(full_geom, ray_diag):
