@@ -9,7 +9,8 @@ identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 malformed input (files, flags or non-finite
 numbers), an output path that cannot be written or an LP that overflowed
-or hit its iteration cap, 3 infeasible or empty-domain conditions.
+(naming the file of its region) or hit its iteration cap, 3 empty-domain
+conditions.
 """
 
 from __future__ import annotations
@@ -396,7 +397,11 @@ def main(argv=None) -> int:
     except (EmptyDomain, InfiniteSupport, NeedTwoDirections, SupportsOverlap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    # InputError; an unwritable output path; an LP that overflowed or hit its iteration cap
+    except FloatingPointError as exc:  # only an LP's tableau raises it
+        region = getattr(args, "source", None) or getattr(args, "domain", None) or args.series
+        print(f"error: an LP over {region} overflowed: {exc}", file=sys.stderr)
+        return 2
+    # InputError; an unwritable output path; an LP that hit its iteration cap
     except (ValueError, TypeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

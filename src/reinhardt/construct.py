@@ -112,8 +112,8 @@ def series_for_domain(domain: HDomain, directions, per_row: int) -> SeriesSpec:
     {<alpha_n, s> - h(alpha_n) < 0}; the whole sum reproduces the region when
     the directions sample its support geometry densely enough.
 
-    Raises EmptyDomain for an infeasible region and InfiniteSupport when a
-    prescribed direction lies outside the effective domain of h.
+    Raises InfiniteSupport when a prescribed direction lies outside the
+    effective domain of h.
     """
     dirs = Directions(directions)
     if dirs.dimension != domain.dimension:

@@ -2,19 +2,22 @@
 
 An H-domain is a finite intersection of open half-spaces with normals on the
 probability simplex.  All quantitative questions about such regions reduce to
-maximizing a linear functional over the closed region, which a small
-two-phase dense-tableau simplex solves; Bland's entering rule guards against
-cycling.  On top of the LP sit the support function, the convex closure of a
-sampled positively homogeneous function (computed as the support function of
-the polyhedron carved by the samples, so only homogeneous linear minorants
-participate), and the reduction of a region to the supporting half-spaces of
-a prescribed direction subset.
+maximizing a linear functional over the closed region.  No H-domain is
+empty, since it holds t (1, ..., 1) for every t below its least offset, so a
+small dense-tableau simplex starts from a feasible basis there and needs no
+phase one; Bland's entering rule guards against cycling, and ratios within
+1e-12 of their size tie.  On top of the LP sit the support function, the
+convex closure of a sampled positively homogeneous function (computed as the
+support function of the polyhedron carved by the samples, so only
+homogeneous linear minorants participate), and the reduction of a region to
+the supporting half-spaces of a prescribed direction subset.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 from typing import Optional, Sequence
 
@@ -36,19 +39,13 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
-# Phase one declares the region empty when the artificials left in its basis
-# sum to more than FEASIBILITY_TOL, or when one of them, as the sum
-# sum_k B^-1_ik rhs_k over the entries of B^-1 above PIVOT_TOL, exceeds
-# FEASIBILITY_TOL times sum_k |B^-1_ik| rhs_k.  A gap is thus judged against
-# the rows it is formed from, and an unrelated large row cannot hide it.
-FEASIBILITY_TOL = 1e-7
 MAX_DIMENSION = 16
 MAX_CONSTRAINTS = 10_000
 _ITERATION_CAP = 100_000
 
 
 class EmptyDomain(ValueError):
-    """The constraint region is infeasible."""
+    """A sample of -inf: the region it bounds is empty."""
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class HDomain(JsonFile):
-    """Finite intersection of half-spaces; possibly empty, never checked eagerly."""
+    """Finite intersection of half-spaces; never empty, as it holds t (1, ..., 1) for small t."""
 
     dimension: int
     halfspaces: tuple[HalfSpace, ...]
@@ -142,6 +139,11 @@ class SampledFunction(JsonFile):
             (d, v) for d, v in zip(self.directions, self.values) if math.isfinite(v)
         ]
 
+    @cached_property
+    def domain(self) -> HDomain:
+        """The H-domain {<beta_i, s> < v_i} that the finite samples carve."""
+        return HDomain(self.dimension, tuple(HalfSpace(d, v) for d, v in self.finite_samples()))
+
     def to_json(self) -> dict:
         return {
             "directions": [list(d.coords) for d in self.directions],
@@ -158,9 +160,8 @@ class SampledFunction(JsonFile):
 class LpResult:
     value: float
     witness: Optional[np.ndarray]
-    status: str  # "optimal" | "unbounded" | "infeasible"
-    phase1_pivots: int = 0  # driving basic artificials out included
-    phase2_pivots: int = 0
+    status: str  # "optimal" | "unbounded"
+    pivots: int = 0
 
 
 def _pivot(T: np.ndarray, rhs: np.ndarray, basis: list, row: int, col: int):
@@ -187,20 +188,14 @@ def _pivot(T: np.ndarray, rhs: np.ndarray, basis: list, row: int, col: int):
     basis[row] = col
 
 
-def _simplex_min(T, rhs, basis, cost, allowed):
-    """Minimize cost over the current basic feasible system with Bland's rule.
+def _simplex_min(T, rhs, basis):
+    """Minimize from a feasible slack basis with Bland's rule.
 
     Returns (status, pivots), status "optimal" or "unbounded".  The reduced
-    costs live in the last row of T; basic columns are exact unit vectors, so
-    pricing reads only the rows with a nonzero basic cost.
+    costs live in the last row of T, which starts as the cost itself since
+    every slack costs 0.
     """
-    red = T[-1]
-    red[:] = cost
-    costs = cost.tolist()
-    for i, b in enumerate(basis):
-        if costs[b] != 0.0:
-            red -= costs[b] * T[i]
-    reduced = red[:allowed]
+    reduced = T[-1]
     for pivots in range(_ITERATION_CAP):
         enter = int((reduced < -PIVOT_TOL).argmax())
         if not reduced[enter] < -PIVOT_TOL:
@@ -208,12 +203,13 @@ def _simplex_min(T, rhs, basis, cost, allowed):
         col = T[:-1, enter]
         t, b = col.tolist(), rhs.tolist()
         leave = -1
-        lo = hi = inf  # ratios within 1e-12 of the best tie; Bland breaks ties
+        lo = hi = inf  # ratios within 1e-12 |best| of the best tie; Bland breaks ties
         for i in (col > PIVOT_TOL).nonzero()[0].tolist():
             ratio = b[i] / t[i]
             if ratio < lo:
-                lo = ratio - 1e-12
-                hi = ratio + 1e-12
+                window = 1e-12 * abs(ratio)
+                lo = ratio - window
+                hi = ratio + window
                 leave = i
             elif ratio <= hi and leave >= 0 and basis[i] < basis[leave]:
                 leave = i
@@ -223,42 +219,29 @@ def _simplex_min(T, rhs, basis, cost, allowed):
     raise ArithmeticError("simplex iteration cap exceeded")
 
 
-def _constraint_rows(constraints, dimension: int):
-    if isinstance(constraints, HDomain):  # its constructor checked each normal's dimension
-        if constraints.dimension != dimension:
-            raise ValueError(
-                f"objective has dimension {dimension}, domain has {constraints.dimension}"
-            )
-        return constraints.constraint_rows()
-    rows = [(tuple(float(a) for a in coeffs), float(rhs)) for coeffs, rhs in constraints]
-    if not all(math.isfinite(x) for coeffs, rhs in rows for x in (rhs, *coeffs)):
-        raise ValueError("constraint coefficients and right-hand sides must be finite")
-    for coeffs, _ in rows:
-        if len(coeffs) != dimension:
-            raise ValueError("constraint row dimension mismatch")
-    return rows
-
-
 @np.errstate(over="raise", invalid="raise")
-def lp_maximize(objective: Sequence[float], constraints) -> LpResult:
-    """Supremum of <objective, s> over the closed region {<a_i, s> <= c_i}.
+def lp_maximize(objective: Sequence[float], constraints: HDomain) -> LpResult:
+    """Supremum of <objective, s> over the closure of an H-domain {<a_i, s> < c_i}.
 
-    The variables are free; internally s splits as u - v with u, v >= 0 and a
-    slack per row.  Rows whose right-hand side is negative receive a phase-one
-    artificial.  Constraints may be an HDomain or an iterable of raw
-    (coefficients, rhs) pairs, which are not restricted to simplex normals.
-    A non-finite objective entry, coefficient or rhs raises ValueError, and an
-    overflowing tableau raises FloatingPointError (an ArithmeticError).
+    Every normal a_i lies on the simplex, so the region holds t0 (1, ..., 1)
+    for t0 = min(0, min_i c_i).  The variables are free; internally
+    s - t0 (1, ..., 1) splits as u - v with u, v >= 0 and a slack per row,
+    whose right-hand sides c_i - t0 sum_j a_ij are >= 0, so the slack basis
+    is feasible from the start.  Anything but an HDomain raises TypeError, a
+    non-finite objective entry ValueError, and an overflowing tableau
+    FloatingPointError (an ArithmeticError).
     """
+    if not isinstance(constraints, HDomain):
+        raise TypeError(f"constraints must be an HDomain, got {type(constraints).__name__}")
     coords = tuple(float(x) for x in objective)
     n = len(coords)
-    if n < 1:
-        raise ValueError("objective must have at least one coordinate")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIMENSION}")
     if not all(map(math.isfinite, coords)):
         raise ValueError("objective entries must be finite")
-    rows = _constraint_rows(constraints, n)
+    if n != constraints.dimension:
+        raise ValueError(f"objective has dimension {n}, domain has {constraints.dimension}")
+    rows = constraints.constraint_rows()
     m = len(rows)
     if m > MAX_CONSTRAINTS:
         raise ValueError(f"{m} constraints exceed the supported cap {MAX_CONSTRAINTS}")
@@ -268,90 +251,46 @@ def lp_maximize(objective: Sequence[float], constraints) -> LpResult:
             return LpResult(0.0, np.zeros(n), "optimal")
         return LpResult(inf, None, "unbounded")
 
-    A = np.array([coeffs for coeffs, _ in rows], dtype=float)
-    rhs = np.array([c for _, c in rows], dtype=float)
-    flip = rhs < 0.0
-    sign = np.where(flip, -1.0, 1.0)
-    A *= sign[:, None]
-    art = flip.nonzero()[0].tolist()
-    ncols = 2 * n + m
-    total = ncols + len(art)
-    T = np.zeros((m + 1, total))  # constraint rows, then the reduced costs
+    A = np.array([coeffs for coeffs, _ in rows])
+    c = np.array([offset for _, offset in rows])
+    t0 = min(0.0, float(c.min()))
+    T = np.zeros((m + 1, 2 * n + m))  # constraint rows, then the reduced costs
     T[:m, :n] = A
     T[:m, n : 2 * n] = -A
-    np.fill_diagonal(T[:m, 2 * n :], sign)
-    rhs = np.append(np.where(flip, -rhs, rhs), 0.0)
-    basis = list(range(2 * n, ncols))
-    for j, i in enumerate(art):
-        T[i, ncols + j] = 1.0
-        basis[i] = ncols + j
-
-    phase1 = 0
-    if art:
-        cost1 = np.zeros(total)
-        cost1[ncols:] = 1.0
-        start, rhs0 = basis.copy(), rhs[:m].copy()
-        status, phase1 = _simplex_min(T, rhs, basis, cost1, allowed=total)
-        left = [i for i, b in enumerate(basis) if b >= ncols]
-        empty = status != "optimal"
-        if left and not empty:
-            inv = T[np.ix_(left, start)]  # the starting basis columns now hold B^-1
-            inv[np.abs(inv) <= PIVOT_TOL] = 0.0
-            gap = inv @ rhs0 > FEASIBILITY_TOL * (np.abs(inv) @ rhs0)
-            empty = rhs[left].sum() > FEASIBILITY_TOL or bool(gap.any())
-        if empty:
-            return LpResult(-inf, None, "infeasible", phase1)
-        for i, b in enumerate(basis):
-            if b >= ncols:
-                candidates = (np.abs(T[i, :ncols]) > PIVOT_TOL).nonzero()[0]
-                if candidates.size:
-                    _pivot(T, rhs, basis, i, int(candidates[0]))
-                    phase1 += 1
-                # otherwise the row is redundant; the artificial stays basic at 0
-
-    cost2 = np.zeros(total)
-    cost2[:n] = -obj
-    cost2[n : 2 * n] = obj
-    status, phase2 = _simplex_min(T, rhs, basis, cost2, allowed=ncols)
+    np.fill_diagonal(T[:m, 2 * n :], 1.0)
+    T[m, :n] = -obj
+    T[m, n : 2 * n] = obj
+    rhs = np.append(np.maximum(c - t0 * A.sum(axis=1), 0.0), 0.0)  # >= 0 against rounding
+    basis = list(range(2 * n, 2 * n + m))
+    status, pivots = _simplex_min(T, rhs, basis)
     if status == "unbounded":
-        return LpResult(inf, None, "unbounded", phase1, phase2)
-    x = np.zeros(total)
+        return LpResult(inf, None, "unbounded", pivots)
+    x = np.zeros(2 * n + m)
     x[basis] = rhs[:m]
-    witness = x[:n] - x[n : 2 * n]
-    return LpResult(float(obj @ witness), witness, "optimal", phase1, phase2)
+    witness = x[:n] - x[n : 2 * n] + t0
+    return LpResult(float(obj @ witness), witness, "optimal", pivots)
 
 
 def support_value(domain: HDomain, alpha) -> float:
     """Support function sup{<alpha, s> : s in closure(domain)}.
 
     +inf when the region is unbounded in the direction alpha (a value, not an
-    error); EmptyDomain when the region is infeasible.
+    error).
     """
-    alpha = as_direction(alpha)
-    result = lp_maximize(alpha.coords, domain)
-    if result.status == "infeasible":
-        raise EmptyDomain("the half-space intersection is empty")
-    return result.value
+    return lp_maximize(as_direction(alpha).coords, domain).value
 
 
 def convex_closure_value(f: SampledFunction, alpha) -> float:
     """Greatest closed convex minorant of the sampled function, at alpha.
 
     Equals sup{<alpha, s> : <beta_i, s> <= v_i for all finite samples}: the
-    support function of the polyhedron carved by the samples.  The
+    support function of the polyhedron carved by the samples, f.domain.  The
     constraints are homogeneous linear functionals with no constant term, so
     for positively homogeneous data the envelope is again positively
     homogeneous.  +inf samples impose no constraint; with no finite samples
     the value is +inf for every nonzero direction.
     """
-    alpha = as_direction(alpha)
-    if alpha.dimension != f.dimension:
-        raise ValueError("direction dimension does not match the sampled function")
-    rows = [(d.coords, v) for d, v in f.finite_samples()]
-    result = lp_maximize(alpha.coords, rows)
-    if result.status == "infeasible":
-        raise EmptyDomain("the sampled constraints are inconsistent")
-    return result.value
+    return support_value(f.domain, alpha)
 
 
 def reduce_to_dense_subset(domain: HDomain, dense) -> HDomain:

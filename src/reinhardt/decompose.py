@@ -298,6 +298,4 @@ def estimate_domain(
     dirs = Directions(directions)
     delta = band_radius(series.dimension, max_degree)
     values = tuple(direction_functional(series, alpha, delta, max_degree) for alpha in dirs)
-    samples = SampledFunction(dirs, values)
-    carved = HDomain(series.dimension, tuple(HalfSpace(d, v) for d, v in samples.finite_samples()))
-    return reduce_to_dense_subset(carved, dirs)
+    return reduce_to_dense_subset(SampledFunction(dirs, values).domain, dirs)

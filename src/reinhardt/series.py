@@ -18,6 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from math import fsum, inf, log
+from numbers import Complex
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +60,9 @@ def _complex_to_json(c: complex) -> list[float]:
 
 
 def _no_nan(c) -> complex:
-    """c as a complex; NaN parts are rejected, +-inf (overflow) is kept."""
+    """c as a complex, for a number that is not a bool; NaN parts are rejected, +-inf is kept."""
+    if isinstance(c, bool) or not isinstance(c, Complex):
+        raise TypeError(f"coefficient must be a number, got {c!r}")
     c = complex(c)
     if cmath.isnan(c):
         raise ValueError(f"coefficient {c} has a NaN component")
@@ -543,7 +546,7 @@ class SeriesSpec(JsonFile):
         Log-points may have any real coordinates; radius points need
         coordinates >= 0 and positive points coordinates > 0.
         """
-        point = tuple(float(x) for x in point)
+        point = tuple(as_real(x, "point coordinate") for x in point)
         if len(point) != self.dimension:
             raise DimensionMismatch(
                 f"point has dimension {len(point)}, series has {self.dimension}"

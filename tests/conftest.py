@@ -13,6 +13,7 @@ import functools
 import math
 import random
 import weakref
+from fractions import Fraction
 from itertools import combinations
 from math import inf
 from typing import Sequence
@@ -39,12 +40,10 @@ from reinhardt import (
 from reinhardt.construct import BASE_DEGREE, band_radius
 from reinhardt.convex import (
     _ITERATION_CAP,
-    FEASIBILITY_TOL,
     MAX_CONSTRAINTS,
     MAX_DIMENSION,
     PIVOT_TOL,
     LpResult,
-    _constraint_rows,
 )
 from reinhardt.hadamard import ELEMENTARY_DIAMETER, NotElementary, tail_window
 from reinhardt.multiindex import as_direction
@@ -513,7 +512,8 @@ def linear_scan_radii(dimension: int):
 
 
 # The per-row simplex that the whole-tableau kernel in reinhardt.convex
-# replaced, kept verbatim (renamed only) as the bit-for-bit reference.
+# replaced, kept as the bit-for-bit reference; it takes the kernel's shifted
+# start, with no phase one, and its tie window of 1e-12 |best|.
 
 
 def _reference_pivot(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -556,10 +556,10 @@ def _reference_simplex_min(T, rhs, basis, cost, allowed):
             t = T[i, enter]
             if t > PIVOT_TOL:
                 ratio = rhs[i] / t
-                if ratio < best - 1e-12:
+                if leave < 0 or ratio < best - 1e-12 * abs(best):
                     best = ratio
                     leave = i
-                elif ratio <= best + 1e-12 and leave >= 0 and basis[i] < basis[leave]:
+                elif ratio <= best + 1e-12 * abs(best) and basis[i] < basis[leave]:
                     leave = i
         if leave < 0:
             return math.nan, "unbounded"
@@ -570,21 +570,20 @@ def _reference_simplex_min(T, rhs, basis, cost, allowed):
     raise ArithmeticError("simplex iteration cap exceeded")
 
 
-def reference_lp_maximize(objective: Sequence[float], constraints) -> LpResult:
-    """Supremum of <objective, s> over the closed region {<a_i, s> <= c_i}.
+def reference_lp_maximize(objective: Sequence[float], constraints: HDomain) -> LpResult:
+    """Supremum of <objective, s> over the closure of an H-domain {<a_i, s> < c_i}.
 
-    The variables are free; internally s splits as u - v with u, v >= 0 and a
-    slack per row.  Rows whose right-hand side is negative receive a phase-one
-    artificial.  Constraints may be an HDomain or an iterable of raw
-    (coefficients, rhs) pairs, which are not restricted to simplex normals.
+    The variables are free; internally s - t0 (1, ..., 1), t0 = min(0, min_i c_i),
+    splits as u - v with u, v >= 0 and a slack per row, and the slack basis
+    is feasible from the start.
     """
     obj = np.asarray(tuple(float(x) for x in objective), dtype=float)
     n = obj.size
-    if n < 1:
-        raise ValueError("objective must have at least one coordinate")
     if n > MAX_DIMENSION:
         raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIMENSION}")
-    rows = _constraint_rows(constraints, n)
+    if n != constraints.dimension:
+        raise ValueError(f"objective has dimension {n}, domain has {constraints.dimension}")
+    rows = constraints.constraint_rows()
     m = len(rows)
     if m > MAX_CONSTRAINTS:
         raise ValueError(f"{m} constraints exceed the supported cap {MAX_CONSTRAINTS}")
@@ -594,55 +593,44 @@ def reference_lp_maximize(objective: Sequence[float], constraints) -> LpResult:
         return LpResult(inf, None, "unbounded")
 
     A = np.array([coeffs for coeffs, _ in rows], dtype=float)
-    rhs = np.array([c for _, c in rows], dtype=float)
+    c = np.array([c for _, c in rows], dtype=float)
+    t0 = min(0.0, float(c.min()))
+    rhs = np.maximum(c - t0 * A.sum(axis=1), 0.0)
     ncols = 2 * n + m
     T = np.zeros((m, ncols))
     T[:, :n] = A
     T[:, n : 2 * n] = -A
     T[:, 2 * n :] = np.eye(m)
-    flip = rhs < 0.0
-    T[flip] *= -1.0
-    rhs = np.where(flip, -rhs, rhs)
+    basis = np.arange(2 * n, ncols)
 
-    basis = np.full(m, -1, dtype=int)
-    art_rows = [i for i in range(m) if flip[i]]
-    for i in range(m):
-        if not flip[i]:
-            basis[i] = 2 * n + i
-    if art_rows:
-        E = np.zeros((m, len(art_rows)))
-        for j, i in enumerate(art_rows):
-            E[i, j] = 1.0
-            basis[i] = ncols + j
-        T = np.hstack([T, E])
-    total = T.shape[1]
-
-    if art_rows:
-        cost1 = np.zeros(total)
-        cost1[ncols:] = 1.0
-        z1, status = _reference_simplex_min(T, rhs, basis, cost1, allowed=total)
-        if status != "optimal" or z1 > FEASIBILITY_TOL:
-            return LpResult(-inf, None, "infeasible")
-        for i in range(m):
-            if basis[i] >= ncols:
-                piv = next(
-                    (j for j in range(ncols) if abs(T[i, j]) > PIVOT_TOL), None
-                )
-                if piv is not None:
-                    _reference_pivot(T, rhs, basis, i, piv)
-                # otherwise the row is redundant; the artificial stays basic at 0
-
-    cost2 = np.zeros(total)
-    cost2[:n] = -obj
-    cost2[n : 2 * n] = obj
-    _, status = _reference_simplex_min(T, rhs, basis, cost2, allowed=ncols)
+    cost = np.zeros(ncols)
+    cost[:n] = -obj
+    cost[n : 2 * n] = obj
+    _, status = _reference_simplex_min(T, rhs, basis, cost, allowed=ncols)
     if status == "unbounded":
         return LpResult(inf, None, "unbounded")
-    x = np.zeros(total)
+    x = np.zeros(ncols)
     for i in range(m):
         x[basis[i]] = rhs[i]
-    witness = x[:n] - x[n : 2 * n]
+    witness = x[:n] - x[n : 2 * n] + t0
     return LpResult(float(obj @ witness), witness, "optimal")
+
+
+def hdomain(rows) -> HDomain:
+    """The H-domain of (normal, offset) rows, whose normals lie on the simplex."""
+    return HDomain(len(rows[0][0]), tuple(HalfSpace(a, c) for a, c in rows))
+
+
+# H-domains with every offset negative, down to -1e9, in the shapes that
+# raw rows once made infeasible; each holds t (1, ..., 1) for t below its
+# least offset.
+NEGATIVE_DOMAINS = (
+    hdomain([((1.0, 0.0), -1e9), ((0.0, 1.0), -1.0)]),
+    hdomain([((0.0, 1.0), -2.0), ((0.5, 0.5), -3.0)]),
+    hdomain([((0.5, 0.5), -0.5), ((1.0, 0.0), -1e-12), ((0.25, 0.75), -7.5)]),
+    hdomain([((1.0, 0.0, 0.0), -1.0), ((0.0, 1.0, 0.0), -2.0), ((0.25, 0.25, 0.5), -1e9)]),
+    hdomain([((0.5, 0.5), -1.0), ((0.5, 0.5), -1e9), ((0.0, 1.0), -1e6)]),
+)
 
 
 def vertex_support_oracle(rows, objective):
@@ -662,6 +650,41 @@ def vertex_support_oracle(rows, objective):
         v = np.linalg.solve(A, b)
         if all(np.dot(rows[i][0], v) <= rows[i][1] + 1e-9 for i in range(len(rows))):
             best = max(best, float(np.dot(objective, v)))
+    return best
+
+
+def _solve_exact(A, b):
+    """x with A x = b for a square Fraction system, or None when A is singular."""
+    n = len(b)
+    M = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if pivot is None:
+            return None
+        M[col], M[pivot] = M[pivot], M[col]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col] / M[col][col]
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [M[i][n] / M[i][i] for i in range(n)]
+
+
+def exact_support(domain, alpha) -> Fraction:
+    """max <alpha, s> over the closed H-domain, by vertex enumeration in Fractions.
+
+    The floats of the normals, offsets and alpha are taken as the rationals
+    they are.  Assumes the maximum is attained at a vertex, as when the
+    region is pointed toward alpha.
+    """
+    rows = [([Fraction(a) for a in hs.normal.coords], Fraction(hs.offset))
+            for hs in domain.halfspaces]
+    alpha = [Fraction(a) for a in as_direction(alpha).coords]
+    best = None
+    for subset in combinations(rows, len(alpha)):
+        v = _solve_exact([a for a, _ in subset], [c for _, c in subset])
+        if v is not None and all(sum(x * y for x, y in zip(a, v)) <= c for a, c in rows):
+            value = sum(x * y for x, y in zip(alpha, v))
+            best = value if best is None else max(best, value)
     return best
 
 

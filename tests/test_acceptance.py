@@ -8,6 +8,8 @@ import math
 import random
 
 from reinhardt import (
+    HalfSpace,
+    HDomain,
     Membership,
     ProbeOutcome,
     SampledFunction,
@@ -32,6 +34,8 @@ from conftest import (
     coeff_table,
     grid2,
     hrep_boundary_points,
+    NEGATIVE_DOMAINS,
+    hdomain,
     vertex_support_oracle,
 )
 
@@ -259,7 +263,7 @@ def test_criterion_9_lp_core():
         total = sum(raw)
         obj = [x / total for x in raw]
         oracle = vertex_support_oracle(rows, obj)
-        got = lp_maximize(obj, rows)
+        got = lp_maximize(obj, hdomain(rows))
         assert got.status == "optimal", case
         err = abs(got.value - oracle)
         worst = max(worst, err)
@@ -272,18 +276,13 @@ def test_criterion_9_lp_core():
         ((1.0, 1.0, 1.0), [((1.0, 0.0, 0.0), 0.0), ((0.0, 1.0, 0.0), 0.0)]),
     ]
     for obj, rows in unbounded:
-        assert lp_maximize(obj, rows).status == "unbounded"
-    infeasible = [
-        [((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)],
-        [((0.0, 1.0), -2.0), ((0.0, -1.0), 1.0)],
-        [((1.0, 1.0), 0.0), ((-1.0, -1.0), -0.5)],
-        [((1.0, 0.0, 0.0), 1.0), ((-1.0, 0.0, 0.0), -2.0)],
-        [((0.5, 0.5), -1.0), ((-0.5, -0.5), 0.5)],
-    ]
-    for rows in infeasible:
-        n = len(rows[0][0])
-        assert lp_maximize((1.0,) * n, rows).status == "infeasible"
+        domain = HDomain(len(obj), tuple(HalfSpace(a, c) for a, c in rows))
+        assert lp_maximize(obj, domain).status == "unbounded"
+    # no H-domain is empty: all offsets negative still leave t (1, ..., 1) inside
+    for domain in NEGATIVE_DOMAINS:
+        got = lp_maximize((1.0,) * domain.dimension, domain)
+        assert got.status == "optimal" and domain.contains(got.witness, closed=True)
     report(
         f"criterion 9 PASS: 50 random domains within {worst:.1e} of vertex enumeration; "
-        "10 unbounded/infeasible cases classified"
+        "5 unbounded cases classified; 5 all-negative H-domains optimal with a witness inside"
     )

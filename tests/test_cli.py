@@ -655,7 +655,7 @@ def test_a_number_field_holding_a_bool_or_a_string_is_refused(tmp_path, capsys, 
 
 
 def test_an_lp_whose_tableau_overflows_exits_2(tmp_path, capsys):
-    from reinhardt import HalfSpace, HDomain
+    from reinhardt import HalfSpace, HDomain, SampledFunction
 
     # {s1 <= -1.7e308, s2 <= 1.7e308, (s1 + s2)/2 <= -1.7e308}: the support at
     # (0.3, 0.7) is finite (about -3.4e307), at a vertex outside the float range
@@ -665,11 +665,16 @@ def test_an_lp_whose_tableau_overflows_exits_2(tmp_path, capsys):
         HalfSpace((0.0, 1.0), 1.7e308),
         HalfSpace((0.5, 0.5), -1.7e308),
     )).save(path)
-    code = main(["support", "--domain", str(path), "--direction", "0.3", "0.7"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: overflow encountered")
+    samples = tmp_path / "huge_samples.json"
+    SampledFunction(((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)),
+                    (-1.7e308, 1.7e308, -1.7e308)).save(samples)
+    for argv, region in ((["support", "--domain", str(path)], path),
+                         (["envelope", "--samples", str(samples)], samples)):
+        code = main(argv + ["--direction", "0.3", "0.7"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: an LP over {region} overflowed: overflow encountered")
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,15 @@ from reinhardt import (
     uniform_directions_2d,
 )
 from reinhardt.convex import _pivot
-from conftest import LN2, grid2, reference_lp_maximize, vertex_support_oracle
+from conftest import (
+    LN2,
+    NEGATIVE_DOMAINS,
+    exact_support,
+    grid2,
+    hdomain,
+    reference_lp_maximize,
+    vertex_support_oracle,
+)
 
 INF = math.inf
 
@@ -37,16 +46,18 @@ def test_lp_examples(third_quadrant, wedge_domain):
     oracle = vertex_support_oracle(wedge_domain.constraint_rows(), (0.5, 0.5))
     assert oracle == pytest.approx(-LN2 / 2, abs=1e-12)
     assert lp_maximize((0.5, 0.5), wedge_domain).value == pytest.approx(oracle, abs=1e-9)
-    assert lp_maximize((1.0, 1.0), [((1.0, 0.0), 0.0)]).value == INF
-    infeasible = lp_maximize((1.0, 0.0), [((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)])
-    assert infeasible.value == -INF
-    assert infeasible.status == "infeasible"
-    assert infeasible.witness is None
+    assert lp_maximize((1.0, 1.0), hdomain([((1.0, 0.0), 0.0)])).value == INF
 
 
 def test_lp_empty_constraints():
-    assert lp_maximize((0.0, 0.0), []).value == 0.0
-    assert lp_maximize((1.0, 0.0), []).value == INF
+    assert lp_maximize((0.0, 0.0), HDomain(2, ())).value == 0.0
+    assert lp_maximize((1.0, 0.0), HDomain(2, ())).value == INF
+
+
+def test_lp_takes_only_an_hdomain():
+    for raw in ([((1.0, 0.0), 0.0)], [], (((0.5, 0.5), 1.0),)):
+        with pytest.raises(TypeError, match="must be an HDomain"):
+            lp_maximize((0.5, 0.5), raw)
 
 
 def test_lp_witness_is_feasible_and_optimal(wedge_domain):
@@ -64,18 +75,6 @@ def test_support_value_examples(third_quadrant, wedge_domain):
 def test_support_value_unbounded_is_a_value():
     slab = HDomain(2, (HalfSpace((1.0, 0.0), -1.0),))
     assert support_value(slab, (0.0, 1.0)) == INF
-
-
-def test_support_value_empty_domain_raises(monkeypatch, wedge_domain):
-    # simplex normals always admit s = -t(1,...,1), so a genuine HDomain is
-    # never infeasible; exercise the defensive path directly
-    import reinhardt.convex as cv
-
-    monkeypatch.setattr(
-        cv, "lp_maximize", lambda obj, cons: cv.LpResult(-INF, None, "infeasible")
-    )
-    with pytest.raises(EmptyDomain):
-        cv.support_value(wedge_domain, (0.5, 0.5))
 
 
 def test_support_subadditivity_random(wedge_domain, third_quadrant, triangle_domain):
@@ -222,7 +221,7 @@ def test_lp_random_domains_match_vertex_oracle():
         total = sum(raw)
         obj = [x / total for x in raw]
         oracle = vertex_support_oracle(rows, obj)
-        got = lp_maximize(obj, rows)
+        got = lp_maximize(obj, hdomain(rows))
         assert got.status == "optimal", f"case {case}"
         assert got.value == pytest.approx(oracle, abs=1e-7), f"case {case}"
 
@@ -236,19 +235,26 @@ def test_lp_unbounded_and_infeasible_classification():
         ((1.0, 1.0, 1.0), [((1.0, 0.0, 0.0), 0.0), ((0.0, 1.0, 0.0), 0.0)]),
     ]
     for obj, rows in cases_unbounded:
-        r = lp_maximize(obj, rows)
+        r = lp_maximize(obj, HDomain(len(obj), tuple(HalfSpace(a, c) for a, c in rows)))
         assert r.status == "unbounded" and r.value == INF, (obj, rows)
-    cases_infeasible = [
-        [((1.0, 0.0), 0.0), ((-1.0, 0.0), -1.0)],
-        [((0.0, 1.0), -2.0), ((0.0, -1.0), 1.0)],
-        [((1.0, 1.0), 0.0), ((-1.0, -1.0), -0.5)],
-        [((1.0, 0.0, 0.0), 1.0), ((-1.0, 0.0, 0.0), -2.0)],
-        [((0.5, 0.5), -1.0), ((-0.5, -0.5), 0.5)],
-    ]
-    for rows in cases_infeasible:
-        n = len(rows[0][0])
-        r = lp_maximize((1.0,) * n, rows)
-        assert r.status == "infeasible" and r.value == -INF, rows
+    # no H-domain is infeasible: with every offset negative, down to -1e9, the
+    # region still holds t (1, ..., 1) for t below the least offset
+    for domain in NEGATIVE_DOMAINS:
+        r = lp_maximize((1.0,) * domain.dimension, domain)
+        assert r.status == "optimal" and domain.contains(r.witness, closed=True), domain
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e13, 1e200])
+def test_ratio_ties_scale_with_the_data(scale):
+    # {s1 <= 9e-13, s2 <= 2e-13, 0.6 s1 + 0.4 s2 <= 4e-13}, scaled: the top at
+    # (0.5, 0.5) is 11/3 1e-13 at every scale, at (16/3 1e-13, 2e-13); ratios
+    # 1e-13 apart must not tie below 1e-12
+    tiny = hdomain([((1.0, 0.0), 9e-13 * scale), ((0.0, 1.0), 2e-13 * scale),
+                    ((0.6, 0.4), 4e-13 * scale)])
+    r = lp_maximize((0.5, 0.5), tiny)
+    exact = exact_support(tiny, (0.5, 0.5))
+    assert abs(Fraction(r.value) - exact) <= Fraction(math.ulp(float(exact)))
+    assert tiny.evaluate(r.witness) <= 1e-15 * 9e-13 * scale
 
 
 def test_domain_json_round_trip(tmp_path, wedge_domain):
@@ -288,11 +294,10 @@ def test_halfspace_offset_must_be_finite():
 
 
 def _lp_cases(n, m, rng):
-    """(label, objective, rows) for one shape: bounded, unbounded, degenerate, infeasible.
+    """(label, objective, domain) for one shape: bounded, unbounded, degenerate.
 
-    Negative right-hand sides send rows through phase one; zero offsets (of
-    either sign) and repeated or doubled rows make ratios tie within 1e-12,
-    where Bland's rule decides.
+    Negative offsets shift the start to t (1, ..., 1); zero offsets (of
+    either sign) and repeated rows make ratios tie, where Bland's rule decides.
     """
 
     def simplex_normal():
@@ -300,32 +305,24 @@ def _lp_cases(n, m, rng):
         total = sum(raw)
         return tuple(x / total for x in raw)
 
-    def axis(i, sign=1.0):
-        return tuple(sign if j == i else 0.0 for j in range(n))
+    def axis(i):
+        return tuple(1.0 if j == i else 0.0 for j in range(n))
 
     caps = [(axis(i), rng.uniform(-1.2, 0.4)) for i in range(min(n, m))]
     cuts = [(simplex_normal(), rng.uniform(-2.0, 1.0)) for _ in range(m - len(caps))]
     simplex_rows = caps + cuts
-    raw_rows = [
-        (tuple(rng.uniform(-1.0, 1.0) for _ in range(n)), rng.uniform(-0.5, 2.0))
-        for _ in range(m)
-    ]
     degenerate = []
     for i, (a, c) in enumerate(simplex_rows):
         c = (0.0, -0.0)[i % 2] if i % 3 == 0 else c
-        degenerate += [(a, c), (a, c), (tuple(2.0 * x for x in a), 2.0 * c)] if i % 2 else [(a, c)]
+        degenerate += [(a, c)] * 3 if i % 2 else [(a, c)]
     degenerate = degenerate[:m]
-    gap = rng.uniform(0.5, 1.5)
-    infeasible = simplex_rows + [(axis(0), -gap), (axis(0, -1.0), gap / 2)]
     direction = simplex_normal()
     return [
-        ("simplex", direction, simplex_rows),
-        ("simplex-axis", axis(n - 1), simplex_rows),
-        ("simplex-unbounded", (-1.0,) * n, simplex_rows),
-        ("raw", tuple(rng.uniform(-1.0, 1.0) for _ in range(n)), raw_rows),
-        ("degenerate", direction, degenerate),
-        ("signed-zero", direction, [(a, -0.0) for a, _ in simplex_rows]),
-        ("infeasible", direction, infeasible),
+        ("simplex", direction, hdomain(simplex_rows)),
+        ("simplex-axis", axis(n - 1), hdomain(simplex_rows)),
+        ("simplex-unbounded", (-1.0,) * n, hdomain(simplex_rows)),
+        ("degenerate", direction, hdomain(degenerate)),
+        ("signed-zero", direction, hdomain([(a, -0.0) for a, _ in simplex_rows])),
     ]
 
 
@@ -342,10 +339,10 @@ def test_lp_matches_the_per_row_simplex_bit_for_bit(n, monkeypatch):
     rng = random.Random(1977 + n)
     statuses = set()
     for m in (1, 4, 5, 20, 200):
-        for label, objective, rows in _lp_cases(n, m, rng):
+        for label, objective, domain in _lp_cases(n, m, rng):
             pivots.clear()
-            want = reference_lp_maximize(objective, rows)
-            got = lp_maximize(objective, rows)
+            want = reference_lp_maximize(objective, domain)
+            got = lp_maximize(objective, domain)
             case = (m, label)
             assert got.status == want.status, case
             assert got.value == want.value, case
@@ -353,16 +350,9 @@ def test_lp_matches_the_per_row_simplex_bit_for_bit(n, monkeypatch):
                 assert got.witness is None, case
             else:
                 assert got.witness.tobytes() == want.witness.tobytes(), case
-            assert got.phase1_pivots + got.phase2_pivots == len(pivots), case
+            assert got.pivots == len(pivots), case
             statuses.add(got.status)
-    assert statuses == {"optimal", "unbounded", "infeasible"}
-
-
-def test_an_lp_whose_tableau_overflows_raises():
-    # the region holds (-1, 0, 1e-299); the overflowed tableau once read it as infeasible
-    rows = [((1e300, 1.5e-9, 1.5e-9), -1.0), ((-1.0, 1.0, -1e300), 0.0)]
-    with pytest.raises(ArithmeticError, match="overflow"):
-        lp_maximize((0.5, 0.5, 0.5), rows)
+    assert statuses == {"optimal", "unbounded"}
 
 
 def test_pivot_leaves_rows_with_a_zero_multiplier_untouched():
@@ -383,17 +373,18 @@ def test_lp_agrees_with_scipy_highs(n):
     optimize = pytest.importorskip("scipy.optimize")
     rng = random.Random(2718 + n)
     for m in (1, 4, 5, 20, 200):
-        for label, objective, rows in _lp_cases(n, m, rng):
-            A = np.array([a for a, _ in rows])
-            c = np.array([b for _, b in rows])
+        for label, objective, domain in _lp_cases(n, m, rng):
+            A = np.array([a for a, _ in domain.constraint_rows()])
+            c = np.array([b for _, b in domain.constraint_rows()])
             ref = optimize.linprog(
                 -np.asarray(objective), A_ub=A, b_ub=c, bounds=[(None, None)] * n, method="highs"
             )
-            want = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
-            got = lp_maximize(objective, rows)
+            want = {0: "optimal", 3: "unbounded"}[ref.status]
+            got = lp_maximize(objective, domain)
             assert got.status == want, (m, label)
             if want == "optimal":
                 assert got.value == pytest.approx(-ref.fun, abs=1e-7 * (1.0 + abs(ref.fun)))
+                assert domain.evaluate(got.witness) <= 1e-9 * (1.0 + abs(ref.fun)), (m, label)
 
 
 @pytest.mark.parametrize(
@@ -408,59 +399,19 @@ def test_lp_agrees_with_scipy_highs(n):
     ],
 )
 def test_lp_rejects_non_finite_input(objective, rows):
+    # a non-finite row is refused where its HalfSpace is built
     with pytest.raises(ValueError, match="finite"):
-        lp_maximize(objective, rows)
-
-
-@pytest.mark.parametrize("gap", [1e-12, 1e-8, 1e-3, 1.0, 1e8])
-@pytest.mark.parametrize("far", [None, 1e-12, 1.0, 1e9, 1e15])
-def test_phase_one_tolerance_scales_with_the_data(gap, far):
-    # x <= 0 and x >= gap is empty at every scale, also beside an unrelated
-    # row y >= far that phase one must satisfy too
-    extra = [] if far is None else [((0.0, -1.0), -far)]
-    r = lp_maximize([1.0, 0.0], [((1.0, 0.0), 0.0), ((-1.0, 0.0), -gap)] + extra)
-    assert r.status == "infeasible" and r.value == -INF
-    # x <= gap and x >= gap is the line x = gap
-    r = lp_maximize([1.0, 0.0], [((1.0, 0.0), gap), ((-1.0, 0.0), -gap)] + extra)
-    assert r.status == "optimal" and r.value == gap
-
-
-def test_phase_one_still_rejects_a_unit_gap_between_large_rows():
-    # x <= 1e9 and x >= 1e9 + 1: the gap is 5e-10 of its rows' size, under the
-    # relative test, but more than FEASIBILITY_TOL in absolute terms
-    r = lp_maximize([1.0], [((1.0,), 1e9), ((-1.0,), -(1e9 + 1.0))])
-    assert r.status == "infeasible"
-
-
-def test_phase_one_keeps_a_thin_slab_beside_a_large_row():
-    # 0.278 z <= -9.17e-13 and -0.224 z <= 8.78e-13 leave a slab about 6e-13
-    # wide in z.  Pivoting on the 6.2e8 row leaves entries near 1e-17 in B^-1,
-    # and the artificial of the z row ends phase one holding about 7e-9, all
-    # of it roundoff; those entries must not count as rows the gap is formed
-    # from, or the region reads empty
-    rows = [
-        ((-0.15990848702324945, -0.557802575009317, 0.9689734811927504, -0.5789076268218851, 0.0),
-         -4.851844279427815e-13),
-        ((-0.9663297060562408, -0.12068058246782076, 0.0, 0.0, 0.4967072046503771),
-         -621027397.1736385),
-        ((0.0, 0.0, 0.27819463738415107, 0.0, 0.0), -9.168812866108137e-13),
-        ((0.0, 0.0, -0.2239338726989375, 0.0, 0.0), 8.776973003094308e-13),
-    ]
-    objective = (-0.3594827168887842, -0.12657699268623457, -0.16519106077345946,
-                 0.5323935948502339, 0.021585514191396538)
-    assert lp_maximize(objective, rows).status == "unbounded"
+        lp_maximize(objective, HDomain(len(objective), tuple(HalfSpace(a, c) for a, c in rows)))
 
 
 def test_lp_reports_pivot_counts():
-    # max x subject to x <= 1: one phase-two pivot, no phase one
-    r = lp_maximize([1.0], [((1.0,), 1.0)])
-    assert (r.value, r.phase1_pivots, r.phase2_pivots) == (1.0, 0, 1)
-    # x >= 1 puts an artificial in the basis; phase one pivots it out
-    r = lp_maximize([1.0], [((-1.0,), -1.0), ((1.0,), 2.0)])
-    assert (r.value, r.phase1_pivots, r.phase2_pivots) == (2.0, 1, 1)
-    r = lp_maximize([1.0], [((-1.0,), -1.0)])
-    assert (r.status, r.phase1_pivots, r.phase2_pivots) == ("unbounded", 1, 0)
-    r = lp_maximize([1.0], [((1.0,), 0.0), ((-1.0,), -1.0)])
-    assert (r.status, r.phase2_pivots) == ("infeasible", 0)
-    assert lp_maximize([1.0], []).phase1_pivots == 0
-    assert LpResult(0.0, None, "optimal") == LpResult(0.0, None, "optimal", 0, 0)
+    # max x subject to x <= 1: one pivot from the slack basis
+    r = lp_maximize([1.0], hdomain([((1.0,), 1.0)]))
+    assert (r.value, r.pivots) == (1.0, 1)
+    # x <= -1 starts at x = -1, where the slack basis already sits at the top
+    r = lp_maximize([1.0], hdomain([((1.0,), -1.0), ((1.0,), 2.0)]))
+    assert (r.value, r.pivots) == (-1.0, 1)
+    r = lp_maximize([-1.0], hdomain([((1.0,), -1.0)]))
+    assert (r.status, r.pivots) == ("unbounded", 0)
+    assert lp_maximize([1.0], HDomain(1, ())).pivots == 0
+    assert LpResult(0.0, None, "optimal") == LpResult(0.0, None, "optimal", 0)

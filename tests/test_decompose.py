@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from reinhardt import (
+    Directions,
     ExplicitTable,
     HalfSpace,
     HDomain,
@@ -34,6 +36,7 @@ from conftest import (
     LN2,
     coeff_table,
     differential_rules,
+    exact_support,
     grid2,
     lattice_directions,
     reference_route_index,
@@ -239,6 +242,17 @@ def test_estimate_domain_recovers_the_wedge(f_zero, wedge_domain):
         assert abs(
             support_value(estimated, alpha) - support_value(wedge_domain, alpha)
         ) <= 0.05
+
+
+def test_wedge_offsets_are_the_exact_support_values_of_the_estimated_domain(f_zero):
+    # the decompose_simple_estimate_f0 golden case: f0, eleven directions, K = 32
+    dirs = Directions(json.loads((GOLDEN_INPUTS / "dirs11.json").read_text())["directions"])
+    estimated = estimate_domain(f_zero, dirs, 32)
+    halfspaces = decompose_simple(f_zero, estimated, dirs, 32).halfspaces
+    assert [hs.normal for hs in halfspaces] == list(dirs)
+    for hs in halfspaces:
+        exact = exact_support(estimated, hs.normal)
+        assert abs(Fraction(hs.offset) - exact) <= Fraction(math.ulp(float(exact))), hs
 
 
 def test_estimate_domain_refuses_a_truncation_below_1(f_zero):

@@ -5,11 +5,14 @@ with translation along (1, ..., 1) and is monotone in every coordinate; the
 full geometric series is symmetric under permuting the coordinates.  Routing
 by fsum l1 distance is exactly covariant under permuting the coordinates of
 the indices and the directions together, since fsum does not depend on the
-order of its terms.  Examples are derandomized, so every run draws the same
-cases.
+order of its terms.  The support function of an H-domain is positively
+homogeneous in its offsets and shifts by t when the domain moves by
+t (1, ..., 1), since its normals sum to 1; dyadic normals make that sum
+exact.  Examples are derandomized, so every run draws the same cases.
 """
 
 import itertools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,8 @@ from hypothesis import strategies as st
 from reinhardt import (
     ExplicitTable,
     FullGeometric,
+    HalfSpace,
+    HDomain,
     MultiIndex,
     RayGeometric,
     SeriesSpec,
@@ -24,6 +29,8 @@ from reinhardt import (
     SupportWeighted,
     decompose_elementary,
     hadamard_indicator,
+    lp_maximize,
+    support_value,
 )
 from conftest import lattice_directions
 
@@ -101,3 +108,59 @@ def test_routing_is_covariant_under_coordinate_permutations(case):
     ).assignment
     for j, row in routed.items():
         assert moved[MultiIndex(tuple(j.entries[i] for i in perm))] == row, j
+
+
+def dyadic_direction(n):
+    """A simplex direction of multiples of 1/16, whose coordinates sum to 1 exactly."""
+    cuts = st.lists(st.integers(min_value=0, max_value=16), min_size=n - 1, max_size=n - 1)
+    return cuts.map(lambda c: tuple(b / 16 - a / 16 for a, b in zip([0, *sorted(c)], [*sorted(c), 16])))
+
+
+# offsets of either sign from 1e-6 to 1 in size, or 0
+offset = st.integers(min_value=-10**6, max_value=10**6).map(lambda k: k * 1e-6)
+
+
+@st.composite
+def domain_and_direction(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    rows = draw(st.lists(st.tuples(dyadic_direction(n), offset), max_size=6))
+    return n, rows, draw(dyadic_direction(n))
+
+
+def support(n, rows, alpha, scale=1.0, shift=0.0):
+    return support_value(HDomain(n, tuple(HalfSpace(a, scale * c + shift) for a, c in rows)), alpha)
+
+
+@PROPERTY_SETTINGS
+@given(domain_and_direction(), st.sampled_from([1e-13, 1.0, 1e9]))
+def test_support_is_positively_homogeneous_in_the_offsets(case, scale):
+    n, rows, alpha = case
+    h, scaled = support(n, rows, alpha), support(n, rows, alpha, scale=scale)
+    if math.isinf(h):
+        assert scaled == h
+    else:
+        size = max([abs(c) for _, c in rows] + [abs(h)])
+        assert abs(scaled - scale * h) <= 1e-12 * scale * size
+
+
+@PROPERTY_SETTINGS
+@given(domain_and_direction(), st.floats(min_value=-1e3, max_value=1e3))
+def test_support_shifts_with_the_domain_along_the_diagonal(case, t):
+    n, rows, alpha = case
+    h, shifted = support(n, rows, alpha), support(n, rows, alpha, shift=t)
+    if math.isinf(h):
+        assert shifted == h
+    else:
+        size = max([abs(c) for _, c in rows] + [abs(h), abs(t)])
+        assert abs(shifted - (h + t)) <= 1e-12 * size
+
+
+@PROPERTY_SETTINGS
+@given(domain_and_direction())
+def test_every_hdomain_reads_optimal_or_unbounded(case):
+    n, rows, alpha = case
+    domain = HDomain(n, tuple(HalfSpace(a, c) for a, c in rows))
+    result = lp_maximize(alpha, domain)
+    assert result.status in ("optimal", "unbounded")
+    if result.status == "optimal":
+        assert domain.evaluate(result.witness) <= 1e-12 * max([abs(c) for _, c in rows] + [1.0])

@@ -346,6 +346,33 @@ def test_numpy_scalars_are_numbers_and_are_stored_as_floats():
     assert HalfSpace((1.0, 0.0), np.float16(0.5)).offset == 0.5
 
 
+@pytest.mark.parametrize("make", [
+    lambda c: RayGeometric((1, 1), c),
+    lambda c: ExplicitTable({(1, 0): c}),
+    lambda c: ExplicitTable({(1, 0): 1.0, (0, 1): c}),
+], ids=["ray", "table", "table-second-entry"])
+@pytest.mark.parametrize("c", ["2", True, False, "1+1j", None])
+def test_a_coefficient_that_is_a_bool_or_a_string_is_refused(make, c):
+    with pytest.raises(TypeError, match=re.escape(f"coefficient must be a number, got {c!r}")):
+        make(c)
+    # numpy scalars of every kind stay numbers
+    for number in (np.complex64(2 + 1j), np.float32(0.5), np.int64(3), 2, 0.5 - 1j):
+        make(number)
+
+
+@pytest.mark.parametrize("query", [
+    lambda series, p: classify(series, p, 16),
+    lambda series, p: probe(series, p, 32),
+], ids=["classify", "probe"])
+@pytest.mark.parametrize("bad", ["0.5", True, False, None])
+def test_a_point_coordinate_that_is_a_bool_or_a_string_is_refused(query, bad):
+    series = SeriesSpec(2, FullGeometric())
+    for point in ((0.5, bad), (bad, 0.5)):
+        with pytest.raises(TypeError, match=re.escape(f"point coordinate must be a number, got {bad!r}")):
+            query(series, point)
+    query(series, (np.float32(0.5), np.int64(0)))
+
+
 def test_zero_index_constant_term(full_geom, ray_diag):
     assert full_geom.constant_term() == 1.0
     assert ray_diag.constant_term() == 0.0
