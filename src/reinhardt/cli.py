@@ -223,6 +223,7 @@ def _cmd_direction_value(args) -> dict:
         alpha = SimplexDirection(tuple(args.direction))
     except ValueError as exc:
         raise InputError(f"--direction is not a simplex direction: {exc}") from exc
+    _same_dimension("--direction", alpha.dimension, args.source, source.dimension)
     return _report(
         args, direction=list(alpha.coords), value=_json_scalar(args.evaluate(source, alpha))
     )

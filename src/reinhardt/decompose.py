@@ -10,7 +10,11 @@ half-space estimate at its direction comes from its own tail window; the
 row's log image itself is a cone over the directions routed to it.  A row
 with an empty or overflowed tail window keeps an infinite level and an empty
 half-space marker, so the partition stays exhaustive.  Its exactness report
-counts the routed coefficients against the occurring ones of the scan.
+counts the routed coefficients against the occurring ones of the scan.  A
+row occurs where its log is above -inf, as every estimator reads it, so a
+coefficient that underflowed to 0.0 keeps its row and its closed-form log; a
+saved part writes it as 0.0, and the reloaded part reads it as a supported
+zero.
 
 decompose_simple pairs each routed row with the matching row of the
 realizing series for the prescribed region, then telescopes: with
@@ -113,15 +117,15 @@ def decompose_elementary(
 
     Every index with 1 <= |J| <= max_degree goes to the row of the nearest
     direction (ties to the smallest row); each part holds the occurring rows
-    of the series' coefficient table routed to it, coefficients and logs
-    unchanged.  The constant term is reported separately.
+    (log above -inf) of the series' coefficient table routed to it,
+    coefficients and logs unchanged.  The constant term is reported separately.
     """
     dirs = Directions(directions)
     if dirs.dimension != series.dimension:
         raise ValueError("direction dimension does not match the series")
     table = series.coefficient_table(max_degree)
     routes = l1_nearest(table.projections, dirs.columns)
-    occurring = np.flatnonzero(table.coefficients)
+    occurring = np.flatnonzero(table.logs != -inf)
 
     parts = []
     for n, alpha in enumerate(dirs):
@@ -230,13 +234,14 @@ def sum_domain_check(
 ) -> SumDomainReport:
     """Compare the sum's membership against the conjunction of part memberships.
 
-    Parts must be monomial-wise disjoint up to the truncation (violation
-    raises SupportsOverlap with a witness).  At each log-point the sum is
-    classified and compared with: outside if any part is outside, inside if
-    all parts are inside, otherwise unknown.  Agreement is reported over the
-    points where both sides are decisive; for a finite family the two tests
-    estimate the same region.  containment_only flags a sum with an empty
-    tail window, where every verdict is vacuously inside.
+    Parts must be monomial-wise disjoint up to the truncation, a row with a
+    log above -inf occurring (violation raises SupportsOverlap with a
+    witness).  At each log-point the sum is classified and compared with:
+    outside if any part is outside, inside if all parts are inside,
+    otherwise unknown.  Agreement is reported over the points where both
+    sides are decisive; for a finite family the two tests estimate the same
+    region.  containment_only flags a sum with an empty tail window, where
+    every verdict is vacuously inside.
     """
     parts = tuple(parts)
     if not parts:
@@ -247,13 +252,13 @@ def sum_domain_check(
         if p.dimension != dim:
             raise ValueError("parts have mixed dimensions")
         table = p.coefficient_table(max_degree)
-        for j in map(tuple, table.entries[table.coefficients != 0].tolist()):
+        for j in map(tuple, table.entries[table.logs != -inf].tolist()):
             if j in seen:
                 raise SupportsOverlap(MultiIndex(j))
             seen.add(j)
     total = SeriesSpec(dim, SumRule([p.rule for p in parts]), label="sum of parts")
     table = total.coefficient_table(max_degree)
-    tail_occupied = table.coefficients[table.tail_start:].any()
+    tail_occupied = (table.logs[table.tail_start:] != -inf).any()
 
     points = 0
     decisive = 0

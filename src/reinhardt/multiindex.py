@@ -40,6 +40,7 @@ __all__ = [
 _INT64_MAX = 2**63 - 1
 _SIMPLEX_SUM_TOL = 1e-12
 _DISTINCT_TOL = 1e-10
+_DISTINCT_BLOCK = 2**16
 # real number types, no bool among them, that as_real takes without the slower Real ABC check
 _PLAIN_REALS = frozenset((float, int, np.float64))
 # l1 distance is SimplexDirection.l1_distance's fsum; an array sum differs by up to N eps
@@ -129,9 +130,10 @@ class SimplexDirection:
 
 def _l1_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """D x M array sums of |column - center| for N x M columns and N x D centers."""
-    out = np.zeros((centers.shape[1], columns.shape[1]))
-    for coord, center in zip(columns, centers):
-        out += np.abs(coord - center[:, None])
+    out = np.abs(columns[0] - centers[0][:, None])  # 0.0 + x == x for the first coordinate
+    step = np.empty_like(out)
+    for coord, center in zip(columns[1:], centers[1:]):
+        out += np.abs(np.subtract(coord, center[:, None], out=step), out=step)
     return out
 
 
@@ -168,7 +170,10 @@ class Directions(tuple):
 
     Checked once, when built; a Directions given again is returned as it is.
     The pairwise test is quadratic on purpose: comparing neighbours after a
-    sort would miss close pairs that are not adjacent in the sort order.
+    sort would miss close pairs that are not adjacent in the sort order.  It
+    runs on blocks of rows of the distance matrix, at most _DISTINCT_BLOCK
+    entries each, and l1_within decides every pair the array sums put near
+    1e-10.
     """
 
     def __new__(cls, values):
@@ -179,9 +184,17 @@ class Directions(tuple):
             raise ValueError("need at least one direction")
         if len({d.dimension for d in dirs}) > 1:
             raise ValueError("directions have mixed dimensions")
-        for i in range(1, len(dirs)):
-            if l1_within(dirs.columns[:, :i], dirs.columns[:, i], _DISTINCT_TOL).any():
-                raise ValueError("directions must be pairwise distinct")
+        columns, count = dirs.columns, len(dirs)
+        near = _DISTINCT_TOL + 2 * _L1_SLACK_PER_COORD * len(columns)
+        rows = max(1, _DISTINCT_BLOCK // count)
+        for lo in range(0, count, rows):
+            hi = min(lo + rows, count)
+            # directions lo..hi-1 against every earlier one
+            close = _l1_distances(columns[:, :hi], columns[:, lo:hi]) <= near
+            close[:, lo:] = np.tril(close[:, lo:], -1)
+            for i, j in zip(*np.nonzero(close)):
+                if l1_within(columns[:, j : j + 1], columns[:, lo + i], _DISTINCT_TOL)[0]:
+                    raise ValueError("directions must be pairwise distinct")
         return dirs
 
     @property

@@ -47,17 +47,25 @@ class ProbeVerdict:
     partial: float
 
 
+def _or_inf(f, value) -> float:
+    """f(value) for abs or fsum, and +inf where the exact result leaves the float range."""
+    try:
+        return f(value)
+    except OverflowError:
+        return inf
+
+
 def block_sums(series: SeriesSpec, point, max_degree: int) -> list[float]:
     """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree, off the coefficient table.
 
-    An overflowing r^J makes its term +inf; each block is summed exactly.
+    Each block is summed exactly; a term or a block past the float range reads +inf.
     """
     r = series._check_point(point, radius=True)
     terms, starts = series.coefficient_table(max_degree).absolute_terms(r)
     terms = terms.tolist()
-    blocks = [[abs(series.constant_term())]]
+    blocks = [[_or_inf(abs, series.constant_term())]]
     blocks += [terms[starts[k] : starts[k + 1]] for k in range(1, max_degree + 1)]
-    return [fsum(b) for b in blocks]
+    return [_or_inf(fsum, b) for b in blocks]
 
 
 def probe(
@@ -84,8 +92,8 @@ def probe(
     if not 0.0 < margin < 0.5:
         raise ValueError("margin must lie in (0, 0.5)")
     blocks = block_sums(series, point, max_degree)
-    partial = fsum(blocks) if all(math.isfinite(b) for b in blocks) else inf
-    if math.isinf(partial):
+    partial = _or_inf(fsum, blocks)
+    if partial == inf:
         return ProbeVerdict(ProbeOutcome.DIVERGES, inf, inf)
     if sum(1 for b in blocks[1:] if b > 0.0) < _MIN_BLOCKS:
         return ProbeVerdict(ProbeOutcome.INCONCLUSIVE, math.nan, partial)

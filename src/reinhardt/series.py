@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from math import fsum, inf, log
+from math import inf, log
 from numbers import Complex
 from typing import NamedTuple
 
@@ -76,7 +76,10 @@ def _complex_from_json(value, name: str) -> complex:
 
 def _log_abs_over(c: complex, degree: int) -> float:
     """log|c| / degree for a rule without a closed form; -inf for zero."""
-    mag = abs(c)
+    try:
+        mag = abs(c)
+    except OverflowError:  # both parts are finite: |c| = 2 |c/2|, and halving is exact
+        return (log(abs(complex(c.real / 2, c.imag / 2))) + log(2.0)) / degree
     return log(mag) / degree if mag else -inf
 
 
@@ -474,7 +477,7 @@ class CoefficientTable(NamedTuple):
 
     The M x N int64 entries of the M scanned indices, the N x M projections
     J / |J| (rounded as project rounds them), the c_J (supported zeros
-    included), abs(c_J) and log|c_J|/|J|; the rows of degree k are
+    included), |c_J| and log|c_J|/|J|; the rows of degree k are
     offsets[k]:offsets[k + 1], and the tail window's rows are tail_start:.
     The probe reads no logs or projections.
     """
@@ -492,25 +495,22 @@ class CoefficientTable(NamedTuple):
 
         np.power does not round like libm pow, so the powers come from **.
         Factors multiply in coordinate order (x**0 == 1.0 leaves a product
-        unchanged), and a row with an overflowed power is +inf.
+        unchanged).  A product past the float range reads +inf, also where
+        the overflow met a zero factor and left a NaN.
         """
         out = np.ones(len(self.entries))
-        over = np.zeros(len(self.entries), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for x, column in zip(r, self.entries.T):
-                factors = np.array(_powers(x, len(self.offsets) - 2))[column]
-                out *= factors
-                over |= np.isinf(factors)
-        out[over] = inf
+                out *= np.array(_powers(x, len(self.offsets) - 2))[column]
+        out[np.isnan(out)] = inf
         return out
 
     def absolute_terms(self, r) -> tuple[np.ndarray, list[int]]:
-        """abs(c_J) r^J (+inf where abs(c_J) is) where c_J != 0, and where each degree starts."""
+        """|c_J| r^J where c_J != 0 (+inf past the float range), and where each degree starts."""
         keep = self.magnitudes != 0.0
-        mags = self.magnitudes[keep]
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = mags * self.monomials(r)[keep]
-        terms[mags == inf] = inf
+            terms = self.magnitudes[keep] * self.monomials(r)[keep]
+        terms[np.isnan(terms)] = inf  # an infinite |c_J| beside a zero r^J
         return terms, np.concatenate(([0], np.cumsum(keep)))[list(self.offsets)].tolist()
 
 
@@ -594,12 +594,14 @@ class SeriesSpec(JsonFile):
         if table is None:
             entries, coefficients, logs = self.rule.scan(self.dimension, range(1, max_degree + 1))
             sums = entries.sum(axis=1)
+            with np.errstate(over="ignore"):  # Python abs bit for bit, +inf where abs raises
+                magnitudes = np.hypot(coefficients.real, coefficients.imag)
             offsets = tuple(np.searchsorted(sums, range(max_degree + 2)).tolist())
             table = CoefficientTable(
                 entries,
                 (entries / sums[:, None]).T.copy(),
                 coefficients,
-                np.fromiter(map(abs, coefficients.tolist()), np.float64, len(coefficients)),
+                magnitudes,
                 logs,
                 offsets,
                 # below degree 1 the table is empty, and so is its tail window
@@ -609,18 +611,6 @@ class SeriesSpec(JsonFile):
                 array.flags.writeable = False
             self._tables[max_degree] = table
         return table
-
-    def partial_sum_abs(self, point, max_degree: int) -> float:
-        """sum of |c_J| r^J over 0 <= |J| <= max_degree; +inf on overflow.
-
-        Accumulated with exact summation, so the value depends only on the
-        multiset of terms, not on enumeration order.
-        """
-        r = self._check_point(point, radius=True)
-        terms, _ = self.coefficient_table(max_degree).absolute_terms(r)
-        if np.isinf(terms).any():
-            return inf
-        return fsum([abs(self.constant_term())] + terms.tolist())
 
     def slice_coefficients(self, point, max_degree: int) -> list[complex]:
         """a_k = sum of c_J r^J over |J| = k, for k = 0..max_degree.

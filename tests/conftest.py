@@ -357,8 +357,10 @@ def lattice_directions(dimension: int, degree: int):
 
 
 # The per-term linear scans that the coefficient table replaced, kept
-# verbatim (as functions of the series) as their bit-for-bit references;
-# an overflowed |c_J| reads +inf beside any r^J, as in the table.
+# verbatim (as functions of the series) as their bit-for-bit references.
+# A value past the float range reads +inf: an overflowed |c_J| beside any
+# r^J, an r^J whose overflow met a zero factor, and a block whose exact sum
+# overflows.
 
 
 def _power(point, index) -> float:
@@ -367,7 +369,15 @@ def _power(point, index) -> float:
         for base, e in zip(point, index.entries):
             if e:
                 p *= base**e
-        return p
+    except OverflowError:
+        return math.inf
+    return math.inf if math.isnan(p) else p
+
+
+def or_inf(f, value) -> float:
+    """f(value) for abs or fsum, and +inf where f raises OverflowError."""
+    try:
+        return f(value)
     except OverflowError:
         return math.inf
 
@@ -375,26 +385,23 @@ def _power(point, index) -> float:
 def reference_block_sums(series, point, max_degree):
     """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree."""
     r = series._check_point(point, radius=True)
-    blocks = [[abs(series.constant_term())]] + [[] for _ in range(max_degree)]
+    blocks = [[or_inf(abs, series.constant_term())]] + [[] for _ in range(max_degree)]
     for j, c, _ in reference_triples(series, range(1, max_degree + 1)):
-        mag = abs(c)
+        mag = or_inf(abs, c)
         if mag:
             blocks[j.degree].append(inf if mag == inf else mag * _power(r, j))
-    return [math.fsum(b) for b in blocks]
+    return [or_inf(math.fsum, b) for b in blocks]
 
 
 def reference_partial_sum_abs(series, point, max_degree):
+    """sum of |c_J| r^J over 0 <= |J| <= max_degree, each term once, rounded once; +inf on overflow."""
     r = series._check_point(point, radius=True)
-    parts = [abs(series.constant_term())]
+    parts = [or_inf(abs, series.constant_term())]
     for j, c, _ in reference_triples(series, range(1, max_degree + 1)):
-        mag = abs(c)
-        if mag == 0.0:
-            continue
-        t = mag * _power(r, j)
-        if mag == inf or math.isinf(t):
-            return math.inf
-        parts.append(t)
-    return math.fsum(parts)
+        mag = or_inf(abs, c)
+        if mag:
+            parts.append(inf if mag == inf else mag * _power(r, j))
+    return or_inf(math.fsum, parts)
 
 
 def reference_slice_coefficients(series, point, max_degree):

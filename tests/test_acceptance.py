@@ -36,6 +36,7 @@ from conftest import (
     hrep_boundary_points,
     NEGATIVE_DOMAINS,
     hdomain,
+    reference_partial_sum_abs,
     vertex_support_oracle,
 )
 
@@ -180,10 +181,10 @@ def test_criterion_6_elementary_decomposition(f_zero, wedge_domain):
         h = support_value(wedge_domain, part.direction)
         assert part.level <= -h + 0.02, part.direction.coords
     r = (0.7, 0.55)
-    lhs = math.fsum(p.series.partial_sum_abs(r, 64) for p in dec.parts) + abs(
+    lhs = math.fsum(reference_partial_sum_abs(p.series, r, 64) for p in dec.parts) + abs(
         dec.constant_part
     )
-    rhs = f_zero.partial_sum_abs(r, 64)
+    rhs = reference_partial_sum_abs(f_zero, r, 64)
     assert lhs == rhs  # relative error exactly 0: pure routing
     report(
         f"criterion 6 PASS: {len(original)} coefficients partitioned bitwise across "

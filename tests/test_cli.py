@@ -207,6 +207,31 @@ def test_slice_radius_cli(capsys, files):
     assert value == pytest.approx(1.0 / peak, rel=1e-9)
 
 
+def test_finite_terms_whose_sum_overflows_read_divergence(capsys, files):
+    # at (1e154, 1e154) every term is finite, and the degree-2 block is past the range
+    code, out = run(capsys, ["probe", files["full_geom"], "--point", "1e154", "1e154", "-K", "32"])
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "class": "diverges", "tail_ratio": "inf", "partial": "inf"
+    }
+    # exp(354.5) is about 1e154: one such grid point no longer aborts the run
+    code, out = run(capsys, ["check", files["full_geom"], "--grid=354.5:354.6:2", "-K", "32"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["points"] == 4 and report["decisive"] == 4 and report["agreement"] == 1.0
+
+
+def test_a_coefficient_whose_magnitude_overflows_is_read(tmp_path, capsys):
+    from reinhardt import ExplicitTable
+
+    big = tmp_path / "big.json"
+    SeriesSpec(2, ExplicitTable({(1, 0): complex(1.7e308, 1.7e308)})).save(big)
+    code, out = run(capsys, ["domain", str(big), "--grid=-1:1:2"])
+    assert code == 0
+    rows = [l for l in out.strip().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 4
+
+
 def test_input_errors_exit_2(tmp_path, capsys, files):
     missing = str(tmp_path / "nope.json")
     code = main(["probe", missing, "--point", "0.5", "0.5"])
@@ -675,6 +700,24 @@ def test_an_lp_whose_tableau_overflows_exits_2(tmp_path, capsys):
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: an LP over {region} overflowed: overflow encountered")
+
+
+def test_a_direction_of_another_dimension_is_named(tmp_path, capsys, monkeypatch, files):
+    import reinhardt.convex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP ran before the check")
+
+    monkeypatch.setattr(reinhardt.convex, "lp_maximize", refuse)
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps({"directions": [[0.0, 1.0], [1.0, 0.0]], "values": [0.0, 0.0]}))
+    for argv, path in ((["support", "--domain", files["wedge"]], files["wedge"]),
+                       (["envelope", "--samples", str(samples)], str(samples))):
+        code = main(argv + ["--direction", "0.2", "0.3", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --direction has dimension 3, but {path} has dimension 2\n"
 
 
 @pytest.mark.parametrize("argv, error", [

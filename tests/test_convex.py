@@ -77,6 +77,15 @@ def test_support_value_unbounded_is_a_value():
     assert support_value(slab, (0.0, 1.0)) == INF
 
 
+@pytest.mark.xfail(strict=True, reason="PIVOT_TOL = 1e-9 on reduced costs is absolute, "
+                   "so a direction within 1e-9 of the bounded axis reads bounded")
+def test_a_direction_near_an_axis_sees_the_unbounded_ray():
+    # {s1 <= 0} is unbounded in s2, so its support is +inf wherever alpha_2 > 0
+    half = HDomain(2, (HalfSpace((1.0, 0.0), 0.0),))
+    assert support_value(half, (0.99999999, 1e-8)) == INF
+    assert support_value(half, (0.9999999999, 1e-10)) == INF
+
+
 def test_support_subadditivity_random(wedge_domain, third_quadrant, triangle_domain):
     rng = random.Random(99)
     for domain in (wedge_domain, third_quadrant, triangle_domain):

@@ -21,6 +21,7 @@ from reinhardt import (
     SumRule,
     SupportWeighted,
     SupportsOverlap,
+    classify,
     convex_closure_value,
     decompose_elementary,
     decompose_simple,
@@ -39,6 +40,7 @@ from conftest import (
     exact_support,
     grid2,
     lattice_directions,
+    reference_partial_sum_abs,
     reference_route_index,
     scan_terms,
 )
@@ -97,9 +99,9 @@ def test_partition_is_exact_bitwise(f_zero):
     original = coeff_table(f_zero, 64)
     assert routed == original  # identical keys, bitwise-identical values
     partial_parts = math.fsum(
-        p.series.partial_sum_abs((0.7, 0.6), 64) for p in dec.parts
+        reference_partial_sum_abs(p.series, (0.7, 0.6), 64) for p in dec.parts
     )
-    whole = f_zero.partial_sum_abs((0.7, 0.6), 64)
+    whole = reference_partial_sum_abs(f_zero, (0.7, 0.6), 64)
     constant = abs(f_zero.constant_term())
     # routing never alters a coefficient: exact to the last bit
     assert math.fsum([partial_parts, constant, -whole]) == pytest.approx(0.0, abs=0.0)
@@ -124,6 +126,27 @@ def test_empty_rows_keep_infinite_level():
         else:
             assert part.level == INF
             assert part.halfspace is None
+
+
+def test_an_underflowed_coefficient_keeps_its_row(tmp_path):
+    # exp(-40 |J|) underflows to 0.0 from |J| ~ 18 on; the scan keeps log -40 on all 57 rows
+    series = SeriesSpec(2, SupportWeighted([(0.5, 0.5)], [40.0], per_row=64))
+    table = series.coefficient_table(64)
+    assert (table.logs == -40.0).sum() == 57 and np.count_nonzero(table.coefficients) == 11
+    dec = decompose_elementary(series, [(0.5, 0.5), (1.0, 0.0)], 64)
+    assert dec.exactness() == {"routed": 57, "occurring": 57, "ok": True}
+    assert dec.parts[0].level == -40.0
+    assert dec.parts[0].halfspace == HalfSpace((0.5, 0.5), 40.0)
+    assert dec.parts[1].level == INF and dec.parts[1].halfspace is None
+    # the parts read as the series does, outside at (45, 45)
+    report = sum_domain_check([p.series for p in dec.parts], 64, [(45.0, 45.0), (-45.0, -45.0)])
+    assert not report.containment_only
+    assert (report.decisive, report.agreement) == (2, 1.0)
+    assert classify(dec.parts[0].series, (45.0, 45.0), 64).membership is Membership.OUTSIDE
+    # a saved part writes such a coefficient as 0.0, and reloads it as a supported zero
+    dec.parts[0].series.save(tmp_path / "part.json")
+    reloaded = SeriesSpec.load(tmp_path / "part.json").coefficient_table(64)
+    assert len(reloaded.entries) == 57 and np.count_nonzero(reloaded.logs != -INF) == 11
 
 
 def test_decompose_simple_telescoping(full_geom, third_quadrant):

@@ -217,6 +217,27 @@ def test_directions_refuse_exactly_the_pairs_the_fsum_loop_refuses(n):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("block", [1, 12, 30, 2**16])
+def test_directions_find_a_close_pair_in_any_block(monkeypatch, block):
+    # 12 directions per block of 12 x 12 distances at most; the pair may share a block or not
+    import reinhardt.multiindex
+
+    monkeypatch.setattr(reinhardt.multiindex, "_DISTINCT_BLOCK", block * 12)
+    rng = random.Random(block)
+    base = [_random_direction(rng, 3) for _ in range(12)]
+    assert len(Directions(base)) == 12
+    for first, second in [(0, 1), (0, 11), (5, 6), (3, 9), (10, 11)]:
+        for t in (1e-10 - 2.0**-54, 1e-10 + 2.0**-54, 1e-11):
+            close = _shifted(base[first], 0, 1, t)
+            dirs = base[:second] + [close] + base[second + 1 :]
+            try:
+                got = len(Directions(dirs)) == len(dirs)
+            except ValueError as exc:
+                assert str(exc) == "directions must be pairwise distinct"
+                got = False
+            assert got == _fsum_distinct(dirs), (first, second, t)
+
+
 def _left_to_right(column, center):
     """The l1 distance summed coordinate by coordinate, as the array pass rounds it."""
     acc = 0.0

@@ -62,6 +62,20 @@ def test_probe_overflow_is_divergence(full_geom):
     assert verdict.outcome is ProbeOutcome.DIVERGES
 
 
+def test_finite_terms_whose_exact_sum_overflows_read_divergence(full_geom):
+    # every term is finite (1e154^2 = 1e308), but three of them make a block past the range
+    blocks = block_sums(full_geom, (1e154, 1e154), 32)
+    assert blocks[:2] == [1.0, 2e154] and blocks[2:] == [INF] * 31
+    verdict = probe(full_geom, (1e154, 1e154), 32)
+    assert verdict == ProbeVerdict(ProbeOutcome.DIVERGES, INF, INF)
+
+
+def test_an_overflowed_constant_term_reads_divergence():
+    series = SeriesSpec(2, ExplicitTable({(0, 0): complex(1.7e308, 1.7e308), (1, 0): 1.0}))
+    assert block_sums(series, (0.5, 0.5), 32)[:2] == [INF, 0.5]
+    assert probe(series, (0.5, 0.5), 32).outcome is ProbeOutcome.DIVERGES
+
+
 def test_probe_sparse_support_needs_enough_blocks():
     thin = SeriesSpec(2, ExplicitTable({(4, 4): 1.0, (8, 8): 1.0}))
     assert probe(thin, (1.0, 1.0)).outcome is ProbeOutcome.INCONCLUSIVE
@@ -193,6 +207,16 @@ def test_block_sums_match_the_per_term_loop_bit_for_bit(dimension, max_degree):
             assert all(map(same_float, got, expected)), (series.label, r)
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4])
+def test_block_sums_hold_no_nan(dimension):
+    # at N = 3, the rows (1, 1, c) overflow at (1e200, 1e200, 0) and then meet 0^c
+    for max_degree in (32, 64):
+        for series in linear_scan_corpus(dimension, max_degree):
+            for r in linear_scan_radii(dimension):
+                blocks = block_sums(series, r, max_degree)
+                assert not any(map(math.isnan, blocks)), (series.label, r, max_degree)
+
+
 def test_block_sums_never_read_the_log_table(f_zero):
     r = (0.7, 0.9)
     expected = reference_block_sums(f_zero, r, 64)
@@ -220,7 +244,6 @@ def test_the_probe_reads_no_log_or_projection_of_the_shared_table(f_zero):
         return (
             block_sums(series, r, max_degree),
             probe(series, r, max_degree),
-            series.partial_sum_abs(r, max_degree),
             series.slice_coefficients(r, max_degree),
         )
 

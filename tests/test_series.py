@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import struct
 import weakref
 
 import numpy as np
@@ -29,6 +30,7 @@ from reinhardt import (
     probe,
 )
 from reinhardt.cli import main
+from reinhardt.oracle import ProbeOutcome, block_sums
 from reinhardt.series import CoefficientRule, tail_window
 
 from conftest import (
@@ -36,7 +38,8 @@ from conftest import (
     differential_rules,
     linear_scan_corpus,
     linear_scan_radii,
-    reference_partial_sum_abs,
+    or_inf,
+    reference_block_sums,
     reference_slice_coefficients,
     reference_terms,
     same_float,
@@ -66,23 +69,28 @@ def test_log_abs_coeff_normalized_examples(full_geom, ray_diag):
         full_geom.log_abs_coeff_normalized((0, 0))
 
 
+def partial_sum(series, point, max_degree):
+    """The sum of |c_J| r^J over 0 <= |J| <= max_degree as the probe takes it, at any K."""
+    return math.fsum(block_sums(series, point, max_degree))
+
+
 def test_partial_sum_abs_examples(full_geom, ray_diag):
     # product of geometric sums 1/(1-1/2)^2 = 4, approached from below
-    val = full_geom.partial_sum_abs((0.5, 0.5), 64)
+    val = probe(full_geom, (0.5, 0.5), 64).partial
     assert val == pytest.approx(4.0, abs=1e-6)
-    assert full_geom.partial_sum_abs((0.5, 0.5), 16) < 4.0
-    assert full_geom.partial_sum_abs((0.0, 0.0), 10) == 1.0
+    assert partial_sum(full_geom, (0.5, 0.5), 16) < 4.0
+    assert partial_sum(full_geom, (0.0, 0.0), 10) == 1.0
     # finite geometric sum over even degrees up to 10: 2 + 4 + ... + 32
-    assert ray_diag.partial_sum_abs((1.0, 1.0), 10) == 62.0
+    assert partial_sum(ray_diag, (1.0, 1.0), 10) == 62.0
     # overflow is a value, not an error
-    assert full_geom.partial_sum_abs((1e6, 1e6), 64) == math.inf
+    assert probe(full_geom, (1e6, 1e6), 64).partial == math.inf
 
 
 @pytest.mark.parametrize("max_degree", [0, -2])
 def test_a_truncation_below_degree_1_keeps_only_the_constant_term(full_geom, max_degree):
     # the table is empty, and so is its tail window
     assert full_geom.coefficient_table(max_degree).tail_start == 0
-    assert full_geom.partial_sum_abs((0.5, 0.5), max_degree) == 1.0
+    assert block_sums(full_geom, (0.5, 0.5), max_degree) == [1.0]
     assert full_geom.slice_coefficients((0.5, 0.5), max_degree) == [1 + 0j]
 
 
@@ -90,10 +98,10 @@ def test_partial_sum_monotone(full_geom, f_zero):
     rng = random.Random(11)
     for series in (full_geom, f_zero):
         r = (rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
-        sums = [series.partial_sum_abs(r, K) for K in (4, 8, 16, 32)]
+        sums = [partial_sum(series, r, K) for K in (4, 8, 16, 32)]
         assert sums == sorted(sums)
         grown = tuple(min(1.02 * x, x + 0.05) for x in r)
-        assert series.partial_sum_abs(grown, 32) >= sums[-1]
+        assert probe(series, grown, 32).partial >= sums[-1]
 
 
 def test_slice_coefficients_examples(full_geom, ray_diag):
@@ -466,7 +474,7 @@ def test_sum_of_rows_has_the_max_of_their_indicators():
 def test_points_must_be_finite(full_geom):
     for point in [(math.nan, 0.5), (math.inf, 0.5)]:
         with pytest.raises(ValueError, match="finite"):
-            full_geom.partial_sum_abs(point, 16)
+            block_sums(full_geom, point, 16)
         with pytest.raises(ValueError):
             full_geom.slice_coefficients(point, 16)
 
@@ -500,7 +508,7 @@ def test_one_coefficient_table_per_series_and_truncation(monkeypatch):
     assert calls == [range(1, 33)]
     direction_functional(series, (0.5, 0.5), 0.1, 32)
     probe(series, (0.5, 0.5), 32)
-    series.partial_sum_abs((0.8, 0.1), 32)
+    block_sums(series, (0.8, 0.1), 32)
     series.slice_coefficients((0.8, 0.1), 32)
     decompose_elementary(series, [(0.5, 0.5), (1.0, 0.0)], 32)
     assert classify(series, (0.1, -0.2), max_degree=32) == first
@@ -579,7 +587,7 @@ def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
     calls.clear()
     assert probe(series, (0.5, 0.5), 32) == first
     probe(series, (0.8, 0.1), 32)
-    series.partial_sum_abs((0.8, 0.1), 32)
+    block_sums(series, (0.8, 0.1), 32)
     series.slice_coefficients((0.8, 0.1), 32)
     assert calls == []
 
@@ -604,20 +612,56 @@ def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
 
 def test_an_overflowed_coefficient_reads_inf_beside_an_underflowed_monomial():
     # |c_k| = 1e10^k overflows from degree 31 on, where (1e-12)^k has underflowed to 0
-    from reinhardt.oracle import ProbeOutcome, block_sums
-
     series = SeriesSpec(1, RayGeometric((1,), 1e10))
-    assert series.partial_sum_abs((1e-12,), 64) == math.inf
     assert block_sums(series, (1e-12,), 64)[31:] == [math.inf] * 34
-    assert probe(series, (1e-12,), 64).outcome is ProbeOutcome.DIVERGES
+    verdict = probe(series, (1e-12,), 64)
+    assert verdict.outcome is ProbeOutcome.DIVERGES and verdict.partial == math.inf
+
+
+def test_a_coefficient_whose_magnitude_overflows_keeps_a_finite_log():
+    # |c| = 1.7e308 * sqrt(2) is past the float range, log|c| is not
+    series = SeriesSpec(2, ExplicitTable({(1, 0): complex(1.7e308, 1.7e308)}))
+    table = series.coefficient_table(8)
+    expected = 710.0734104835083
+    assert abs(table.logs[0] - expected) <= math.ulp(expected)
+    assert table.magnitudes.tolist() == [math.inf]
+    ray = SeriesSpec(2, RayGeometric((1, 1), complex(1.7e308, 1.7e308)))
+    assert abs(ray.coefficient_table(8).logs[0] - expected / 2) <= math.ulp(expected / 2)
+    half = ExplicitTable({(1, 0): complex(0.85e308, 0.85e308)})
+    summed = SeriesSpec(2, SumRule([half, half]))
+    assert abs(summed.coefficient_table(8).logs[0] - expected) <= math.ulp(expected)
+
+
+def test_magnitudes_are_python_abs_bit_for_bit():
+    rng = random.Random(5)
+    specials = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1.0, -3.0, 4.0, 1e154,
+                -1e308, 1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf]
+
+    def part():
+        pick = rng.random()
+        if pick < 0.4:
+            return rng.choice(specials)
+        if pick < 0.7:
+            bits = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+            return 1.0 if math.isnan(bits) else bits
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320, 308)
+
+    # the first value is one where abs raises
+    values = [complex(1.7e308, -1.7e308)] + [complex(part(), part()) for _ in range(4000)]
+    series = SeriesSpec(1, ExplicitTable({(k + 1,): c for k, c in enumerate(values)}))
+    got = series.coefficient_table(len(values)).magnitudes.tolist()
+    for c, mag in zip(values, got):
+        assert same_float(mag, or_inf(abs, c)), c
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4])
 def test_linear_scans_match_the_per_term_loops_bit_for_bit(dimension):
     for series in linear_scan_corpus(dimension, 33):
         for r in linear_scan_radii(dimension):
-            got = series.partial_sum_abs(r, 33)
-            assert same_float(got, reference_partial_sum_abs(series, r, 33)), (series.label, r)
+            # the probe's partial sum is the exact sum of its exactly summed blocks
+            got = probe(series, r, 33).partial
+            expected = or_inf(math.fsum, reference_block_sums(series, r, 33))
+            assert same_float(got, expected), (series.label, r)
             if min(r) > 0.0:
                 got = series.slice_coefficients(r, 33)
                 expected = reference_slice_coefficients(series, r, 33)
