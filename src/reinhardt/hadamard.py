@@ -172,17 +172,14 @@ def slice_radius(series: SeriesSpec, point, max_degree: int = DEFAULT_MAX_DEGREE
     """Root-test radius estimate of the one-variable slice along a positive ray.
 
     Combines like powers along the ray through the point, then inverts the
-    tail-window maximum of |a_k|^(1/k).  +inf when every windowed slice
-    coefficient vanishes.
+    tail-window maximum of |a_k|^(1/k), with |a_k| the np.hypot of its parts
+    as the table takes |c_J|: past the float range it reads +inf, radius 0.0.
+    +inf when every windowed slice coefficient vanishes.
     """
     coeffs = series.slice_coefficients(point, max_degree)
-    best = 0.0
-    for k in tail_window(max_degree):
-        mag = abs(coeffs[k])
-        if mag > 0.0:
-            root = mag ** (1.0 / k)
-            if root > best:
-                best = root
-    if best == 0.0:
-        return inf
-    return 1.0 / best
+    window = tail_window(max_degree)
+    a = np.array(coeffs[window.start:])
+    with np.errstate(over="ignore"):
+        mags = np.hypot(a.real, a.imag).tolist()
+    best = max((m ** (1.0 / k) for k, m in zip(window, mags) if m > 0.0), default=0.0)
+    return inf if best == 0.0 else 1.0 / best

@@ -184,6 +184,8 @@ class Directions(tuple):
             raise ValueError("need at least one direction")
         if len({d.dimension for d in dirs}) > 1:
             raise ValueError("directions have mixed dimensions")
+        if len(dirs) == 1:  # no pair to compare
+            return dirs
         columns, count = dirs.columns, len(dirs)
         near = _DISTINCT_TOL + 2 * _L1_SLACK_PER_COORD * len(columns)
         rows = max(1, _DISTINCT_BLOCK // count)

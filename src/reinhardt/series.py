@@ -83,6 +83,39 @@ def _log_abs_over(c: complex, degree: int) -> float:
     return log(mag) / degree if mag else -inf
 
 
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float
+
+
+def _unit_phase(c: complex) -> complex:
+    """c / |c|: exactly +-1 for a real c, a signed zero included.
+
+    Otherwise both parts are first scaled by one power of two, so that the
+    larger is in [1/2, 1): no subnormal |c| divides, and no |c| overflows.
+    """
+    if c.imag == 0.0:
+        return math.copysign(1.0, c.real)
+    e = math.frexp(max(abs(c.real), abs(c.imag)))[1]
+    c = complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+    return c / float(np.hypot(c.real, c.imag))
+
+
+def _merged_log(coefficients: list, logs: list, degree: int) -> float:
+    """log|sum of c_i| / degree from the members' closed-form logs, -inf where the sum is 0.
+
+    m + log|S| / degree, with m the largest log_i and S the sum of
+    e^(degree (log_i - m)) u_i over the members, u_i the unit phase of c_i:
+    a log-sum-exp with phases (P. Blanchard, D. J. Higham and N. J. Higham,
+    IMA J. Numer. Anal. 41(4), 2021), so coefficients that underflowed still
+    count; -inf logs add nothing.  A complex c_i that underflowed to 0j has
+    lost its phase; it counts as the real zero it holds.
+    """
+    m, s = max(logs), 0.0j
+    for c, v in zip(coefficients, logs):  # onto 0j in member order, as the sum itself
+        s += math.exp(degree * (v - m)) * _unit_phase(c)
+    mag = float(np.hypot(s.real, s.imag))
+    return m + log(mag) / degree if mag else -inf
+
+
 class CoefficientRule:
     """Total assignment of a complex coefficient to every multi-index.
 
@@ -390,8 +423,10 @@ class SumRule(CoefficientRule):
 
         One index's rows are added onto 0j in member order.  An index where
         exactly one member has a log above -inf keeps that member's log;
-        log|sum|/|J| is used only where two or more are nonzero.  Members
-        holding +inf and -inf at one index raise ValueError.
+        log|sum|/|J| is used only where two or more are nonzero, and where
+        that sum and a member with a finite log lie below the smallest normal
+        float, _merged_log keeps it in closed form.  Members holding +inf and
+        -inf at one index raise ValueError.
         """
         entries, coefficients, logs = (np.concatenate(a) for a in zip(
             *(m.scan(dimension, degrees) for m in self.members)))
@@ -405,8 +440,13 @@ class SumRule(CoefficientRule):
         with np.errstate(invalid="ignore"):  # opposite infinities: NaN, refused below
             np.add.at(summed, group, coefficients)
         nonzero = np.bincount(group, logs != -inf, len(starts))
+        with np.errstate(over="ignore"):
+            small = np.hypot(coefficients.real, coefficients.imag) < _TINY
+            underflowed = (np.hypot(summed.real, summed.imag) < _TINY) & (
+                np.bincount(group, small & np.isfinite(logs), len(starts)) > 0)
         # with one log above -inf, that log is its index's maximum
         merged = np.maximum.reduceat(logs, starts) if len(starts) else logs
+        ends = np.append(starts[1:], len(entries))
         for k in np.flatnonzero(nonzero > 1).tolist():
             c, j = summed[k].item(), tuple(entries[starts[k]].tolist())
             if cmath.isnan(c):
@@ -414,7 +454,9 @@ class SumRule(CoefficientRule):
                     f"sum members hold opposite infinities at index {j}; "
                     "the coefficient there is undefined"
                 )
-            merged[k] = _log_abs_over(c, sum(j))
+            rows = slice(starts[k], ends[k])
+            merged[k] = (_merged_log(coefficients[rows].tolist(), logs[rows].tolist(), sum(j))
+                         if underflowed[k] else _log_abs_over(c, sum(j)))
         return entries[starts], summed, merged
 
     def to_json(self) -> dict:
@@ -617,17 +659,20 @@ class SeriesSpec(JsonFile):
 
         These are the coefficients of the one-variable series obtained by
         restricting to the ray through r and combining like powers.  Each
-        c_J r^J is a Python complex times a float, added in scan order, since
-        numpy's complex times real can flip the sign of a zero part.
+        c_J r^J, with c_J = a + bi and p = r^J, has the parts (a p - b 0.0,
+        a 0.0 + b p) of Python's complex times float, and adds onto 0j in scan order.
         """
         r = self._check_point(point, positive=True)
+        if max_degree < 1:
+            return [self.constant_term()]
         table = self.coefficient_table(max_degree)
-        out = [self.constant_term()] + [0.0j] * max_degree
-        c, p = table.coefficients.tolist(), table.monomials(r).tolist()
-        for k in range(1, max_degree + 1):
-            for i in range(table.offsets[k], table.offsets[k + 1]):
-                out[k] += c[i] * p[i]
-        return out
+        c, p = table.coefficients, table.monomials(r)
+        terms, out = np.empty_like(c), np.zeros(max_degree + 1, np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf within a degree is NaN
+            terms.real = c.real * p - c.imag * 0.0
+            terms.imag = c.real * 0.0 + c.imag * p
+            np.add.at(out, np.repeat(np.arange(max_degree + 1), np.diff(table.offsets)), terms)
+        return [self.constant_term()] + out[1:].tolist()
 
     def to_json(self) -> dict:
         return {

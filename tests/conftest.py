@@ -12,6 +12,7 @@ import cmath
 import functools
 import math
 import random
+import sys
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -299,12 +300,35 @@ def _reference_log_abs_over(c, degree):
     return math.log(mag) / degree
 
 
-def _reference_summed_log(index, c, degree):
+def _reference_phase(c):
+    """c / |c| for one member: +-1 for a real c, else c with its parts scaled into [1/2, 1)."""
+    if c.imag == 0.0:
+        return math.copysign(1.0, c.real)
+    e = math.frexp(max(abs(c.real), abs(c.imag)))[1]
+    c = complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+    return c / abs(c)
+
+
+def _reference_summed_log(index, c, degree, members):
+    """log|c|/|J| of a sum of two or more nonzero members, given as (c_i, log_i) pairs.
+
+    Where c and a member with a finite log lie below the smallest normal
+    float, the log-sum-exp of the members' logs with their phases instead.
+    """
     if cmath.isnan(c):
         raise ValueError(
             f"sum members hold opposite infinities at index {index.entries}; "
             "the coefficient there is undefined"
         )
+    tiny = sys.float_info.min
+    if or_inf(abs, c) < tiny and any(
+        math.isfinite(v) and or_inf(abs, ci) < tiny for ci, v in members
+    ):
+        top = max(v for _, v in members)
+        total = 0.0j
+        for ci, v in members:
+            total += math.exp(degree * (v - top)) * _reference_phase(ci)
+        return top + math.log(abs(total)) / degree if total else -inf
     return _reference_log_abs_over(c, degree)
 
 
@@ -340,14 +364,15 @@ def reference_terms(rule, dimension: int, degree: int):
     merged = {}
     for m in rule.members:
         for j, c, v in reference_terms(m, dimension, degree):
-            entry = merged.setdefault(j, [0.0j, -inf, 0])
+            entry = merged.setdefault(j, [0.0j, -inf, 0, []])
             entry[0] += c
+            entry[3].append((c, v))
             if v != -inf:
                 entry[1] = v
                 entry[2] += 1
     return [
-        (j, c, v if n < 2 else _reference_summed_log(j, c, degree))
-        for j, (c, v, n) in sorted(merged.items(), key=lambda item: item[0].entries)
+        (j, c, v if n < 2 else _reference_summed_log(j, c, degree, members))
+        for j, (c, v, n, members) in sorted(merged.items(), key=lambda item: item[0].entries)
     ]
 
 
@@ -429,6 +454,9 @@ def differential_rules(n):
     }
     sw_dirs, sw_values = ((diag, axis), (0.3, -0.2)) if n > 1 else ((axis,), (0.3,))
     weighted = SupportWeighted(sw_dirs, sw_values, per_row=80, base=4)
+    # e^(-40 |J|) is below the smallest normal float from degree 18 on
+    sw40, sw40_negated = (SupportWeighted([diag], [40.0], per_row=130, base=1, scale=scale)
+                          for scale in (1.0, -1.0))
     return {
         "full_geometric": FullGeometric(),
         "ray_geometric": RayGeometric(ray, 1.5 - 0.5j),
@@ -441,6 +469,8 @@ def differential_rules(n):
         "support_weighted_scaled": SupportWeighted(sw_dirs, sw_values, per_row=80, base=4,
                                                    scale=-0.375),
         "sum_dense": SumRule([FullGeometric(), RayGeometric((1,) * n, 2.0), ExplicitTable(table)]),
+        # members that underflowed: their merged log keeps -40 in closed form
+        "sum_underflow": SumRule([sw40, sw40, sw40_negated]),
         # opposite infinities meet at one index, where the sum is undefined
         "sum_nan_log": SumRule(
             [weighted, ExplicitTable({_index(6, n): inf}), ExplicitTable({_index(6, n): -inf})]

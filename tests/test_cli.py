@@ -232,6 +232,17 @@ def test_a_coefficient_whose_magnitude_overflows_is_read(tmp_path, capsys):
     assert len(rows) == 4
 
 
+def test_a_slice_coefficient_whose_magnitude_overflows_gives_radius_zero(tmp_path, capsys):
+    from reinhardt import ExplicitTable
+
+    big = tmp_path / "big.json"
+    SeriesSpec(2, ExplicitTable({(1, 0): complex(1.7e308, 1.7e308)})).save(big)
+    code = main(["slice-radius", str(big), "--point", "1", "1", "-K", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["value"] == 0.0
+
+
 def test_input_errors_exit_2(tmp_path, capsys, files):
     missing = str(tmp_path / "nope.json")
     code = main(["probe", missing, "--point", "0.5", "0.5"])

@@ -8,7 +8,8 @@ every file it wrote against tests/golden/expected/<case>/.
 The corpus is fixed and keeps the numerical edge cases on purpose: overflowed
 coefficients and probe sums, ray powers that overflow past repeated squaring,
 a probe whose blocks all lie above K/2 (a NaN tail ratio, printed as null),
-an empty tail window, N=3 routing on lattice directions, and a wedge
+an empty tail window, a slice coefficient past the float range, a sum of
+members that underflowed, N=3 routing on lattice directions, and a wedge
 decomposition whose realizing rows dwarf the series
 (decompose_simple_domain_f0_absorption).  Every directory under expected/ is
 a case.  A change that moves these bytes must say which and why; regenerate
@@ -46,6 +47,7 @@ CASES = {
     "domain_g3": ["domain", "g3.json", "--grid=-1:1:3", "-K", "32"],
     "domain_wedge_real": ["domain", "wedge_real.json", "--grid=-1:1:5"],
     "domain_sw40": ["domain", "sw40.json", "--grid=0:50:2"],
+    "domain_sum_underflow": ["domain", "sw40_twice.json", "--grid=0:50:2"],
     "domain_g3_k48": ["domain", "g3.json", "--grid=-1:0.4:3", "-K", "48"],
     "domain_poly_empty_window": ["domain", "poly.json", "--grid=-1:1:3"],
     "check_f0": ["check", "f0.json", "--grid=-1:1:3"],
@@ -66,6 +68,7 @@ CASES = {
     ],
     "slice_radius_f0": ["slice-radius", "f0.json", "--point", "1.0", "0.5"],
     "slice_radius_wedge_real": ["slice-radius", "wedge_real.json", "--point", "1.0", "0.5"],
+    "slice_radius_overflow": ["slice-radius", "big.json", "--point", "1", "1", "-K", "1"],
     "decompose_elementary_f0": [
         "decompose", "f0.json", "--mode", "elementary", "--directions", "dirs11.json",
         "-K", "32", "--out", "out/parts",

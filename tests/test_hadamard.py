@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reinhardt import (
@@ -54,6 +55,27 @@ def test_sum_keeps_the_closed_form_log_of_a_support_weighted_member():
     verdict = classify(series, (50.0, 50.0))
     assert verdict.membership is Membership.OUTSIDE
     assert verdict.value == 10.0
+
+
+def _ulps(a: float, b: float) -> int:
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+def test_a_sum_of_underflowed_members_keeps_its_log_in_closed_form():
+    # every member's e^(-40 |J|) underflows in the K = 64 window: log|sum| would read -inf
+    sw = SupportWeighted([(0.5, 0.5)], [40.0], per_row=64)
+    negated = SupportWeighted([(0.5, 0.5)], [40.0], per_row=64, scale=-1.0)
+    twice = SeriesSpec(2, SumRule([sw, sw]))
+    assert _ulps(hadamard_indicator(twice, (0.0, 0.0), 64), -40.0 + LN2 / 32) <= 4
+    assert classify(twice, (50.0, 50.0), 64).membership is Membership.OUTSIDE
+    assert hadamard_indicator(SeriesSpec(2, SumRule([sw, negated])), (0.0, 0.0), 64) == -INF
+    assert hadamard_indicator(SeriesSpec(2, SumRule([sw, sw, negated])), (0.0, 0.0), 64) == -40.0
+
+
+def test_a_slice_coefficient_past_the_float_range_gives_radius_zero():
+    # |a_1| = hypot(1.7e308, 1.7e308) reads +inf, as the coefficient table reads |c_J|
+    series = SeriesSpec(2, ExplicitTable({(1, 0): complex(1.7e308, 1.7e308)}))
+    assert slice_radius(series, (1.0, 1.0), 1) == 0.0
 
 
 def test_indicator_matches_max_rule_on_grid(full_geom):

@@ -238,6 +238,20 @@ def test_directions_find_a_close_pair_in_any_block(monkeypatch, block):
             assert got == _fsum_distinct(dirs), (first, second, t)
 
 
+def test_one_direction_computes_no_pairwise_distance(monkeypatch):
+    import reinhardt.multiindex
+
+    def refuse(*_):
+        raise AssertionError("a set of one direction has no pair to compare")
+
+    monkeypatch.setattr(reinhardt.multiindex, "_l1_distances", refuse)
+    for coords in [(1.0,), (0.5, 0.5), (0.2, 0.3, 0.5)]:
+        d = SimplexDirection(coords)
+        assert Directions([d]) == (d,) and Directions([d]).dimension == len(coords)
+    with pytest.raises(AssertionError, match="no pair"):
+        Directions([(0.5, 0.5), (1.0, 0.0)])
+
+
 def _left_to_right(column, center):
     """The l1 distance summed coordinate by coordinate, as the array pass rounds it."""
     acc = 0.0

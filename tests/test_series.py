@@ -5,6 +5,7 @@ import random
 import re
 import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from conftest import (
     reference_slice_coefficients,
     reference_terms,
     same_float,
+    scan_refuses,
     scan_terms,
 )
 
@@ -667,6 +669,43 @@ def test_linear_scans_match_the_per_term_loops_bit_for_bit(dimension):
                 expected = reference_slice_coefficients(series, r, 33)
                 assert [same_float(a.real, b.real) and same_float(a.imag, b.imag)
                         for a, b in zip(got, expected)] == [True] * 34, (series.label, r)
+
+
+def _same_complexes(got, want) -> bool:
+    return len(got) == len(want) and all(
+        same_float(a.real, b.real) and same_float(a.imag, b.imag) for a, b in zip(got, want))
+
+
+def test_slice_coefficients_match_the_per_term_loop_at_n3():
+    # complex coefficients whose parts mix signed zeros, subnormals, huge values and infinities
+    rng = random.Random(3)
+    parts = [0.0, -0.0, 1.5, -2.5, 1e-310, -1e308, math.inf, -math.inf]
+    table = {tuple(rng.randrange(0, 22) for _ in range(3)): complex(*rng.choices(parts, k=2))
+             for _ in range(300)}
+    table.pop((0, 0, 0), None)
+    g3 = SeriesSpec.load(Path(__file__).resolve().parent / "golden" / "inputs" / "g3.json")
+    radii = [(0.3, 0.5, 0.9), (1.0, 1.0, 1.0), (1e-310, 2.0, 0.5), (1e200, 1e-300, 3.0),
+             (5e-324,) * 3]
+    for series in (g3, SeriesSpec(3, ExplicitTable(table))):
+        for r in radii:
+            got = series.slice_coefficients(r, 64)
+            assert _same_complexes(got, reference_slice_coefficients(series, r, 64)), r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_slice_coefficients_match_the_per_term_loop_on_every_rule_kind(n):
+    radii = [(0.5,) * n, (1.0,) * n, (1e-310,) + (2.0,) * (n - 1), (1e200,) * n]
+    for kind, rule in differential_rules(n).items():
+        series = SeriesSpec(n, rule)
+        for max_degree in (9, 64):
+            if scan_refuses(series, max_degree):
+                with pytest.raises(ValueError, match="opposite infinities"):
+                    series.slice_coefficients(radii[0], max_degree)
+                continue
+            for r in radii:
+                want = reference_slice_coefficients(series, r, max_degree)
+                got = series.slice_coefficients(r, max_degree)
+                assert _same_complexes(got, want), (kind, max_degree, r)
 
 
 def test_log_table_arrays_are_read_only(full_geom):
