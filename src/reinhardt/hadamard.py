@@ -129,7 +129,9 @@ def direction_functional(
         raise ValueError("max_degree must be >= 1")
     table = series.coefficient_table(max_degree)
     inside = l1_within(table.projections[:, table.tail_start:], np.array(center.coords), radius)
-    best = float(np.fmax.reduce(table.logs[table.tail_start:][inside], initial=-inf))
+    window = table.logs[table.tail_start:][inside]
+    # the first maximum, as the decomposer's level: fmax's sign of a 0.0, -0.0 tie varies
+    best = window[window.argmax()].item() if len(window) else -inf
     return inf if best == -inf else -best
 
 
@@ -158,9 +160,10 @@ def elementary_halfspace(series: SeriesSpec, max_degree: int = DEFAULT_MAX_DEGRE
                 f"tail projections spread {tuple(columns[:, far.argmax()].tolist())} .. "
                 f"{tuple(columns[:, i].tolist())}; diameter exceeds {ELEMENTARY_DIAMETER}"
             )
-    level = max(table.logs[rows].tolist())
+    top = rows[table.logs[rows].argmax()]
+    level = table.logs[top].item()
     if level == inf:  # decompose_elementary gives such a row the empty estimate
-        j = tuple(table.entries[rows[table.logs[rows].argmax()]].tolist())
+        j = tuple(table.entries[top].tolist())
         raise NotElementary(f"the tail coefficient at {j} overflowed: no half-space")
     entry_sums = table.entries[rows].sum(axis=0).tolist()
     degree_sum = sum(entry_sums)

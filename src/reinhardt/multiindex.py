@@ -144,11 +144,13 @@ def _l1_fsum(column: np.ndarray, center: np.ndarray) -> float:
 def l1_nearest(columns: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Per column (N x M), its nearest direction column (N x D) in l1, ties to the first."""
     dist = _l1_distances(columns, directions)
-    nearest = dist.argmin(axis=0)
     close = dist - dist.min(axis=0) <= _L1_SLACK_PER_COORD * len(columns)
+    nearest = close.argmax(axis=0)  # the argmin where only one direction is close
+    # a direction outside the slack is never the nearest: fsum decides among the close ones
     for k in np.flatnonzero(close.sum(axis=0) > 1):
-        exact = [_l1_fsum(columns[:, k], d) for d in directions.T]
-        nearest[k] = exact.index(min(exact))
+        tied = np.flatnonzero(close[:, k])
+        exact = [_l1_fsum(columns[:, k], directions[:, d]) for d in tied.tolist()]
+        nearest[k] = tied[exact.index(min(exact))]
     return nearest
 
 

@@ -17,7 +17,7 @@ from enum import Enum
 from math import fsum, inf
 
 from .hadamard import DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, Membership, classify
-from .series import SeriesSpec
+from .series import SeriesSpec, _or_inf
 
 __all__ = [
     "GridAgreementReport",
@@ -45,14 +45,6 @@ class ProbeVerdict:
     outcome: ProbeOutcome
     tail_ratio: float
     partial: float
-
-
-def _or_inf(f, value) -> float:
-    """f(value) for abs or fsum, and +inf where the exact result leaves the float range."""
-    try:
-        return f(value)
-    except OverflowError:
-        return inf
 
 
 def block_sums(series: SeriesSpec, point, max_degree: int) -> list[float]:

@@ -74,6 +74,14 @@ def _complex_from_json(value, name: str) -> complex:
     return complex(as_real(re, name), as_real(im, name))
 
 
+def _or_inf(f, value) -> float:
+    """f(value), or +inf where f raises OverflowError: the package's one float-range fallback."""
+    try:
+        return f(value)
+    except OverflowError:
+        return inf
+
+
 def _log_abs_over(c: complex, degree: int) -> float:
     """log|c| / degree for a rule without a closed form; -inf for zero."""
     try:
@@ -99,18 +107,28 @@ def _unit_phase(c: complex) -> complex:
     return c / float(np.hypot(c.real, c.imag))
 
 
-def _merged_log(coefficients: list, logs: list, degree: int) -> float:
+def _merged_log(coefficients: list, logs: list, small: list, degree: int) -> float:
     """log|sum of c_i| / degree from the members' closed-form logs, -inf where the sum is 0.
 
-    m + log|S| / degree, with m the largest log_i and S the sum of
-    e^(degree (log_i - m)) u_i over the members, u_i the unit phase of c_i:
-    a log-sum-exp with phases (P. Blanchard, D. J. Higham and N. J. Higham,
-    IMA J. Numer. Anal. 41(4), 2021), so coefficients that underflowed still
-    count; -inf logs add nothing.  A complex c_i that underflowed to 0j has
-    lost its phase; it counts as the real zero it holds.
+    Members not small (|c_i| at or above the smallest normal float) are exact
+    and add onto 0j in member order to T, so members that cancel leave no
+    mass.  Over T (where T != 0, log|T| / degree) and the small members, the
+    log is m + log|S| / degree, with m the largest log and S the sum of
+    e^(degree (log_i - m)) u_i, u_i the unit phase of c_i: a log-sum-exp with
+    phases (P. Blanchard, D. J. Higham and N. J. Higham, IMA J. Numer. Anal.
+    41(4), 2021), so coefficients that underflowed still count; -inf logs add
+    nothing.  A complex c_i that underflowed to 0j counts as the real zero it holds.
     """
-    m, s = max(logs), 0.0j
-    for c, v in zip(coefficients, logs):  # onto 0j in member order, as the sum itself
+    total, terms = 0.0j, []
+    for c, v, tiny in zip(coefficients, logs, small):
+        if tiny:
+            terms.append((c, v))
+        else:
+            total += c
+    if total:
+        terms.insert(0, (total, _log_abs_over(total, degree)))
+    m, s = max(v for _, v in terms), 0.0j
+    for c, v in terms:  # onto 0j: T, then the small members in member order
         s += math.exp(degree * (v - m)) * _unit_phase(c)
     mag = float(np.hypot(s.real, s.imag))
     return m + log(mag) / degree if mag else -inf
@@ -177,27 +195,13 @@ class RayGeometric(CoefficientRule):
 
     def _multiple(self, index: MultiIndex):
         """k >= 1 with index == k * direction, else None."""
-        k = None
-        for e, b in zip(index.entries, self.direction.entries):
-            if b == 0:
-                if e != 0:
-                    return None
-            else:
-                q, r = divmod(e, b)
-                if r:
-                    return None
-                if k is None:
-                    k = q
-                elif q != k:
-                    return None
-        return k if k is not None and k >= 1 else None
+        k, r = divmod(index.degree, self.direction.degree)
+        on_ray = k >= 1 and not r and index.entries == tuple(k * b for b in self.direction.entries)
+        return k if on_ray else None
 
     def _value(self, k: int) -> complex:
         """ratio**k; an overflow reads +inf, also where repeated squaring left a NaN."""
-        try:
-            value = self.ratio**k
-        except OverflowError:
-            return complex(inf, 0.0)
+        value = complex(_or_inf(self.ratio.__pow__, k))
         return complex(inf, 0.0) if cmath.isnan(value) else value
 
     def coefficient(self, index: MultiIndex) -> complex:
@@ -355,11 +359,8 @@ class SupportWeighted(CoefficientRule):
         try:
             return complex(math.exp(-degree * h) * self.scale)
         except OverflowError:
-            pass
-        try:
-            return complex(math.copysign(math.exp(-degree * h + log(abs(self.scale))), self.scale))
-        except OverflowError:
-            return complex(math.copysign(inf, self.scale), 0.0)
+            return complex(math.copysign(_or_inf(math.exp, -degree * h + log(abs(self.scale))),
+                                         self.scale))
 
     def coefficient(self, index: MultiIndex) -> complex:
         slot = self.slot_of_degree(index.degree)
@@ -455,7 +456,8 @@ class SumRule(CoefficientRule):
                     "the coefficient there is undefined"
                 )
             rows = slice(starts[k], ends[k])
-            merged[k] = (_merged_log(coefficients[rows].tolist(), logs[rows].tolist(), sum(j))
+            merged[k] = (_merged_log(coefficients[rows].tolist(), logs[rows].tolist(),
+                                     small[rows].tolist(), sum(j))
                          if underflowed[k] else _log_abs_over(c, sum(j)))
         return entries[starts], summed, merged
 
@@ -498,13 +500,10 @@ def _rule_from_json(data: dict) -> CoefficientRule:
 
 def _powers(x: float, max_degree: int) -> list[float]:
     """x**k for k = 0..max_degree; inf where ** overflowed (it never returns inf)."""
-    out = []
-    for k in range(max_degree + 1):
-        try:
-            out.append(x**k)
-        except OverflowError:
-            out.append(inf)
-    return out
+    try:
+        return [x**k for k in range(max_degree + 1)]
+    except OverflowError:  # per power only here: a helper call per power doubles every table's cost
+        return [_or_inf(x.__pow__, k) for k in range(max_degree + 1)]
 
 
 def tail_window(max_degree: int) -> range:

@@ -292,11 +292,13 @@ def reference_enumerate_degree(dimension: int, degree: int):
 
 
 def _reference_log_abs_over(c, degree):
-    mag = abs(c)
+    mag = or_inf(abs, c)
     if mag == 0.0:
         return -inf
-    if math.isinf(mag):
+    if cmath.isinf(c):
         return inf
+    if math.isinf(mag):  # finite parts whose |c| overflows: |c| = 2 |c/2|
+        return (math.log(abs(c / 2)) + LN2) / degree
     return math.log(mag) / degree
 
 
@@ -313,7 +315,8 @@ def _reference_summed_log(index, c, degree, members):
     """log|c|/|J| of a sum of two or more nonzero members, given as (c_i, log_i) pairs.
 
     Where c and a member with a finite log lie below the smallest normal
-    float, the log-sum-exp of the members' logs with their phases instead.
+    float, the log-sum-exp with phases instead, over the exact sum of the
+    members at or above that float (where it is nonzero) and the members below it.
     """
     if cmath.isnan(c):
         raise ValueError(
@@ -324,9 +327,17 @@ def _reference_summed_log(index, c, degree, members):
     if or_inf(abs, c) < tiny and any(
         math.isfinite(v) and or_inf(abs, ci) < tiny for ci, v in members
     ):
-        top = max(v for _, v in members)
-        total = 0.0j
+        normal, small = 0.0j, []
         for ci, v in members:
+            if or_inf(abs, ci) >= tiny:
+                normal += ci
+            else:
+                small.append((ci, v))
+        if normal != 0.0:
+            small = [(normal, _reference_log_abs_over(normal, degree))] + small
+        top = max(v for _, v in small)
+        total = 0.0j
+        for ci, v in small:
             total += math.exp(degree * (v - top)) * _reference_phase(ci)
         return top + math.log(abs(total)) / degree if total else -inf
     return _reference_log_abs_over(c, degree)
@@ -457,6 +468,7 @@ def differential_rules(n):
     # e^(-40 |J|) is below the smallest normal float from degree 18 on
     sw40, sw40_negated = (SupportWeighted([diag], [40.0], per_row=130, base=1, scale=scale)
                           for scale in (1.0, -1.0))
+    big = complex(1.7e308, 1.7e308)
     return {
         "full_geometric": FullGeometric(),
         "ray_geometric": RayGeometric(ray, 1.5 - 0.5j),
@@ -471,6 +483,15 @@ def differential_rules(n):
         "sum_dense": SumRule([FullGeometric(), RayGeometric((1,) * n, 2.0), ExplicitTable(table)]),
         # members that underflowed: their merged log keeps -40 in closed form
         "sum_underflow": SumRule([sw40, sw40, sw40_negated]),
+        # beside sw40, normal members that cancel exactly (degrees 20, 40) or
+        # leave a nonzero sum below the smallest normal float (degree 30)
+        "sum_cancel_underflow": SumRule([
+            ExplicitTable({sw40.index_at(1, 20): big, sw40.index_at(1, 30): 3e-308,
+                           sw40.index_at(1, 40): -big.conjugate()}),
+            ExplicitTable({sw40.index_at(1, 20): -big, sw40.index_at(1, 30): -2.9e-308,
+                           sw40.index_at(1, 40): big.conjugate()}),
+            sw40,
+        ]),
         # opposite infinities meet at one index, where the sum is undefined
         "sum_nan_log": SumRule(
             [weighted, ExplicitTable({_index(6, n): inf}), ExplicitTable({_index(6, n): -inf})]

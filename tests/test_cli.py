@@ -243,6 +243,20 @@ def test_a_slice_coefficient_whose_magnitude_overflows_gives_radius_zero(tmp_pat
     assert json.loads(captured.out)["value"] == 0.0
 
 
+def test_members_that_cancel_beside_an_underflowed_member_read_outside(tmp_path, capsys):
+    from reinhardt import ExplicitTable, SumRule, SupportWeighted
+
+    big = complex(1.7e308, 1.7e308)
+    path = tmp_path / "sum_cancel.json"
+    slot = SupportWeighted([(0.5, 0.5)], [40.0], per_row=1, base=40)
+    rule = SumRule([ExplicitTable({(20, 20): big}), ExplicitTable({(20, 20): -big}), slot])
+    SeriesSpec(2, rule).save(path)
+    code, out = run(capsys, ["domain", str(path), "--grid=0:50:2"])
+    assert code == 0
+    rows = [l for l in out.strip().splitlines() if not l.startswith("#")][1:]
+    assert rows[0] == "0.0,0.0,inside,-40.0" and rows[-1] == "50.0,50.0,outside,10.0"
+
+
 def test_input_errors_exit_2(tmp_path, capsys, files):
     missing = str(tmp_path / "nope.json")
     code = main(["probe", missing, "--point", "0.5", "0.5"])

@@ -9,8 +9,9 @@ The corpus is fixed and keeps the numerical edge cases on purpose: overflowed
 coefficients and probe sums, ray powers that overflow past repeated squaring,
 a probe whose blocks all lie above K/2 (a NaN tail ratio, printed as null),
 an empty tail window, a slice coefficient past the float range, a sum of
-members that underflowed, N=3 routing on lattice directions, and a wedge
-decomposition whose realizing rows dwarf the series
+members that underflowed, members that cancel beside an underflowed one, a
+tie of logs 0.0 and -0.0 in the direction functional, N=3 routing on lattice
+directions, and a wedge decomposition whose realizing rows dwarf the series
 (decompose_simple_domain_f0_absorption).  Every directory under expected/ is
 a case.  A change that moves these bytes must say which and why; regenerate
 the expected files of the named cases, or of every case when none is named,
@@ -48,6 +49,7 @@ CASES = {
     "domain_wedge_real": ["domain", "wedge_real.json", "--grid=-1:1:5"],
     "domain_sw40": ["domain", "sw40.json", "--grid=0:50:2"],
     "domain_sum_underflow": ["domain", "sw40_twice.json", "--grid=0:50:2"],
+    "domain_sum_cancel_underflow": ["domain", "sum_cancel.json", "--grid=0:50:2"],
     "domain_g3_k48": ["domain", "g3.json", "--grid=-1:0.4:3", "-K", "48"],
     "domain_poly_empty_window": ["domain", "poly.json", "--grid=-1:1:3"],
     "check_f0": ["check", "f0.json", "--grid=-1:1:3"],
@@ -55,6 +57,9 @@ CASES = {
     "check_wedge_real": ["check", "wedge_real.json", "--grid=-1:1:3", "--epsilon", "0.1"],
     "cfunc_f0": ["cfunc", "f0.json", "--grid-t", "21"],
     "cfunc_wedge_real": ["cfunc", "wedge_real.json", "--grid-t", "11", "--delta", "0.05"],
+    "cfunc_zero_tie": [
+        "cfunc", "zero_tie.json", "--directions", "dirs_axis.json", "--delta", "0.5",
+    ],
     "support_wedge": ["support", "--domain", "wedge.json", "--direction", "0.3", "0.7"],
     "support_triangle": ["support", "--domain", "triangle.json", "--direction", "0.37", "0.63"],
     "envelope": ["envelope", "--samples", "samples.json", "--direction", "0.25", "0.75"],

@@ -72,6 +72,28 @@ def test_a_sum_of_underflowed_members_keeps_its_log_in_closed_form():
     assert hadamard_indicator(SeriesSpec(2, SumRule([sw, sw, negated])), (0.0, 0.0), 64) == -40.0
 
 
+def test_members_that_cancel_beside_an_underflowed_member_keep_its_log():
+    # the pair's exact sum is 0, so the merged log is the underflowed member's -40
+    big = complex(1.7e308, 1.7e308)
+    sw = SupportWeighted([(0.5, 0.5)], [40.0], per_row=64)
+    rule = SumRule([ExplicitTable({(20, 20): big}), ExplicitTable({(20, 20): -big}), sw])
+    entries, _, logs = rule.scan(2, range(40, 41))
+    assert entries.tolist() == [[20, 20]] and _ulps(logs[0], -40.0) <= 1
+    verdict = classify(SeriesSpec(2, rule), (50.0, 50.0), 64)
+    assert verdict.membership is Membership.OUTSIDE and _ulps(verdict.value, 10.0) <= 4
+
+
+@pytest.mark.parametrize("rows", [5, 8])
+def test_a_tie_of_zero_logs_gives_the_functional_the_sign_of_minus_the_level(rows):
+    # the window holds -0.0 (h = 0 rows) first, then 0.0 (table rows of log 0)
+    table = ExplicitTable({(d - 1, 1): 1.0 for d in range(65 - rows, 65)})
+    series = SeriesSpec(2, SumRule([SupportWeighted([(1.0, 0.0)], [0.0], per_row=64), table]))
+    level = decompose_elementary(series, [(1.0, 0.0)], 64).parts[0].level
+    value = direction_functional(series, (1.0, 0.0), 0.5, 64)
+    assert level == 0.0 and math.copysign(1.0, level) == -1.0
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_a_slice_coefficient_past_the_float_range_gives_radius_zero():
     # |a_1| = hypot(1.7e308, 1.7e308) reads +inf, as the coefficient table reads |c_J|
     series = SeriesSpec(2, ExplicitTable({(1, 0): complex(1.7e308, 1.7e308)}))

@@ -10,9 +10,11 @@ from reinhardt import (
     MultiIndex,
     SimplexDirection,
     ZeroIndexNotProjectable,
+    decompose_elementary,
     enumerate_degree,
     nearest_index_of_degree,
     project,
+    uniform_directions_2d,
 )
 from reinhardt.multiindex import l1_nearest, l1_within
 
@@ -284,6 +286,18 @@ def test_l1_within_decides_as_fsum_inside_the_slack(n):
                 for c, g in zip(columns, got)
             )
     assert flips
+
+
+def test_l1_nearest_runs_fsum_only_on_the_tied_directions(monkeypatch, f_zero):
+    import reinhardt.multiindex
+
+    calls = []
+    fsum_distance = reinhardt.multiindex._l1_fsum
+    monkeypatch.setattr(reinhardt.multiindex, "_l1_fsum",
+                        lambda column, center: calls.append(1) or fsum_distance(column, center))
+    # 48 of f0's 2,144 columns at K = 64 have two of 25 uniform directions within the slack
+    decompose_elementary(f_zero, uniform_directions_2d(25), 64)
+    assert len(calls) == 96
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

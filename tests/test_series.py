@@ -27,6 +27,7 @@ from reinhardt import (
     decompose_elementary,
     direction_functional,
     elementary_halfspace,
+    enumerate_degree,
     hadamard_indicator,
     probe,
 )
@@ -238,6 +239,21 @@ def test_ray_geometric_off_ray_is_zero(ray_diag):
     ray21 = SeriesSpec(2, RayGeometric((2, 1), 1 / 3))
     assert ray21.coefficient((4, 2)) == pytest.approx(1 / 9)
     assert ray21.coefficient((4, 1)) == 0.0
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.5 - 0.5j])
+@pytest.mark.parametrize("direction", [(0, 2), (3, 0, 1), (0, 0, 1, 2)])
+def test_ray_coefficient_matches_its_scan_at_every_index(direction, ratio):
+    # a zero entry of the direction must stay zero in every multiple
+    rule = RayGeometric(direction, ratio)
+    n = len(direction)
+    entries, coefficients, _ = rule.scan(n, range(1, 13))
+    on_ray = dict(zip(map(tuple, entries.tolist()), coefficients.tolist()))
+    assert len(on_ray) == 12 // sum(direction)
+    for degree in range(13):
+        for j in enumerate_degree(n, degree):
+            got, want = rule.coefficient(j), on_ray.get(j.entries, 0.0j)
+            assert same_float(got.real, want.real) and same_float(got.imag, want.imag), j
 
 
 def test_explicit_table_support_by_degree():
