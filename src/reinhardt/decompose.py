@@ -47,6 +47,7 @@ from .hadamard import (
     DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, Membership, classify, direction_functional,
 )
 from .multiindex import Directions, MultiIndex, SimplexDirection, l1_nearest
+from .oracle import tally
 from .series import ExplicitTable, SeriesSpec, SumRule, SupportWeighted
 
 __all__ = [
@@ -238,10 +239,10 @@ def sum_domain_check(
     log above -inf occurring (violation raises SupportsOverlap with a
     witness).  At each log-point the sum is classified and compared with:
     outside if any part is outside, inside if all parts are inside,
-    otherwise unknown.  Agreement is reported over the points where both
-    sides are decisive; for a finite family the two tests estimate the same
-    region.  containment_only flags a sum with an empty tail window, where
-    every verdict is vacuously inside.
+    otherwise unknown.  oracle.tally, the cross-checks' one count, reports
+    agreement over the points where both sides are decisive; for a finite
+    family the two tests estimate the same region.  containment_only flags
+    a sum with an empty tail window, where every verdict is vacuously inside.
     """
     parts = tuple(parts)
     if not parts:
@@ -260,31 +261,19 @@ def sum_domain_check(
     table = total.coefficient_table(max_degree)
     tail_occupied = (table.logs[table.tail_start:] != -inf).any()
 
-    points = 0
-    decisive = 0
-    agree = 0
-    disagreements = []
+    rows = []
     for s in grid_points:
-        points += 1
-        v_sum = classify(total, s, max_degree, epsilon)
-        verdicts = [classify(p, s, max_degree, epsilon) for p in parts]
-        if any(v.membership is Membership.OUTSIDE for v in verdicts):
+        v_sum = classify(total, s, max_degree, epsilon).membership
+        verdicts = [classify(p, s, max_degree, epsilon).membership for p in parts]
+        if Membership.OUTSIDE in verdicts:
             v_and = Membership.OUTSIDE
-        elif all(v.membership is Membership.INSIDE for v in verdicts):
+        elif all(v is Membership.INSIDE for v in verdicts):
             v_and = Membership.INSIDE
         else:
             v_and = Membership.UNKNOWN
-        if v_sum.membership is Membership.UNKNOWN or v_and is Membership.UNKNOWN:
-            continue
-        decisive += 1
-        if v_sum.membership is v_and:
-            agree += 1
-        else:
-            disagreements.append((tuple(s), v_sum.membership.value, v_and.value))
-    agreement = agree / decisive if decisive else 1.0
-    return SumDomainReport(
-        points, decisive, agreement, tuple(disagreements), not tail_occupied
-    )
+        same = None if Membership.UNKNOWN in (v_sum, v_and) else v_sum is v_and
+        rows.append((tuple(s), v_sum.value, v_and.value, same))
+    return SumDomainReport(*tally(rows), not tail_occupied)
 
 
 def estimate_domain(

@@ -7,6 +7,9 @@ fit estimate the same limit from opposite directions, which keeps the oracle
 aligned in meaning while fully independent in implementation.  Verdicts
 inside the margin band are Inconclusive by design; the oracle never guesses
 near a polyradius boundary.
+
+tally is the one count behind both cross-checks, agreement_grid here and
+decompose.sum_domain_check.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "agreement_grid",
     "block_sums",
     "probe",
+    "tally",
 ]
 
 DEFAULT_MARGIN = 0.1
@@ -114,6 +118,19 @@ class GridAgreementReport:
     mismatches: tuple
 
 
+def tally(rows: list) -> tuple:
+    """(points, decisive, agreement, disagreements) over rows (point, left, right, same).
+
+    A row is decisive where same is not None (both sides decided); the
+    agreement is the share of decisive rows with same true, or vacuously 1
+    with none, and each decisive row with same false is kept as (point, left, right).
+    """
+    decided = [row for row in rows if row[3] is not None]
+    disagreements = tuple(row[:3] for row in decided if not row[3])
+    agreement = (len(decided) - len(disagreements)) / len(decided) if decided else 1.0
+    return len(rows), len(decided), agreement, disagreements
+
+
 def agreement_grid(
     series: SeriesSpec,
     log_points,
@@ -124,29 +141,21 @@ def agreement_grid(
     """Fraction of grid points where the estimator and the probe agree.
 
     Each log-point s is classified by the tail-window estimator and probed
-    at exp(s) coordinate-wise; only points decisive on both sides count.
-    With no decisive points the agreement is vacuously 1.
+    at exp(s) coordinate-wise, or read inconclusive where exp(s) is past the
+    float range; tally counts the points decisive on both sides.
     """
-    points = 0
-    decisive = 0
-    agree = 0
-    mismatches = []
+    rows = []
     for s in log_points:
-        points += 1
-        verdict = classify(series, s, max_degree, epsilon)
-        r = tuple(math.exp(float(x)) for x in s)
-        probed = probe(series, r, max_degree, margin)
-        if verdict.membership is Membership.UNKNOWN:
-            continue
-        if probed.outcome is ProbeOutcome.INCONCLUSIVE:
-            continue
-        decisive += 1
-        # both sides are decisive here: they agree when inside meets converges
-        if (verdict.membership is Membership.INSIDE) == (probed.outcome is ProbeOutcome.CONVERGES):
-            agree += 1
+        point = tuple(float(x) for x in s)
+        membership = classify(series, s, max_degree, epsilon).membership
+        try:
+            r = tuple(map(math.exp, point))
+        except OverflowError:
+            outcome = ProbeOutcome.INCONCLUSIVE
         else:
-            mismatches.append(
-                (tuple(float(x) for x in s), verdict.membership.value, probed.outcome.value)
-            )
-    agreement = agree / decisive if decisive else 1.0
-    return GridAgreementReport(points, decisive, agreement, tuple(mismatches))
+            outcome = probe(series, r, max_degree, margin).outcome
+        decided = membership is not Membership.UNKNOWN and outcome is not ProbeOutcome.INCONCLUSIVE
+        # where both sides decide, they agree when inside meets converges
+        same = (membership is Membership.INSIDE) == (outcome is ProbeOutcome.CONVERGES)
+        rows.append((point, membership.value, outcome.value, same if decided else None))
+    return GridAgreementReport(*tally(rows))

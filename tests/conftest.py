@@ -5,7 +5,8 @@ simplex code, and the per-row simplex that the array kernel replaced is kept
 as its bit-for-bit reference, as are the per-term fsum routing, direction
 functional, elementary half-space and extremal sequence; series-side expected
 values come from closed forms or raw enumeration of the coefficient rules.  The per-degree
-terms loops that the array scans replaced are kept as the scans' reference.
+terms loops that the array scans replaced are kept as the scans' reference, and
+the two cross-checks' per-point counters as the verdict tally's.
 """
 
 import cmath
@@ -446,6 +447,28 @@ def reference_slice_coefficients(series, point, max_degree):
     for j, c, _ in reference_triples(series, range(1, max_degree + 1)):
         out[j.degree] += c * _power(r, j)
     return out
+
+
+# The per-point counters that agreement_grid and sum_domain_check each kept
+# before oracle.tally, kept verbatim (over tally's rows) as its reference.
+
+
+def reference_tally(rows):
+    points = 0
+    decisive = 0
+    agree = 0
+    mismatches = []
+    for s, left, right, same in rows:
+        points += 1
+        if same is None:
+            continue
+        decisive += 1
+        if same:
+            agree += 1
+        else:
+            mismatches.append((s, left, right))
+    agreement = agree / decisive if decisive else 1.0
+    return points, decisive, agreement, tuple(mismatches)
 
 
 def _index(degree, dimension, lead=0):

@@ -257,6 +257,14 @@ def test_members_that_cancel_beside_an_underflowed_member_read_outside(tmp_path,
     assert rows[0] == "0.0,0.0,inside,-40.0" and rows[-1] == "50.0,50.0,outside,10.0"
 
 
+def test_a_check_point_whose_radius_overflows_is_probed_as_inconclusive(capsys, files):
+    # e^800 is past the float range: those points count, but only the estimator decides them
+    code, out = run(capsys, ["check", files["f0"], "--grid=-1:800:3"])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["points"], data["decisive"], data["mismatches"]) == (9, 4, [])
+
+
 def test_input_errors_exit_2(tmp_path, capsys, files):
     missing = str(tmp_path / "nope.json")
     code = main(["probe", missing, "--point", "0.5", "0.5"])

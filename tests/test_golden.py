@@ -8,10 +8,11 @@ every file it wrote against tests/golden/expected/<case>/.
 The corpus is fixed and keeps the numerical edge cases on purpose: overflowed
 coefficients and probe sums, ray powers that overflow past repeated squaring,
 a probe whose blocks all lie above K/2 (a NaN tail ratio, printed as null),
-an empty tail window, a slice coefficient past the float range, a sum of
-members that underflowed, members that cancel beside an underflowed one, a
-tie of logs 0.0 and -0.0 in the direction functional, N=3 routing on lattice
-directions, and a wedge decomposition whose realizing rows dwarf the series
+check points whose radius e^s is past the float range, an empty tail window,
+a slice coefficient past the float range, a sum of members that underflowed,
+members that cancel beside an underflowed one, a tie of logs 0.0 and -0.0 in
+the direction functional, N=3 routing on lattice directions, and a wedge
+decomposition whose realizing rows dwarf the series
 (decompose_simple_domain_f0_absorption).  Every directory under expected/ is
 a case.  A change that moves these bytes must say which and why; regenerate
 the expected files of the named cases, or of every case when none is named,
@@ -55,6 +56,7 @@ CASES = {
     "check_f0": ["check", "f0.json", "--grid=-1:1:3"],
     "check_g3": ["check", "g3.json", "--grid=-1:1:3", "-K", "32"],
     "check_wedge_real": ["check", "wedge_real.json", "--grid=-1:1:3", "--epsilon", "0.1"],
+    "check_f0_radius_overflow": ["check", "f0.json", "--grid=-1:800:3"],
     "cfunc_f0": ["cfunc", "f0.json", "--grid-t", "21"],
     "cfunc_wedge_real": ["cfunc", "wedge_real.json", "--grid-t", "11", "--delta", "0.05"],
     "cfunc_zero_tie": [

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reinhardt import (
     ExplicitTable,
@@ -15,15 +17,17 @@ from reinhardt import (
     classify,
     oracle,
     probe,
+    sum_domain_check,
 )
 from reinhardt.cli import main
-from reinhardt.oracle import block_sums
+from reinhardt.oracle import block_sums, tally
 from reinhardt.series import CoefficientTable
 from conftest import (
     grid2,
     linear_scan_corpus,
     linear_scan_radii,
     reference_block_sums,
+    reference_tally,
     same_float,
 )
 
@@ -165,6 +169,65 @@ def test_agreement_grid_empty_series_is_vacuous():
     report = agreement_grid(empty, grid2(-1.0, 1.0, 5))
     assert report.decisive == 0
     assert report.agreement == 1.0
+
+
+def test_a_radius_past_the_float_range_is_probed_as_inconclusive(monkeypatch, f_zero):
+    # e^709.78 is a float and e^709.79 is not; the estimator reads outside at each
+    points = [(-1.0, 800.0), (709.79, -1.0), (709.78, -1.0), (-1.0, -1.0)]
+    verdicts = [classify(f_zero, s).membership for s in points]
+    assert verdicts == [Membership.OUTSIDE] * 3 + [Membership.INSIDE]
+    calls = []
+    real_classify, real_probe = oracle.classify, oracle.probe
+
+    def classified(series, s, *args):
+        calls.append(("classify", s))
+        return real_classify(series, s, *args)
+
+    def probed(series, r, *args):
+        calls.append(("probe", r))
+        return real_probe(series, r, *args)
+
+    monkeypatch.setattr(oracle, "classify", classified)
+    monkeypatch.setattr(oracle, "probe", probed)
+    report = agreement_grid(f_zero, points)
+    r2, r3 = (math.exp(709.78), math.exp(-1.0)), (math.exp(-1.0),) * 2
+    assert calls == [
+        ("classify", points[0]), ("classify", points[1]),
+        ("classify", points[2]), ("probe", r2), ("classify", points[3]), ("probe", r3),
+    ]
+    assert (report.points, report.decisive, report.agreement, report.mismatches) == (4, 2, 1.0, ())
+
+
+def test_an_empty_grid_is_vacuous_in_both_cross_checks(full_geom):
+    parts = [SeriesSpec(2, ExplicitTable({(1, 0): 1.0})), SeriesSpec(2, ExplicitTable({(0, 1): 1.0}))]
+    report = agreement_grid(full_geom, [])
+    assert (report.points, report.decisive, report.agreement, report.mismatches) == (0, 0, 1.0, ())
+    report = sum_domain_check(parts, 16, [])
+    assert (report.points, report.decisive, report.agreement, report.disagreements) == (0, 0, 1.0, ())
+
+
+def _row_streams():
+    point = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    sides = st.sampled_from(["inside", "outside", "unknown", "converges", "diverges"])
+
+    def stream(same):
+        return st.lists(st.tuples(point, sides, sides, same), max_size=24)
+
+    return st.one_of(stream(st.none()), stream(st.none() | st.booleans()), stream(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_row_streams())
+@example([])
+@example([((0.0, 1.0), "unknown", "converges", None)] * 3)
+def test_the_tally_counts_as_the_per_point_counters_did(rows):
+    points, decisive, agreement, disagreements = tally(rows)
+    ref_points, ref_decisive, ref_agreement, ref_disagreements = reference_tally(rows)
+    assert (points, decisive) == (ref_points, ref_decisive)
+    assert same_float(agreement, ref_agreement)
+    assert disagreements == ref_disagreements
+    if decisive == 0:
+        assert agreement == 1.0 and disagreements == ()
 
 
 def test_estimator_probe_never_contradict(full_geom, ray_diag, f_zero, wedge_domain):
