@@ -1,4 +1,4 @@
-"""Half-space geometry and a dense linear-programming core.
+"""Half-space geometry, a dense linear-programming core and exact 2-D envelopes.
 
 An H-domain is a finite intersection of open half-spaces with normals on the
 probability simplex.  All quantitative questions about such regions reduce to
@@ -6,17 +6,27 @@ maximizing a linear functional over the closed region.  No H-domain is
 empty, since it holds t (1, ..., 1) for every t below its least offset, so a
 small dense-tableau simplex starts from a feasible basis there and needs no
 phase one; Bland's entering rule guards against cycling, and ratios within
-1e-12 of their size tie.  On top of the LP sit the support function, the
-convex closure of a sampled positively homogeneous function (computed as the
-support function of the polyhedron carved by the samples, so only
-homogeneous linear minorants participate), and the reduction of a region to
-the supporting half-spaces of a prescribed direction subset.
+1e-12 of their size tie.
+
+With simplex normals, LP duality makes the support function the lower convex
+envelope of the points (a_i, c_i), +inf outside conv{a_i} (V. Chvatal,
+Linear Programming, 1983).  At N = 2 that is a lower hull over the first
+normal coordinate, built once per domain by Andrew's monotone chain with
+exactly decided turns, so two-variable support values never reach the
+simplex.  On top of the support function sit the convex closure of a sampled
+positively homogeneous function (computed as the support function of the
+polyhedron carved by the samples, so only homogeneous linear minorants
+participate), and the reduction of a region to the supporting half-spaces of
+a prescribed direction subset.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import inf
 from typing import Optional, Sequence
@@ -42,6 +52,7 @@ PIVOT_TOL = 1e-9
 MAX_DIMENSION = 16
 MAX_CONSTRAINTS = 10_000
 _ITERATION_CAP = 100_000
+_TURN_ERR = 4 * 2.0**-53  # >= (3 + 16 eps) eps, Shewchuk's bound for the turn determinant
 
 
 class EmptyDomain(ValueError):
@@ -95,6 +106,22 @@ class HDomain(JsonFile):
 
     def constraint_rows(self) -> list[tuple[tuple[float, ...], float]]:
         return [(hs.normal.coords, hs.offset) for hs in self.halfspaces]
+
+    @cached_property
+    def _lower_hull(self) -> tuple[list[float], list[float]]:
+        """At N = 2, the lower hull of the points (a_i1, c_i): its abscissas and offsets.
+
+        Andrew's monotone chain (IPL 9(5), 1979) over the rows sorted by their
+        first normal coordinate; a repeated normal keeps its least offset.
+        """
+        hull = []
+        for point in sorted((hs.normal.coords[0], hs.offset) for hs in self.halfspaces):
+            if hull and hull[-1][0] == point[0]:
+                continue
+            while len(hull) >= 2 and not _turns_left(hull[-2], hull[-1], point):
+                hull.pop()
+            hull.append(point)
+        return [x for x, _ in hull], [c for _, c in hull]
 
     def to_json(self) -> dict:
         return {
@@ -154,6 +181,22 @@ class SampledFunction(JsonFile):
     def from_json(cls, data: dict) -> "SampledFunction":
         values = [inf if v == "inf" else v for v in data["values"]]
         return cls(data["directions"], tuple(values))
+
+
+def _turns_left(o, a, b) -> bool:
+    """Whether o -> a -> b turns strictly counter-clockwise, decided exactly.
+
+    The float determinant decides where it is finite and clear of its rounding
+    bound (J. R. Shewchuk, Discrete Comput. Geom. 18, 1997), with the smallest
+    normal float as slack for underflowed products; Fractions decide the rest.
+    """
+    left = (a[0] - o[0]) * (b[1] - o[1])
+    right = (a[1] - o[1]) * (b[0] - o[0])
+    det = left - right
+    if math.isfinite(det) and abs(det) > _TURN_ERR * (abs(left) + abs(right)) + sys.float_info.min:
+        return det > 0.0
+    (ox, oy), (ax, ay), (bx, by) = ((Fraction(x), Fraction(y)) for x, y in (o, a, b))
+    return (ax - ox) * (by - oy) > (ay - oy) * (bx - ox)
 
 
 @dataclass
@@ -275,9 +318,27 @@ def support_value(domain: HDomain, alpha) -> float:
     """Support function sup{<alpha, s> : s in closure(domain)}.
 
     +inf when the region is unbounded in the direction alpha (a value, not an
-    error).
+    error).  At N = 2 the value is read off the domain's lower hull of
+    (a_i1, c_i): +inf where alpha_1 lies outside the normals' range, else the
+    offsets of the hull segment over alpha_1 interpolated as
+    (1 - t) c_j + t c_k, which cannot overflow.  Each normal counts as
+    (a_i1, 1 - a_i1).  Every other dimension, and every argument error, goes
+    to lp_maximize.  A zero value is +0.0 on both paths.
     """
-    return lp_maximize(as_direction(alpha).coords, domain).value
+    coords = as_direction(alpha).coords
+    if not (isinstance(domain, HDomain) and domain.dimension == len(coords) == 2):
+        return lp_maximize(coords, domain).value
+    xs, offsets = domain._lower_hull
+    x = coords[0]
+    if not (xs and xs[0] <= x <= xs[-1]):
+        return inf
+    k = bisect_left(xs, x)
+    if xs[k] == x:
+        return offsets[k] + 0.0
+    cj, ck = offsets[k - 1], offsets[k]
+    t = (x - xs[k - 1]) / (xs[k] - xs[k - 1])
+    # a convex combination of cj and ck; the clamp only undoes rounding past them
+    return min(max((1.0 - t) * cj + t * ck, min(cj, ck)), max(cj, ck)) + 0.0
 
 
 def convex_closure_value(f: SampledFunction, alpha) -> float:

@@ -750,6 +750,23 @@ def _solve_exact(A, b):
     return [M[i][n] / M[i][i] for i in range(n)]
 
 
+_VERTICES = weakref.WeakKeyDictionary()
+
+
+def _exact_vertices(domain) -> list:
+    """The vertices of the closed H-domain in Fractions, once per domain."""
+    if domain not in _VERTICES:
+        rows = [([Fraction(a) for a in hs.normal.coords], Fraction(hs.offset))
+                for hs in domain.halfspaces]
+        vertices = []
+        for subset in combinations(rows, domain.dimension):
+            v = _solve_exact([a for a, _ in subset], [c for _, c in subset])
+            if v is not None and all(sum(x * y for x, y in zip(a, v)) <= c for a, c in rows):
+                vertices.append(v)
+        _VERTICES[domain] = vertices
+    return _VERTICES[domain]
+
+
 def exact_support(domain, alpha) -> Fraction:
     """max <alpha, s> over the closed H-domain, by vertex enumeration in Fractions.
 
@@ -757,16 +774,9 @@ def exact_support(domain, alpha) -> Fraction:
     they are.  Assumes the maximum is attained at a vertex, as when the
     region is pointed toward alpha.
     """
-    rows = [([Fraction(a) for a in hs.normal.coords], Fraction(hs.offset))
-            for hs in domain.halfspaces]
     alpha = [Fraction(a) for a in as_direction(alpha).coords]
-    best = None
-    for subset in combinations(rows, len(alpha)):
-        v = _solve_exact([a for a, _ in subset], [c for _, c in subset])
-        if v is not None and all(sum(x * y for x, y in zip(a, v)) <= c for a, c in rows):
-            value = sum(x * y for x, y in zip(alpha, v))
-            best = value if best is None else max(best, value)
-    return best
+    return max((sum(x * y for x, y in zip(alpha, v)) for v in _exact_vertices(domain)),
+               default=None)
 
 
 def hrep_boundary_points(domain, interior, targets):

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -715,24 +716,63 @@ def test_a_number_field_holding_a_bool_or_a_string_is_refused(tmp_path, capsys, 
 def test_an_lp_whose_tableau_overflows_exits_2(tmp_path, capsys):
     from reinhardt import HalfSpace, HDomain, SampledFunction
 
-    # {s1 <= -1.7e308, s2 <= 1.7e308, (s1 + s2)/2 <= -1.7e308}: the support at
-    # (0.3, 0.7) is finite (about -3.4e307), at a vertex outside the float range
+    # {s1 <= -1.7e308, s2 <= 1.7e308, s3 <= 0, (s1 + s2)/2 <= -1.7e308}: the
+    # support at (0.3, 0.6, 0.1) is finite, at a vertex outside the float range
+    normals = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0))
+    offsets = (-1.7e308, 1.7e308, 0.0, -1.7e308)
     path = tmp_path / "huge.json"
-    HDomain(2, (
-        HalfSpace((1.0, 0.0), -1.7e308),
-        HalfSpace((0.0, 1.0), 1.7e308),
-        HalfSpace((0.5, 0.5), -1.7e308),
-    )).save(path)
+    HDomain(3, tuple(HalfSpace(a, c) for a, c in zip(normals, offsets))).save(path)
     samples = tmp_path / "huge_samples.json"
-    SampledFunction(((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)),
-                    (-1.7e308, 1.7e308, -1.7e308)).save(samples)
+    SampledFunction(normals, offsets).save(samples)
     for argv, region in ((["support", "--domain", str(path)], path),
                          (["envelope", "--samples", str(samples)], samples)):
-        code = main(argv + ["--direction", "0.3", "0.7"])
+        code = main(argv + ["--direction", "0.3", "0.6", "0.1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: an LP over {region} overflowed: overflow encountered")
+
+
+def _huge_files(tmp_path):
+    """{s1 <= -1.7e308, s2 <= 1.7e308, (s1 + s2)/2 <= -1.7e308} as a domain and as samples."""
+    from reinhardt import HalfSpace, HDomain, SampledFunction
+
+    normals = ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
+    offsets = (-1.7e308, 1.7e308, -1.7e308)
+    domain = HDomain(2, tuple(HalfSpace(a, c) for a, c in zip(normals, offsets)))
+    path = tmp_path / "huge.json"
+    domain.save(path)
+    samples = tmp_path / "huge_samples.json"
+    SampledFunction(normals, offsets).save(samples)
+    return domain, [["support", "--domain", str(path)], ["envelope", "--samples", str(samples)]]
+
+
+def test_a_vertex_past_the_float_range_is_answered_at_n2(tmp_path, capsys):
+    from conftest import exact_support
+
+    # the vertex (-5.1e308, 1.7e308) lies outside the float range; the value
+    # at (0.3, 0.7) is 0.4 * 1.7e308 - 0.6 * 1.7e308, about -3.4e307
+    domain, commands = _huge_files(tmp_path)
+    exact = exact_support(domain, (0.3, 0.7))
+    for argv in commands:
+        code, out = run(capsys, argv + ["--direction", "0.3", "0.7"])
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(value)), argv
+
+
+def test_support_and_envelope_answer_at_n2_without_an_lp(tmp_path, capsys, monkeypatch, files):
+    import reinhardt.convex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an N = 2 support value ran the simplex")
+
+    monkeypatch.setattr(reinhardt.convex, "lp_maximize", refuse)
+    _, commands = _huge_files(tmp_path)
+    for argv in commands + [["support", "--domain", files["wedge"]]]:
+        code, out = run(capsys, argv + ["--direction", "0.3", "0.7"])
+        assert code == 0, argv
+        assert math.isfinite(json.loads(out)["value"]), argv
 
 
 def test_a_direction_of_another_dimension_is_named(tmp_path, capsys, monkeypatch, files):

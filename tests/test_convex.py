@@ -1,6 +1,9 @@
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,13 +80,160 @@ def test_support_value_unbounded_is_a_value():
     assert support_value(slab, (0.0, 1.0)) == INF
 
 
-@pytest.mark.xfail(strict=True, reason="PIVOT_TOL = 1e-9 on reduced costs is absolute, "
-                   "so a direction within 1e-9 of the bounded axis reads bounded")
 def test_a_direction_near_an_axis_sees_the_unbounded_ray():
     # {s1 <= 0} is unbounded in s2, so its support is +inf wherever alpha_2 > 0
     half = HDomain(2, (HalfSpace((1.0, 0.0), 0.0),))
     assert support_value(half, (0.99999999, 1e-8)) == INF
     assert support_value(half, (0.9999999999, 1e-10)) == INF
+
+
+@pytest.mark.xfail(strict=True, reason="PIVOT_TOL = 1e-9 on reduced costs is absolute, "
+                   "so a direction within 1e-9 of the bounded axis reads bounded")
+def test_a_direction_near_an_axis_sees_the_unbounded_ray_at_n3():
+    # {s1 <= 0} is unbounded in s2 and s3; N = 3 support values still run the simplex
+    half = HDomain(3, (HalfSpace((1.0, 0.0, 0.0), 0.0),))
+    assert support_value(half, (1 - 2e-10, 1e-10, 1e-10)) == INF
+
+
+def _envelope_family(rng, caps=True):
+    """A random N = 2 domain: axis caps (unless dropped) plus 2-25 interior cuts.
+
+    Every third cut's offset lies on one line, so some hull turns are nearly
+    collinear and go to the exact test.
+    """
+    rows = [((1.0, 0.0), rng.uniform(-1.2, 0.4)), ((0.0, 1.0), rng.uniform(-1.2, 0.4))][: 2 * caps]
+    slope, level = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 0.5)
+    for i in range(rng.randint(2, 25)):
+        t = rng.random()
+        rows.append(((t, 1.0 - t), slope * t + level if i % 3 == 0 else rng.uniform(-2.0, 1.0)))
+    rng.shuffle(rows)
+    return hdomain(rows)
+
+
+def _envelope_directions(rng, domain):
+    """Six random directions, the simplex corners and three of the normals."""
+    ts = [rng.random() for _ in range(6)] + [0.0, 1.0]
+    ts += [hs.normal.coords[0] for hs in domain.halfspaces[:3]]
+    return [(t, 1.0 - t) for t in ts]
+
+
+def _lp_rel_tol():
+    """The benchmark's tolerance for LP values, read from bench/reference.py."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    return reference.LP_REL_TOL
+
+
+def _offset_ulp(domain, shift=0.0):
+    return math.ulp(1.0 + max(abs(hs.offset) for hs in domain.halfspaces) + abs(shift))
+
+
+def test_support_values_at_n2_are_the_exact_lower_envelope():
+    rng = random.Random(1979)
+    tol = _lp_rel_tol()
+    for case in range(60):
+        domain = _envelope_family(rng)
+        for alpha in _envelope_directions(rng, domain):
+            got = support_value(domain, alpha)
+            exact = exact_support(domain, alpha)
+            assert abs(Fraction(got) - exact) <= 4 * Fraction(_offset_ulp(domain)), (case, alpha)
+            lp = lp_maximize(alpha, domain).value
+            assert abs(got - lp) <= tol * (1.0 + abs(lp)), (case, alpha)
+
+
+def test_support_at_n2_is_inf_exactly_outside_the_normals():
+    rng = random.Random(1983)
+    for case in range(60):
+        domain = _envelope_family(rng, caps=False)
+        firsts = [hs.normal.coords[0] for hs in domain.halfspaces]
+        lo, hi = min(firsts), max(firsts)
+        ts = [lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, 1.0), (lo + hi) / 2]
+        ts += [rng.random() for _ in range(6)]
+        for t in ts:
+            got = support_value(domain, (t, 1.0 - t))
+            assert (got == INF) == (not lo <= t <= hi), (case, t)
+            if got != INF:
+                exact = exact_support(domain, (t, 1.0 - t))
+                assert abs(Fraction(got) - exact) <= 4 * Fraction(_offset_ulp(domain)), (case, t)
+
+
+@pytest.mark.parametrize("shift", [-1e3, -0.75, 3.0, 1e6])
+def test_shifting_every_offset_shifts_the_support(shift):
+    # psi(s + t 1) = psi(s) - t: moving every offset by t moves h by t
+    rng = random.Random(1987)
+    for case in range(30):
+        domain = _envelope_family(rng, caps=case % 2 == 0)
+        moved = HDomain(2, tuple(HalfSpace(hs.normal, hs.offset + shift) for hs in domain.halfspaces))
+        for alpha in _envelope_directions(rng, domain):
+            h, h_moved = support_value(domain, alpha), support_value(moved, alpha)
+            if h == INF:
+                assert h_moved == INF, (case, alpha)
+            else:
+                assert abs(h_moved - (h + shift)) <= 8 * _offset_ulp(domain, shift), (case, alpha)
+
+
+def test_a_signed_zero_offset_reads_plus_zero():
+    domain = hdomain([((1.0, 0.0), -0.0), ((0.0, 1.0), -0.0), ((0.5, 0.5), -0.0)])
+    for alpha in ((0.5, 0.5), (1.0, 0.0), (0.25, 0.75), (0.0, 1.0)):
+        got = support_value(domain, alpha)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0, alpha
+
+
+def test_a_vertex_the_float_turn_test_misses_is_kept():
+    # the float determinant of these three points is 0.0, the exact one is
+    # about 4e-19 > 0: the middle point is a hull vertex and reads its own offset
+    points = [(0.23796462709189137, 0.3008991946799448), (0.36995516654807925, 0.32833211858918393),
+              (0.5442292252959519, 0.3645532524119727)]
+    (ox, oy), (ax, ay), (bx, by) = points
+    assert (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) == 0.0
+    domain = hdomain([((x, 1.0 - x), y) for x, y in points])
+    assert support_value(domain, (ax, 1.0 - ax)) == ay
+    assert support_value(domain, (ax, 1.0 - ax)) == exact_support(domain, (ax, 1.0 - ax))
+
+
+@pytest.mark.parametrize("offset", [0.1, 1.5, -1e300, sys.float_info.max, -sys.float_info.max])
+def test_equal_offsets_read_back_exactly(offset):
+    # h(alpha) = c (alpha_1 + alpha_2) = c: the interpolation never rounds past
+    # its endpoints, so it cannot overflow even at the float maximum
+    domain = hdomain([((1.0, 0.0), offset), ((0.0, 1.0), offset), ((0.5, 0.5), offset)])
+    for i in range(1, 1000):
+        assert support_value(domain, (i / 1000, 1.0 - i / 1000)) == offset, i
+
+
+def test_a_repeated_normal_keeps_its_least_offset():
+    domain = hdomain([((0.0, 1.0), 0.0), ((0.5, 0.5), 2.0), ((1.0, 0.0), 0.0), ((0.5, 0.5), -1.0),
+                      ((0.5, 0.5), 5.0)])
+    assert support_value(domain, (0.5, 0.5)) == -1.0
+    assert support_value(domain, (0.25, 0.75)) == -0.5
+
+
+def test_support_at_n2_keeps_the_lp_argument_errors(wedge_domain):
+    for raw in (wedge_domain.constraint_rows(), []):
+        with pytest.raises(TypeError, match="constraints must be an HDomain, got list"):
+            support_value(raw, (0.5, 0.5))
+    with pytest.raises(ValueError, match="^objective has dimension 3, domain has 2$"):
+        support_value(wedge_domain, (0.2, 0.3, 0.5))
+    with pytest.raises(ValueError, match="^objective has dimension 2, domain has 3$"):
+        support_value(hdomain([((1.0, 0.0, 0.0), 0.0)]), (0.5, 0.5))
+
+
+def test_no_n2_caller_reaches_the_lp(monkeypatch, f_zero, triangle_domain):
+    import reinhardt.convex
+    from reinhardt import estimate_domain, series_for_domain
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an N = 2 support value ran the simplex")
+
+    monkeypatch.setattr(reinhardt.convex, "lp_maximize", refuse)
+    dirs = uniform_directions_2d(11)
+    series = series_for_domain(triangle_domain, dirs, per_row=4)
+    assert len(series.rule.values) == 11
+    assert estimate_domain(f_zero, dirs, 32).dimension == 2
+    assert reduce_to_dense_subset(triangle_domain, dirs).dimension == 2
+    f = SampledFunction(tuple(dirs), tuple(abs(d.coords[0] - 0.5) for d in dirs))
+    assert convex_closure_value(f, (0.3, 0.7)) == pytest.approx(0.2)
 
 
 def test_support_subadditivity_random(wedge_domain, third_quadrant, triangle_domain):
