@@ -45,6 +45,9 @@ CASES = {
     "probe_f0_overflow": ["probe", "f0.json", "--point", "40", "40"],
     "probe_g3_overflow_zero": ["probe", "g3.json", "--point", "1e200", "1e200", "0", "-K", "32"],
     "probe_upper_blocks_nan": ["probe", "upper_blocks.json", "--point", "0.5", "0.5", "-K", "32"],
+    "probe_wedge_real_diverges": ["probe", "wedge_real.json", "--point", "0.9", "0.9"],
+    "probe_wedge_real_converges": ["probe", "wedge_real.json", "--point", "0.5", "0.5"],
+    "probe_sw40_twice": ["probe", "sw40_twice.json", "--point", "1e17", "1e17"],
     "domain_f0": ["domain", "f0.json", "--grid=-1:1:5"],
     "domain_g3": ["domain", "g3.json", "--grid=-1:1:3", "-K", "32"],
     "domain_wedge_real": ["domain", "wedge_real.json", "--grid=-1:1:5"],
