@@ -48,7 +48,7 @@ from .hadamard import (
 )
 from .jsonfile import json_text
 from .multiindex import Directions, SimplexDirection, uniform_directions_2d
-from .oracle import DEFAULT_MARGIN, agreement_grid, probe
+from .oracle import DEFAULT_MARGIN, agreement_grid, check_probe_settings, probe
 from .series import SeriesSpec
 
 __all__ = ["main"]
@@ -393,6 +393,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "degree", 1) < 1:  # before any window radius is computed from K
         parser.error("max_degree must be >= 1")
+    if args.command in ("probe", "check"):  # before the series is read
+        try:
+            check_probe_settings(args.degree, args.margin)
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
         _emit(args.func(args), getattr(args, "out", None))
     except (EmptyDomain, InfiniteSupport, NeedTwoDirections, SupportsOverlap) as exc:

@@ -6,7 +6,9 @@ two dyadic halves of the block range.  The root test and this block-ratio
 fit estimate the same limit from opposite directions, which keeps the oracle
 aligned in meaning while fully independent in implementation.  Verdicts
 inside the margin band are Inconclusive by design; the oracle never guesses
-near a polyradius boundary.
+near a polyradius boundary.  The blocks read only the coefficient table's
+nonzero rows, which the table records once, and only a block of two or more
+terms is summed with fsum.
 
 tally is the one count behind both cross-checks, agreement_grid here and
 decompose.sum_domain_check.
@@ -19,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from math import fsum, inf
 
+import numpy as np
+
 from .hadamard import DEFAULT_EPSILON, DEFAULT_MAX_DEGREE, Membership, classify
 from .series import SeriesSpec, _or_inf
 
@@ -28,6 +32,7 @@ __all__ = [
     "ProbeVerdict",
     "agreement_grid",
     "block_sums",
+    "check_probe_settings",
     "probe",
     "tally",
 ]
@@ -54,14 +59,31 @@ class ProbeVerdict:
 def block_sums(series: SeriesSpec, point, max_degree: int) -> list[float]:
     """B_k = sum of |c_J| r^J over |J| = k, for k = 0..max_degree, off the coefficient table.
 
-    Each block is summed exactly; a term or a block past the float range reads +inf.
+    Only the table's nonzero rows are read.  A block of two or more terms is
+    summed exactly; one term t reads 0.0 + t, as fsum([t]) does, and no
+    term 0.0.  A term or a block past the float range reads +inf.
     """
     r = series._check_point(point, radius=True)
-    terms, starts = series.coefficient_table(max_degree).absolute_terms(r)
-    terms = terms.tolist()
-    blocks = [[_or_inf(abs, series.constant_term())]]
-    blocks += [terms[starts[k] : starts[k + 1]] for k in range(1, max_degree + 1)]
-    return [_or_inf(fsum, b) for b in blocks]
+    table = series.coefficient_table(max_degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = table.magnitudes[table.nonzero] * table.monomials(r, table.nonzero)
+    terms[np.isnan(terms)] = inf  # an infinite |c_J| beside a zero r^J
+    values, starts = terms.tolist(), table.nonzero_offsets
+    blocks = [_or_inf(abs, series.constant_term())]
+    for a, b in zip(starts[1:-1], starts[2:]):  # one degree's nonzero terms are values[a:b]
+        if b - a > 1:
+            blocks.append(_or_inf(fsum, values[a:b]))
+        else:  # 0.0 + t is fsum([t]), which reads t = -0.0 as 0.0
+            blocks.append(0.0 + values[a] if b > a else 0.0)
+    return blocks
+
+
+def check_probe_settings(max_degree: int, margin: float) -> None:
+    """ValueError for a truncation below 32 or a margin outside (0, 0.5); probe's own check."""
+    if max_degree < 32:
+        raise ValueError("max_degree must be >= 32")
+    if not 0.0 < margin < 0.5:
+        raise ValueError("margin must lie in (0, 0.5)")
 
 
 def probe(
@@ -83,10 +105,7 @@ def probe(
     otherwise Inconclusive, as is any run with fewer than eight nonzero
     blocks or an empty bottom window.
     """
-    if max_degree < 32:
-        raise ValueError("max_degree must be >= 32")
-    if not 0.0 < margin < 0.5:
-        raise ValueError("margin must lie in (0, 0.5)")
+    check_probe_settings(max_degree, margin)
     blocks = block_sums(series, point, max_degree)
     partial = _or_inf(fsum, blocks)
     if partial == inf:

@@ -30,7 +30,6 @@ from .multiindex import (
     as_int,
     as_real,
     compositions,
-    nearest_entries,
     nearest_index_of_degree,
 )
 
@@ -369,17 +368,29 @@ class SupportWeighted(CoefficientRule):
         return self._value(index.degree, self.values[slot[0] - 1])
 
     def scan(self, dimension: int, degrees: range):
-        entries, coefficients, logs = [], [], []
-        for d in degrees:
-            slot = self.slot_of_degree(d)
-            if slot:
-                h = self.values[slot[0] - 1]
-                entries.append(nearest_entries(self.directions[slot[0] - 1], d))
-                coefficients.append(self._value(d, h))
-                # -h + 0.0 would turn -h = -0.0 into 0.0, so scale 1 keeps -h itself
-                logs.append(-h if self.scale == 1.0 else -h + log(abs(self.scale)) / d)
-        entries = np.array(entries, np.int64).reshape(len(entries), dimension)
-        return entries, np.array(coefficients, np.complex128), np.array(logs)
+        """Every occupied slot of the degrees at once, each row as the per-index reference's.
+
+        The slots u = (slot - 1) M + row - 1 with degree base + u stride in
+        degrees are an int64 array; nearest_entries' apportionment runs on all
+        of them, its leftover units to the largest fractional parts and ties
+        to the latest coordinate.  Coefficients stay one math.exp per slot.
+        """
+        u = np.arange(max(0, -((self.base - degrees.start) // self.stride)),
+                      min(self.rows * self.per_row, -((self.base - degrees.stop) // self.stride)))
+        d, row = self.base + self.stride * u, u % self.rows
+        targets = d[:, None] * self.directions.columns.T[row]
+        floors = np.floor(targets)
+        fracs = targets - floors
+        floors = floors.astype(np.int64)
+        # a stable sort of the reversed coordinates ranks equal fractional parts latest first
+        rank = np.argsort(np.argsort(-fracs[:, ::-1], axis=1, kind="stable"), axis=1)[:, ::-1]
+        # rank < leftover needs no clip of the leftover to 0..N: every rank lies in 0..N-1
+        entries = floors + (rank < (d - floors.sum(axis=1))[:, None])
+        h = np.array(self.values)[row]
+        coefficients = [self._value(k, v) for k, v in zip(d.tolist(), h.tolist())]
+        # -h + 0.0 would turn -h = -0.0 into 0.0, so scale 1 keeps -h itself
+        logs = -h if self.scale == 1.0 else -h + log(abs(self.scale)) / d
+        return entries, np.array(coefficients, np.complex128), logs
 
     def to_json(self) -> dict:
         dirs = [list(d.coords) for d in self.directions]
@@ -520,7 +531,9 @@ class CoefficientTable(NamedTuple):
     J / |J| (rounded as project rounds them), the c_J (supported zeros
     included), |c_J| and log|c_J|/|J|; the rows of degree k are
     offsets[k]:offsets[k + 1], and the tail window's rows are tail_start:.
-    The probe reads no logs or projections.
+    nonzero holds the rows with |c_J| != 0, those of degree k at
+    nonzero[nonzero_offsets[k]:nonzero_offsets[k + 1]].  The probe reads no
+    logs or projections.
     """
 
     entries: np.ndarray
@@ -528,31 +541,26 @@ class CoefficientTable(NamedTuple):
     coefficients: np.ndarray
     magnitudes: np.ndarray
     logs: np.ndarray
+    nonzero: np.ndarray
     offsets: tuple[int, ...]
+    nonzero_offsets: tuple[int, ...]
     tail_start: int
 
-    def monomials(self, r) -> np.ndarray:
-        """r^J per row, bit for bit the per-term product of Python powers.
+    def monomials(self, r, rows=None) -> np.ndarray:
+        """r^J of every row, or of the given rows, bit for bit the per-term product of powers.
 
         np.power does not round like libm pow, so the powers come from **.
         Factors multiply in coordinate order (x**0 == 1.0 leaves a product
         unchanged).  A product past the float range reads +inf, also where
         the overflow met a zero factor and left a NaN.
         """
-        out = np.ones(len(self.entries))
+        entries = self.entries if rows is None else self.entries.take(rows, axis=0)
+        out = np.ones(len(entries))
         with np.errstate(over="ignore", invalid="ignore"):
-            for x, column in zip(r, self.entries.T):
+            for x, column in zip(r, entries.T):
                 out *= np.array(_powers(x, len(self.offsets) - 2))[column]
         out[np.isnan(out)] = inf
         return out
-
-    def absolute_terms(self, r) -> tuple[np.ndarray, list[int]]:
-        """|c_J| r^J where c_J != 0 (+inf past the float range), and where each degree starts."""
-        keep = self.magnitudes != 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = self.magnitudes[keep] * self.monomials(r)[keep]
-        terms[np.isnan(terms)] = inf  # an infinite |c_J| beside a zero r^J
-        return terms, np.concatenate(([0], np.cumsum(keep)))[list(self.offsets)].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -638,17 +646,20 @@ class SeriesSpec(JsonFile):
             with np.errstate(over="ignore"):  # Python abs bit for bit, +inf where abs raises
                 magnitudes = np.hypot(coefficients.real, coefficients.imag)
             offsets = tuple(np.searchsorted(sums, range(max_degree + 2)).tolist())
+            nonzero = np.flatnonzero(magnitudes != 0.0)
             table = CoefficientTable(
                 entries,
                 (entries / sums[:, None]).T.copy(),
                 coefficients,
                 magnitudes,
                 logs,
+                nonzero,
                 offsets,
+                tuple(np.searchsorted(nonzero, offsets).tolist()),
                 # below degree 1 the table is empty, and so is its tail window
                 offsets[tail_window(max_degree).start] if max_degree >= 1 else 0,
             )
-            for array in table[:5]:
+            for array in table[:6]:
                 array.flags.writeable = False
             self._tables[max_degree] = table
         return table

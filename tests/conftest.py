@@ -48,7 +48,7 @@ from reinhardt.convex import (
     LpResult,
 )
 from reinhardt.hadamard import ELEMENTARY_DIAMETER, NotElementary, tail_window
-from reinhardt.multiindex import as_direction
+from reinhardt.multiindex import as_direction, nearest_entries
 
 LN2 = math.log(2.0)
 
@@ -386,6 +386,21 @@ def reference_terms(rule, dimension: int, degree: int):
         (j, c, v if n < 2 else _reference_summed_log(j, c, degree, members))
         for j, (c, v, n, members) in sorted(merged.items(), key=lambda item: item[0].entries)
     ]
+
+
+def reference_support_weighted_scan(rule, dimension: int, degrees: range):
+    """The per-slot loop that SupportWeighted.scan ran before its array pass, kept verbatim."""
+    entries, coefficients, logs = [], [], []
+    for d in degrees:
+        slot = rule.slot_of_degree(d)
+        if slot:
+            h = rule.values[slot[0] - 1]
+            entries.append(nearest_entries(rule.directions[slot[0] - 1], d))
+            coefficients.append(rule._value(d, h))
+            # -h + 0.0 would turn -h = -0.0 into 0.0, so scale 1 keeps -h itself
+            logs.append(-h if rule.scale == 1.0 else -h + math.log(abs(rule.scale)) / d)
+    entries = np.array(entries, np.int64).reshape(len(entries), dimension)
+    return entries, np.array(coefficients, np.complex128), np.array(logs)
 
 
 def lattice_directions(dimension: int, degree: int):

@@ -399,6 +399,38 @@ def test_truncation_below_one_exits_2(tmp_path, capsys, files, argv):
     assert "Traceback" not in captured.err
 
 
+PROBE_SETTINGS = [
+    (["-K", "16"], "max_degree must be >= 32"),
+    (["-K", "31", "--margin", "0.7"], "max_degree must be >= 32"),
+    (["--margin", "0.5"], "margin must lie in (0, 0.5)"),
+    (["-K", "32", "--margin", "0"], "margin must lie in (0, 0.5)"),
+    (["--margin", "nan"], "margin must lie in (0, 0.5)"),
+]
+
+
+def refused_before_reading(capsys, argv, message):
+    # the series file does not exist, so a refusal after reading it would name the file
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("settings, message", PROBE_SETTINGS)
+def test_probe_refuses_its_settings_before_reading_the_series(tmp_path, capsys, settings, message):
+    argv = ["probe", str(tmp_path / "absent.json"), "--point", "0.5", "0.5", *settings]
+    refused_before_reading(capsys, argv, message)
+
+
+@pytest.mark.parametrize("settings, message", PROBE_SETTINGS)
+def test_check_refuses_its_settings_before_reading_the_series(tmp_path, capsys, settings, message):
+    argv = ["check", str(tmp_path / "absent.json"), "--grid=-1:1:3", *settings]
+    refused_before_reading(capsys, argv, message)
+
+
 def test_an_overflowed_window_reports_an_empty_region(tmp_path, capsys):
     # the (3, 3) coefficient overflows, so a window holding it has log +inf
     series, dirs = str(GOLDEN_INPUTS / "overflow.json"), str(GOLDEN_INPUTS / "dirs5.json")

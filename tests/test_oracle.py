@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +279,22 @@ def test_block_sums_hold_no_nan(dimension):
             for r in linear_scan_radii(dimension):
                 blocks = block_sums(series, r, max_degree)
                 assert not any(map(math.isnan, blocks)), (series.label, r, max_degree)
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+@pytest.mark.parametrize("name, calls", [("wedge_real.json", 0), ("sw40_twice.json", 0),
+                                         ("f0.json", 64)])
+def test_block_sums_run_fsum_only_on_degrees_of_two_or_more_terms(monkeypatch, name, calls):
+    # a support-weighted series holds at most one term per degree; f0 holds k + 1 at degree k
+    series, r = SeriesSpec.load(GOLDEN_INPUTS / name), (0.9, 0.9)
+    sizes = []
+    monkeypatch.setattr(oracle, "fsum", lambda terms: sizes.append(len(terms)) or math.fsum(terms))
+    blocks = block_sums(series, r, 64)
+    assert len(sizes) == calls and min(sizes, default=2) >= 2
+    monkeypatch.undo()
+    assert all(map(same_float, blocks, reference_block_sums(series, r, 64)))
 
 
 def test_block_sums_never_read_the_log_table(f_zero):

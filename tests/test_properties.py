@@ -8,13 +8,16 @@ the indices and the directions together, since fsum does not depend on the
 order of its terms.  The support function of an H-domain is positively
 homogeneous in its offsets and shifts by t when the domain moves by
 t (1, ..., 1), since its normals sum to 1; dyadic normals make that sum
-exact.  Examples are derandomized, so every run draws the same cases.
+exact.  The support-weighted scan's array pass is the per-slot loop it
+replaced, bit for bit.  Examples are derandomized, so every run draws the
+same cases.
 """
 
 import itertools
 import math
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reinhardt import (
@@ -32,7 +35,8 @@ from reinhardt import (
     lp_maximize,
     support_value,
 )
-from conftest import lattice_directions
+from reinhardt.multiindex import Directions
+from conftest import lattice_directions, reference_support_weighted_scan
 
 K = 32
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -164,3 +168,61 @@ def test_every_hdomain_reads_optimal_or_unbounded(case):
     assert result.status in ("optimal", "unbounded")
     if result.status == "optimal":
         assert domain.evaluate(result.witness) <= 1e-12 * max([abs(c) for _, c in rows] + [1.0])
+
+
+def rational_direction(n):
+    """w / sum(w) for small integer weights w: the targets d w_i / sum(w) often tie."""
+    weights = st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n).filter(any)
+    return weights.map(lambda w: tuple(x / sum(w) for x in w))
+
+
+def float_direction(n):
+    raw = st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=n, max_size=n)
+    return raw.map(lambda x: tuple(v / math.fsum(x) for v in x))
+
+
+weight = st.one_of(st.sampled_from([0.0, -0.0, 40.0, 745.0, -800.0]),
+                   st.floats(min_value=-50.0, max_value=50.0))
+
+
+@st.composite
+def support_weighted_scans(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    directions = draw(st.lists(st.one_of(rational_direction(n), float_direction(n)),
+                               min_size=1, max_size=6, unique=True))
+    try:
+        directions = Directions(directions)
+    except ValueError:  # two float directions within 1e-10
+        assume(False)
+    rule = SupportWeighted(
+        directions,
+        draw(st.lists(weight, min_size=len(directions), max_size=len(directions))),
+        per_row=draw(st.integers(min_value=1, max_value=20)),
+        base=draw(st.integers(min_value=1, max_value=40)),
+        stride=draw(st.integers(min_value=1, max_value=5)),
+        scale=draw(st.sampled_from([1.0, -1.0, 0.5, -3.0, 1e-300, -2e300])),
+    )
+    start = draw(st.integers(min_value=1, max_value=150))
+    return rule, range(start, draw(st.integers(min_value=start - 3, max_value=start + 80)))
+
+
+SW40 = SupportWeighted([(0.5, 0.5)], [40.0], per_row=64)
+THIRDS = SupportWeighted([(1 / 3, 1 / 3, 1 / 3), (0.25, 0.25, 0.5)], [0.0, -0.0], per_row=9,
+                         base=3, stride=2, scale=-3.0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(support_weighted_scans())
+@example((SW40, range(40, 41)))
+@example((SW40, range(5, 5)))
+@example((SW40, range(80, 70)))
+@example((THIRDS, range(1, 60)))
+def test_the_support_weighted_scan_is_the_per_slot_loop_bit_for_bit(case):
+    rule, degrees = case
+    got = rule.scan(rule.dimension, degrees)
+    expected = reference_support_weighted_scan(rule, rule.dimension, degrees)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64))
+    assert np.array_equal(got[2].view(np.int64), expected[2].view(np.int64))

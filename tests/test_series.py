@@ -542,9 +542,12 @@ def test_one_coefficient_table_per_series_and_truncation(monkeypatch):
     rows = [list(j.entries) for j, _, _ in scan_terms(series, range(1, 34))]
     assert rows == table.entries.tolist()
     assert table.tail_start == table.offsets[tail_window(33).start]
+    assert table.nonzero.tolist() == [k for k, m in enumerate(table.magnitudes) if m]
+    starts = tuple(sum(map(bool, table.magnitudes[:k])) for k in table.offsets)
+    assert table.nonzero_offsets == starts
     projections, logs = tail_rows(series, 33)
     assert np.shares_memory(projections, table.projections) and np.shares_memory(logs, table.logs)
-    for a in (*table[:5], projections, logs):
+    for a in (*table[:6], projections, logs):
         with pytest.raises(ValueError):
             a[0] = 0
 
@@ -614,7 +617,7 @@ def test_probe_builds_one_coefficient_table_per_series_and_degree(monkeypatch):
     table = series.coefficient_table(33)
     assert table is not series.coefficient_table(32)
     assert table.offsets[1:] == tuple(sum(k + 1 for k in range(1, d)) for d in range(1, 35))
-    for a in table[:5]:
+    for a in table[:6]:
         with pytest.raises(ValueError):
             a[0] = 0
     # the tail rows at 32 are every row of the table at 32 from degree 16 on
