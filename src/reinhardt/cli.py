@@ -137,8 +137,6 @@ def _parse_grid(spec: str, dimension: int):
 def _json_scalar(value: float):
     if value == inf:
         return "inf"
-    if value == -inf:
-        return "-inf"
     if isinstance(value, float) and math.isnan(value):
         return None
     return value

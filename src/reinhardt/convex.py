@@ -96,16 +96,11 @@ class HDomain(JsonFile):
 
     def evaluate(self, point) -> float:
         """max_i <a_i, s> - c_i; negative inside, -inf for the whole space."""
-        if not self.halfspaces:
-            return -inf
-        return max(hs.value(point) for hs in self.halfspaces)
+        return max((hs.value(point) for hs in self.halfspaces), default=-inf)
 
     def contains(self, point, closed: bool = False) -> bool:
         v = self.evaluate(point)
         return v <= 0.0 if closed else v < 0.0
-
-    def constraint_rows(self) -> list[tuple[tuple[float, ...], float]]:
-        return [(hs.normal.coords, hs.offset) for hs in self.halfspaces]
 
     @cached_property
     def _lower_hull(self) -> tuple[list[float], list[float]]:
@@ -266,13 +261,13 @@ def _simplex_min(T, rhs, basis):
 def lp_maximize(objective: Sequence[float], constraints: HDomain) -> LpResult:
     """Supremum of <objective, s> over the closure of an H-domain {<a_i, s> < c_i}.
 
-    Every normal a_i lies on the simplex, so the region holds t0 (1, ..., 1)
-    for t0 = min(0, min_i c_i).  The variables are free; internally
-    s - t0 (1, ..., 1) splits as u - v with u, v >= 0 and a slack per row,
-    whose right-hand sides c_i - t0 sum_j a_ij are >= 0, so the slack basis
-    is feasible from the start.  Anything but an HDomain raises TypeError, a
-    non-finite objective entry ValueError, and an overflowing tableau
-    FloatingPointError (an ArithmeticError).
+    The rows (a_i, c_i) come straight from the domain's half-spaces.  Every a_i
+    lies on the simplex, so the region holds t0 (1, ..., 1), t0 = min(0, min_i c_i).
+    The free s - t0 (1, ..., 1) splits as u - v with u, v >= 0 and a slack
+    per row, whose right-hand sides c_i - t0 sum_j a_ij are >= 0, so the
+    slack basis is feasible from the start.  Anything but an HDomain raises
+    TypeError, a non-finite objective entry ValueError, and an overflowing
+    tableau FloatingPointError (an ArithmeticError).
     """
     if not isinstance(constraints, HDomain):
         raise TypeError(f"constraints must be an HDomain, got {type(constraints).__name__}")
@@ -284,8 +279,7 @@ def lp_maximize(objective: Sequence[float], constraints: HDomain) -> LpResult:
         raise ValueError("objective entries must be finite")
     if n != constraints.dimension:
         raise ValueError(f"objective has dimension {n}, domain has {constraints.dimension}")
-    rows = constraints.constraint_rows()
-    m = len(rows)
+    m = len(constraints.halfspaces)
     if m > MAX_CONSTRAINTS:
         raise ValueError(f"{m} constraints exceed the supported cap {MAX_CONSTRAINTS}")
     obj = np.array(coords)
@@ -294,8 +288,8 @@ def lp_maximize(objective: Sequence[float], constraints: HDomain) -> LpResult:
             return LpResult(0.0, np.zeros(n), "optimal")
         return LpResult(inf, None, "unbounded")
 
-    A = np.array([coeffs for coeffs, _ in rows])
-    c = np.array([offset for _, offset in rows])
+    A = np.array([hs.normal.coords for hs in constraints.halfspaces])
+    c = np.array([hs.offset for hs in constraints.halfspaces])
     t0 = min(0.0, float(c.min()))
     T = np.zeros((m + 1, 2 * n + m))  # constraint rows, then the reduced costs
     T[:m, :n] = A

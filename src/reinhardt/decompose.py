@@ -157,19 +157,20 @@ class SimplePart:
 class SimpleDecomposition:
     parts: tuple[SimplePart, ...]
     g_rows: tuple[SeriesSpec, ...]
-    f_rows: tuple[SeriesSpec, ...]
+    f_rule: SupportWeighted
     halfspaces: tuple[HalfSpace, ...]
 
     def exactness(self) -> dict:
         """Worst relative gap in sum(parts) == sum(g rows) + f_M/M, row by row.
 
-        Reads no coefficient: each member of a part is a routed row with
-        weight 1 or a realizing row with weight its scale, so the identity
-        holds exactly where every row's weights over the parts add up to its
-        weight on the right.
+        f_M/M is f_rule.row(M, 1/M).  Reads no coefficient: each member of a
+        part is a routed row with weight 1 or a realizing row with weight its
+        scale, so the identity holds exactly where every row's weights over
+        the parts add up to its weight on the right.
         """
-        left = [m for part in self.parts for m in part.series.rule.members]
-        right = [g.rule for g in self.g_rows] + [self.f_rows[-1].rule.row(1, 1 / len(self.parts))]
+        m = len(self.parts)
+        left = [member for part in self.parts for member in part.series.rule.members]
+        right = [g.rule for g in self.g_rows] + [self.f_rule.row(m, 1 / m)]
         weights: dict = {}
         for side, rules in enumerate((left, right)):
             for rule in rules:
@@ -201,10 +202,6 @@ def decompose_simple(
     eld = decompose_elementary(series, dirs, max_degree)
     f_rule = series_for_domain(domain, dirs, per_row=max_degree).rule
     halfspaces = tuple(HalfSpace(alpha, h) for alpha, h in zip(dirs, f_rule.values))
-    f_rows = tuple(
-        SeriesSpec(series.dimension, f_rule.row(n + 1), label=f"realizing row {n}")
-        for n in range(len(dirs))
-    )
     g_rows = tuple(p.series for p in eld.parts)
 
     parts = []
@@ -215,7 +212,7 @@ def decompose_simple(
         wedge = (halfspaces[n], halfspaces[n - 1]) if n else None
         part_series = SeriesSpec(series.dimension, SumRule(members), label=f"wedge part {n}")
         parts.append(SimplePart(part_series, dirs[n], wedge))
-    return SimpleDecomposition(tuple(parts), g_rows, f_rows, halfspaces)
+    return SimpleDecomposition(tuple(parts), g_rows, f_rule, halfspaces)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .convex import HalfSpace
 from .multiindex import SimplexDirection, as_direction, l1_within
-from .series import SeriesSpec, tail_window
+from .series import SeriesSpec, tail_window as _tail_window
 
 __all__ = [
     "Membership",
@@ -36,7 +36,6 @@ __all__ = [
     "elementary_halfspace",
     "hadamard_indicator",
     "slice_radius",
-    "tail_window",
 ]
 
 DEFAULT_MAX_DEGREE = 64
@@ -180,7 +179,7 @@ def slice_radius(series: SeriesSpec, point, max_degree: int = DEFAULT_MAX_DEGREE
     +inf when every windowed slice coefficient vanishes.
     """
     coeffs = series.slice_coefficients(point, max_degree)
-    window = tail_window(max_degree)
+    window = _tail_window(max_degree)
     a = np.array(coeffs[window.start:])
     with np.errstate(over="ignore"):
         mags = np.hypot(a.real, a.imag).tolist()

@@ -82,8 +82,6 @@ class MultiIndex:
         for e in self.entries:
             if as_int(e, "multi-index entry") < 0:
                 raise ValueError(f"multi-index entries must be non-negative, got {e}")
-            if e > _INT64_MAX:
-                raise OverflowError("multi-index entry exceeds the 64-bit range")
         if sum(self.entries) > _INT64_MAX:
             raise OverflowError("multi-index degree exceeds the 64-bit range")
 

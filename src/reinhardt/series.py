@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import inf, log
 from numbers import Complex
 from typing import NamedTuple
@@ -449,7 +450,8 @@ class SumRule(CoefficientRule):
         first[1:] = (entries[1:] != entries[:-1]).any(axis=1)
         starts, group = np.flatnonzero(first), np.cumsum(first) - 1
         summed = np.zeros(len(starts), np.complex128)
-        with np.errstate(invalid="ignore"):  # opposite infinities: NaN, refused below
+        # a sum past the float range reads inf; opposite infinities give NaN, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
             np.add.at(summed, group, coefficients)
         nonzero = np.bincount(group, logs != -inf, len(starts))
         with np.errstate(over="ignore"):
@@ -609,12 +611,12 @@ class SeriesSpec(JsonFile):
                 raise ValueError("point coordinates must be >= 0")
         return point
 
-    @property
-    def zero_index(self) -> MultiIndex:
-        return MultiIndex((0,) * self.dimension)
+    @cached_property
+    def _constant_term(self) -> complex:
+        return self.rule.coefficient(MultiIndex((0,) * self.dimension))
 
     def constant_term(self) -> complex:
-        return self.rule.coefficient(self.zero_index)
+        return self._constant_term
 
     def coefficient(self, index) -> complex:
         return self.rule.coefficient(self._check_index(index))

@@ -47,8 +47,9 @@ from reinhardt.convex import (
     PIVOT_TOL,
     LpResult,
 )
-from reinhardt.hadamard import ELEMENTARY_DIAMETER, NotElementary, tail_window
+from reinhardt.hadamard import ELEMENTARY_DIAMETER, NotElementary
 from reinhardt.multiindex import as_direction, nearest_entries
+from reinhardt.series import tail_window
 
 LN2 = math.log(2.0)
 
@@ -530,6 +531,11 @@ def differential_rules(n):
                            sw40.index_at(1, 40): big.conjugate()}),
             sw40,
         ]),
+        # a complex member below the smallest normal float beside sw40 (degree 18):
+        # the merge takes the unit phase of a complex coefficient
+        "sum_complex_underflow": SumRule([
+            ExplicitTable({sw40.index_at(1, 18): complex(-1e-313, 1e-313)}), sw40,
+        ]),
         # opposite infinities meet at one index, where the sum is undefined
         "sum_nan_log": SumRule(
             [weighted, ExplicitTable({_index(6, n): inf}), ExplicitTable({_index(6, n): -inf})]
@@ -679,7 +685,7 @@ def reference_lp_maximize(objective: Sequence[float], constraints: HDomain) -> L
         raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIMENSION}")
     if n != constraints.dimension:
         raise ValueError(f"objective has dimension {n}, domain has {constraints.dimension}")
-    rows = constraints.constraint_rows()
+    rows = [(h.normal.coords, h.offset) for h in constraints.halfspaces]
     m = len(rows)
     if m > MAX_CONSTRAINTS:
         raise ValueError(f"{m} constraints exceed the supported cap {MAX_CONSTRAINTS}")
@@ -828,3 +834,11 @@ def constructed_wedge_series(wedge_domain, directions_25):
     from reinhardt import series_for_domain
 
     return series_for_domain(wedge_domain, directions_25, per_row=8)
+
+
+def raises_exactly(call, error, message):
+    """call() raises error itself, not a subclass of it, with exactly this message."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -204,7 +204,7 @@ def test_criterion_7_wedge_decomposition(full_geom, third_quadrant):
     for g in dec.g_rows:
         for j, c in coeff_table(g, 64).items():
             rhs[j] = rhs.get(j, 0.0j) + c
-    for j, c in coeff_table(dec.f_rows[-1], 64).items():
+    for j, c in coeff_table(SeriesSpec(2, dec.f_rule.row(len(dirs))), 64).items():
         rhs[j] = rhs.get(j, 0.0j) + c / len(dirs)
     assert set(lhs) == set(rhs)
     worst = 0.0

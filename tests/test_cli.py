@@ -846,3 +846,32 @@ def test_a_bad_flag_exits_2_with_its_message(tmp_path, capsys, files, argv, erro
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+
+def _empty_directions(tmp_path, monkeypatch, files):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"directions": []}))
+    return (["cfunc", files["f0"], "--directions", str(path)],
+            f"{path} must hold a non-empty 'directions' list")
+
+
+def _iteration_cap(tmp_path, monkeypatch, files):
+    import reinhardt.convex
+    from reinhardt import HalfSpace, HDomain
+
+    # at N = 3 support values come from the simplex (at N = 2 the hull answers)
+    path = tmp_path / "box3.json"
+    HDomain(3, tuple(HalfSpace(a, 0.0) for a in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))).save(path)
+    monkeypatch.setattr(reinhardt.convex, "_ITERATION_CAP", 0)
+    return (["support", "--domain", str(path), "--direction", "0.2", "0.3", "0.5"],
+            "simplex iteration cap exceeded")
+
+
+@pytest.mark.parametrize("case", [_empty_directions, _iteration_cap])
+def test_cli_input_checks_exit_2_with_their_message(tmp_path, capsys, monkeypatch, files, case):
+    argv, message = case(tmp_path, monkeypatch, files)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"

@@ -24,7 +24,7 @@ from reinhardt import (
     support_value,
     uniform_directions_2d,
 )
-from conftest import lattice_directions, reference_extremal_sequence
+from conftest import lattice_directions, raises_exactly, reference_extremal_sequence
 
 INF = math.inf
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -169,3 +169,19 @@ def test_constructed_series_realizes_the_domain(wedge_domain, constructed_wedge_
             good += 1
     assert total > 200
     assert good / total >= 0.95
+
+
+_F2 = SeriesSpec(2, FullGeometric())
+INPUT_CHECKS = {
+    "extremal_degree": (lambda: extremal_sequence(_F2, (0.5, 0.5), 7), ValueError,
+                        "max_degree must be >= 8"),
+    "extremal_dimension": (lambda: extremal_sequence(_F2, (0.25, 0.25, 0.5), 8), ValueError,
+                           "direction dimension does not match the series"),
+    "realization_dimension": (lambda: series_for_domain(HDomain(2, ()), [(0.25, 0.25, 0.5)], 1),
+                              ValueError, "direction dimension does not match the domain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_construct_input_checks_raise_their_error(case):
+    raises_exactly(*INPUT_CHECKS[case])

@@ -29,6 +29,7 @@ from conftest import (
     exact_support,
     grid2,
     hdomain,
+    raises_exactly,
     reference_lp_maximize,
     vertex_support_oracle,
 )
@@ -46,7 +47,8 @@ def test_lp_examples(third_quadrant, wedge_domain):
     assert r.value == pytest.approx(0.0, abs=1e-12)
     assert r.witness is not None and r.witness[0] == pytest.approx(0.0, abs=1e-9)
     # vertex enumeration oracle for the 3-constraint wedge
-    oracle = vertex_support_oracle(wedge_domain.constraint_rows(), (0.5, 0.5))
+    rows = [(h.normal.coords, h.offset) for h in wedge_domain.halfspaces]
+    oracle = vertex_support_oracle(rows, (0.5, 0.5))
     assert oracle == pytest.approx(-LN2 / 2, abs=1e-12)
     assert lp_maximize((0.5, 0.5), wedge_domain).value == pytest.approx(oracle, abs=1e-9)
     assert lp_maximize((1.0, 1.0), hdomain([((1.0, 0.0), 0.0)])).value == INF
@@ -210,7 +212,7 @@ def test_a_repeated_normal_keeps_its_least_offset():
 
 
 def test_support_at_n2_keeps_the_lp_argument_errors(wedge_domain):
-    for raw in (wedge_domain.constraint_rows(), []):
+    for raw in ([(h.normal.coords, h.offset) for h in wedge_domain.halfspaces], []):
         with pytest.raises(TypeError, match="constraints must be an HDomain, got list"):
             support_value(raw, (0.5, 0.5))
     with pytest.raises(ValueError, match="^objective has dimension 3, domain has 2$"):
@@ -533,8 +535,8 @@ def test_lp_agrees_with_scipy_highs(n):
     rng = random.Random(2718 + n)
     for m in (1, 4, 5, 20, 200):
         for label, objective, domain in _lp_cases(n, m, rng):
-            A = np.array([a for a, _ in domain.constraint_rows()])
-            c = np.array([b for _, b in domain.constraint_rows()])
+            A = np.array([h.normal.coords for h in domain.halfspaces])
+            c = np.array([h.offset for h in domain.halfspaces])
             ref = optimize.linprog(
                 -np.asarray(objective), A_ub=A, b_ub=c, bounds=[(None, None)] * n, method="highs"
             )
@@ -574,3 +576,27 @@ def test_lp_reports_pivot_counts():
     assert (r.status, r.pivots) == ("unbounded", 0)
     assert lp_maximize([1.0], HDomain(1, ())).pivots == 0
     assert LpResult(0.0, None, "optimal") == LpResult(0.0, None, "optimal", 0)
+
+
+_ROW = HalfSpace((0.5, 0.5), 0.0)
+INPUT_CHECKS = {
+    "domain_dimension": (lambda: HDomain(0, ()), ValueError, "domain dimension must be >= 1"),
+    "normal_dimension": (lambda: HDomain(2, (HalfSpace((1.0,), 0.0),)), ValueError,
+                         "half-space normal dimension mismatch"),
+    "sample_lengths": (lambda: SampledFunction([(1.0, 0.0)], (0.0, 1.0)), ValueError,
+                       "directions and values must have equal length"),
+    "lp_dimension": (lambda: lp_maximize((1 / 17,) * 17, HDomain(17, ())), ValueError,
+                     "dimension 17 exceeds the supported cap 16"),
+    "lp_rows": (lambda: lp_maximize((0.5, 0.5), HDomain(2, (_ROW,) * 10_001)), ValueError,
+                "10001 constraints exceed the supported cap 10000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_convex_input_checks_raise_their_error(case):
+    raises_exactly(*INPUT_CHECKS[case])
+
+
+def test_a_domain_without_halfspaces_evaluates_to_minus_inf():
+    assert HDomain(2, ()).evaluate((1e300, -1e300)) == -math.inf
+    assert HDomain(2, ()).contains((1e300, -1e300))

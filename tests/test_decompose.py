@@ -11,6 +11,7 @@ import pytest
 from reinhardt import (
     Directions,
     ExplicitTable,
+    FullGeometric,
     HalfSpace,
     HDomain,
     Membership,
@@ -32,7 +33,7 @@ from reinhardt import (
 )
 from reinhardt import decompose
 from reinhardt.convex import SampledFunction
-from reinhardt.hadamard import tail_window
+from reinhardt.series import tail_window
 from conftest import (
     LN2,
     coeff_table,
@@ -40,6 +41,7 @@ from conftest import (
     exact_support,
     grid2,
     lattice_directions,
+    raises_exactly,
     reference_partial_sum_abs,
     reference_route_index,
     scan_terms,
@@ -155,7 +157,7 @@ def test_decompose_simple_telescoping(full_geom, third_quadrant):
     lhs = merge_tables([p.series for p in dec.parts], 64)
     rhs = merge_tables(list(dec.g_rows), 64)
     m = len(dirs)
-    for j, c in coeff_table(dec.f_rows[-1], 64).items():
+    for j, c in coeff_table(SeriesSpec(2, dec.f_rule.row(m)), 64).items():
         rhs[j] = rhs.get(j, 0.0j) + c / m
     assert set(lhs) == set(rhs)
     for j in lhs:
@@ -374,7 +376,7 @@ def test_simple_exactness_reads_no_coefficient(monkeypatch, full_geom, third_qua
 
 def test_wedge_parts_are_sums_of_their_rows(full_geom, third_quadrant):
     dec = decompose_simple(full_geom, third_quadrant, uniform_directions_2d(4), 16)
-    base = [f.rule.base for f in dec.f_rows]
+    base = [dec.f_rule.row(n + 1).base for n in range(len(dec.parts))]
     for n, part in enumerate(dec.parts):
         g, *f = part.series.rule.members
         assert g is dec.g_rows[n].rule
@@ -461,3 +463,18 @@ def test_a_row_level_is_its_first_maximum(table_index):
     (part,) = decompose_elementary(series, dirs, 8).parts
     assert math.copysign(1.0, part.level) == math.copysign(1.0, levels[0])
     assert math.copysign(1.0, part.halfspace.offset) == math.copysign(1.0, -levels[0])
+
+
+_F2 = SeriesSpec(2, FullGeometric())
+INPUT_CHECKS = {
+    "routing_dimension": (lambda: decompose_elementary(_F2, [(0.25, 0.25, 0.5)], 8), ValueError,
+                          "direction dimension does not match the series"),
+    "no_parts": (lambda: sum_domain_check([], 8, []), ValueError, "need at least one part"),
+    "mixed_parts": (lambda: sum_domain_check([_F2, SeriesSpec(3, FullGeometric())], 8, []),
+                    ValueError, "parts have mixed dimensions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_decompose_input_checks_raise_their_error(case):
+    raises_exactly(*INPUT_CHECKS[case])

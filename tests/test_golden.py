@@ -10,7 +10,8 @@ coefficients and probe sums, ray powers that overflow past repeated squaring,
 a probe whose blocks all lie above K/2 (a NaN tail ratio, printed as null),
 check points whose radius e^s is past the float range, an empty tail window,
 a slice coefficient past the float range, a sum of members that underflowed,
-members that cancel beside an underflowed one, a tie of logs 0.0 and -0.0 in
+members that cancel beside an underflowed one, a complex member below the
+smallest normal float beside an underflowed one, a tie of logs 0.0 and -0.0 in
 the direction functional, N=3 routing on lattice directions, and a wedge
 decomposition whose realizing rows dwarf the series
 (decompose_simple_domain_f0_absorption).  Every directory under expected/ is
@@ -54,6 +55,9 @@ CASES = {
     "domain_sw40": ["domain", "sw40.json", "--grid=0:50:2"],
     "domain_sum_underflow": ["domain", "sw40_twice.json", "--grid=0:50:2"],
     "domain_sum_cancel_underflow": ["domain", "sum_cancel.json", "--grid=0:50:2"],
+    "domain_sum_complex_underflow": [
+        "domain", "sum_complex_underflow.json", "--grid=-1:1:3", "-K", "32",
+    ],
     "domain_g3_k48": ["domain", "g3.json", "--grid=-1:0.4:3", "-K", "48"],
     "domain_poly_empty_window": ["domain", "poly.json", "--grid=-1:1:3"],
     "check_f0": ["check", "f0.json", "--grid=-1:1:3"],

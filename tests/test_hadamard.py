@@ -23,13 +23,15 @@ from reinhardt import (
     slice_radius,
 )
 from reinhardt.construct import band_radius
-from reinhardt.hadamard import ELEMENTARY_DIAMETER, tail_window
+from reinhardt.hadamard import ELEMENTARY_DIAMETER
 from reinhardt.multiindex import enumerate_degree, project
+from reinhardt.series import tail_window
 from conftest import (
     LN2,
     brute_force_indicator,
     differential_rules,
     lattice_directions,
+    raises_exactly,
     reference_direction_functional,
     reference_elementary_halfspace,
     scan_refuses,
@@ -423,3 +425,14 @@ def test_elementary_halfspace_refuses_an_overflowed_tail():
         elementary_halfspace(series, 8)
     dec = decompose_elementary(series, [(0.5, 0.5)], 8)
     assert dec.parts[0].level == INF and dec.parts[0].halfspace is None
+
+
+INPUT_CHECKS = {
+    "elementary_degree": (lambda: elementary_halfspace(SeriesSpec(2, FullGeometric()), 7),
+                          ValueError, "max_degree must be >= 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_hadamard_input_checks_raise_their_error(case):
+    raises_exactly(*INPUT_CHECKS[case])

@@ -16,7 +16,8 @@ from reinhardt import (
     project,
     uniform_directions_2d,
 )
-from reinhardt.multiindex import l1_nearest, l1_within
+from reinhardt.multiindex import compositions, l1_nearest, l1_within, nearest_entries
+from conftest import raises_exactly
 
 
 def brute_nearest(alpha, degree):
@@ -312,3 +313,28 @@ def test_l1_nearest_decides_as_fsum_inside_the_slack(n):
         rounded = [_left_to_right(c.coords, d.coords) for d in directions]
         flips += rounded.index(min(rounded)) != g
     assert flips
+
+
+INPUT_CHECKS = {
+    "index_empty": (lambda: MultiIndex(()), ValueError, "multi-index needs at least one entry"),
+    "direction_empty": (lambda: SimplexDirection(()), ValueError,
+                        "direction needs at least one coordinate"),
+    "l1_dimensions": (lambda: SimplexDirection((1.0,)).l1_distance(SimplexDirection((0.5, 0.5))),
+                      ValueError, "dimension mismatch between simplex directions"),
+    "compositions_dimension": (lambda: compositions(0, range(1, 2)), ValueError,
+                               "dimension must be >= 1"),
+    "compositions_degree": (lambda: compositions(2, [-1]), ValueError, "degree must be >= 0"),
+    "nearest_degree": (lambda: nearest_entries(SimplexDirection((1.0,)), 0), ValueError,
+                       "degree must be >= 1"),
+    "uniform_count": (lambda: uniform_directions_2d(1), ValueError,
+                      "need at least two directions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_multiindex_input_checks_raise_their_error(case):
+    raises_exactly(*INPUT_CHECKS[case])
+
+
+def test_a_multi_index_repr_names_its_entries():
+    assert repr(MultiIndex((1, 2))) == "MultiIndex((1, 2))"

@@ -9,8 +9,10 @@ order of its terms.  The support function of an H-domain is positively
 homogeneous in its offsets and shifts by t when the domain moves by
 t (1, ..., 1), since its normals sum to 1; dyadic normals make that sum
 exact.  The support-weighted scan's array pass is the per-slot loop it
-replaced, bit for bit.  Examples are derandomized, so every run draws the
-same cases.
+replaced, bit for bit.  Permuting the coordinates of a series' indices
+permutes the rows of its coefficient table and leaves every coefficient and
+log bit unchanged.  Examples are derandomized, so every run draws the same
+cases.
 """
 
 import itertools
@@ -226,3 +228,82 @@ def test_the_support_weighted_scan_is_the_per_slot_loop_bit_for_bit(case):
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64))
     assert np.array_equal(got[2].view(np.int64), expected[2].view(np.int64))
+
+
+# finite coefficients, normal, subnormal and near the float range; no two infinities
+coefficient = st.one_of(
+    st.sampled_from([1.0, -2.5, 0.0, 3e-308, 1e-313, complex(1e-313, -1e-313),
+                     complex(0.5, -2.0), 1.7e308, complex(1.7e308, 1.7e308), -1e300]),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+def leaf_rule(n):
+    exponent = st.integers(min_value=0, max_value=12)
+    ray = st.tuples(*[st.integers(min_value=0, max_value=3)] * n).filter(any)
+    return st.one_of(
+        st.just(FullGeometric()),
+        st.builds(RayGeometric, ray, coefficient),
+        st.dictionaries(st.tuples(*[exponent] * n), coefficient, max_size=8).map(ExplicitTable),
+    )
+
+
+def permuted(rule, perm):
+    """The rule with index entries J_perm[0], ..., J_perm[N-1] in place of J."""
+    if isinstance(rule, RayGeometric):
+        return RayGeometric(tuple(rule.direction.entries[i] for i in perm), rule.ratio)
+    if isinstance(rule, ExplicitTable):
+        return ExplicitTable({tuple(j[i] for i in perm): c for j, c
+                              in zip(rule.entries.tolist(), rule.coefficients.tolist())})
+    if isinstance(rule, SumRule):
+        return SumRule([permuted(m, perm) for m in rule.members])
+    return rule  # FullGeometric
+
+
+@st.composite
+def permuted_rules(draw, dimensions=(2, 3)):
+    """A rule (a sum of two or three keeps its member order) and a coordinate permutation.
+
+    SupportWeighted is left out: its apportionment hands leftover units to
+    the latest coordinate among tied fractional parts, so the rule over
+    permuted directions is not the permuted rule.
+    """
+    n = draw(st.sampled_from(dimensions))
+    leaf = leaf_rule(n)
+    rule = draw(st.one_of(leaf, st.lists(leaf, min_size=2, max_size=3).map(SumRule)))
+    return n, rule, draw(st.permutations(range(n)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64).tolist()
+
+
+def _rows_by_index(table, perm):
+    """Each row's entries, permuted, mapped to its coefficient, log and projection bits."""
+    parts = _bits(table.coefficients.view(np.float64).reshape(-1, 2))
+    return {
+        tuple(j[i] for i in perm): (c, v, tuple(p[i] for i in perm))
+        for j, c, v, p in zip(table.entries.tolist(), parts, _bits(table.logs),
+                              _bits(table.projections.T))
+    }
+
+
+@PROPERTY_SETTINGS
+@given(permuted_rules())
+def test_coefficient_tables_are_covariant_under_coordinate_permutations(case):
+    n, rule, perm = case
+    table = SeriesSpec(n, rule).coefficient_table(16)
+    moved = SeriesSpec(n, permuted(rule, perm)).coefficient_table(16)
+    assert moved.offsets == table.offsets
+    assert _rows_by_index(moved, range(n)) == _rows_by_index(table, perm)
+
+
+@PROPERTY_SETTINGS
+@given(permuted_rules(dimensions=(2,)), points(2))
+def test_the_indicator_is_invariant_under_swapping_two_coordinates(case, s):
+    _, rule, perm = case
+    series, moved = SeriesSpec(2, rule), SeriesSpec(2, permuted(rule, perm))
+    psi = hadamard_indicator(series, s, K)
+    swapped = hadamard_indicator(moved, tuple(s[i] for i in perm), K)
+    # two products add in either order to the same float, and no term is -0.0
+    assert np.float64(swapped).view(np.int64) == np.float64(psi).view(np.int64)

@@ -41,6 +41,7 @@ from conftest import (
     linear_scan_corpus,
     linear_scan_radii,
     or_inf,
+    raises_exactly,
     reference_block_sums,
     reference_slice_coefficients,
     reference_terms,
@@ -402,7 +403,16 @@ def test_a_point_coordinate_that_is_a_bool_or_a_string_is_refused(query, bad):
 def test_zero_index_constant_term(full_geom, ray_diag):
     assert full_geom.constant_term() == 1.0
     assert ray_diag.constant_term() == 0.0
-    assert full_geom.zero_index == MultiIndex((0, 0))
+
+
+def test_a_series_builds_its_zero_index_once(monkeypatch):
+    series = SeriesSpec.load(Path(__file__).parent / "golden" / "inputs" / "wedge_real.json")
+    built = []
+    check = MultiIndex.__post_init__
+    monkeypatch.setattr(MultiIndex, "__post_init__", lambda self: built.append(self) or check(self))
+    for _ in range(10):
+        assert probe(series, (0.5, 0.5)).outcome is ProbeOutcome.CONVERGES
+    assert [j.entries for j in built] == [(0, 0)]
 
 
 ITERATOR_RULES = {
@@ -819,3 +829,56 @@ def test_scan_matches_the_per_degree_terms_bit_for_bit(n, max_degree):
             # the bits, so the sign of every zero counts
             assert _bits(coefficients[a:b]) == _bits(np.array([c for _, c, _ in want], complex))
             assert _bits(logs[a:b]) == _bits(np.array([v for _, _, v in want], float)), (kind, k)
+
+
+INPUT_CHECKS = {
+    "ray_zero": (lambda: RayGeometric((0, 0), 1.0), ValueError,
+                 "ray direction must be a nonzero multi-index"),
+    "weighted_lengths": (lambda: SupportWeighted([(1.0,)], [0.0, 1.0], per_row=1), ValueError,
+                         "directions and values must have equal length"),
+    "weighted_inf": (lambda: SupportWeighted([(1.0,)], [math.inf], per_row=1), ValueError,
+                     "support weights must be finite"),
+    "weighted_base": (lambda: SupportWeighted([(1.0,)], [0.0], per_row=1, base=0), ValueError,
+                      "base and stride must be >= 1"),
+    "weighted_stride": (lambda: SupportWeighted([(1.0,)], [0.0], per_row=1, stride=0),
+                        ValueError, "base and stride must be >= 1"),
+    "weighted_row": (lambda: SupportWeighted([(1.0,)], [0.0], per_row=1).row(2), ValueError,
+                     "row must be in 1..1"),
+    "sum_empty": (lambda: SumRule([]), ValueError, "sum rule needs at least one member"),
+    "sum_member": (lambda: SumRule([1.0]), TypeError,
+                   "sum members must be coefficient rules, got 1.0"),
+    "json_table_lengths": (
+        lambda: SeriesSpec.from_json({"dimension": 2, "rule": {
+            "kind": "explicit_table", "indices": [[1, 0]], "values": []}}),
+        ValueError, "explicit table indices and values differ in length"),
+    "json_family_directions": (
+        lambda: SeriesSpec.from_json({"dimension": 2, "rule": {
+            "kind": "support_weighted", "support": {"directions": [[1.0, 0.0]], "values": [0.0]},
+            "family": {"per_row": 1, "directions": [[0.0, 1.0]]}}}),
+        ValueError, "support and family directions disagree"),
+    "json_kind": (lambda: SeriesSpec.from_json({"dimension": 2, "rule": {"kind": "bogus"}}),
+                  ValueError, "unknown coefficient rule kind: 'bogus'"),
+    "series_dimension": (lambda: SeriesSpec(0, FullGeometric()), ValueError,
+                         "series dimension must be >= 1"),
+    "point_dimension": (lambda: hadamard_indicator(SeriesSpec(2, FullGeometric()), (0.0,), 8),
+                        DimensionMismatch, "point has dimension 1, series has 2"),
+    "slice_point": (lambda: SeriesSpec(2, FullGeometric()).slice_coefficients((0.0, 1.0), 8),
+                    ValueError, "point coordinates must be > 0"),
+    "abstract_coefficient": (lambda: CoefficientRule().coefficient(MultiIndex((1,))),
+                             NotImplementedError, ""),
+    "abstract_scan": (lambda: CoefficientRule().scan(1, range(1, 2)), NotImplementedError, ""),
+    "abstract_to_json": (lambda: CoefficientRule().to_json(), NotImplementedError, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_series_input_checks_raise_their_error(case):
+    raises_exactly(*INPUT_CHECKS[case])
+
+
+def test_coinciding_members_whose_sum_overflows_read_inf():
+    rule = SumRule([RayGeometric((1, 0), 1.7e308)] * 2)
+    # no overflow warning, which the suite turns into an error
+    _, coefficients, logs = rule.scan(2, range(1, 2))
+    assert coefficients.tolist() == [complex(math.inf, 0.0)] and logs.tolist() == [math.inf]
+    assert rule.coefficient(MultiIndex((1, 0))) == complex(math.inf, 0.0)
