@@ -341,7 +341,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("series")
     p.add_argument("--directions", help="JSON file with a 'directions' list")
     p.add_argument("--grid-t", type=int, help="N=2 only: count of uniform directions")
-    p.add_argument("--delta", type=float, help="window radius (default max(0.02, 2N/sqrt(K)))")
+    p.add_argument("--delta", type=float, help="window radius (default: 2N/sqrt(K) in [0.02, 2])")
     add_common(p, _cmd_cfunc)
 
     for name, flag, file_type, evaluate, help_text in (

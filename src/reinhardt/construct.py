@@ -61,11 +61,11 @@ def build_family(directions, per_row: int) -> tuple[tuple[MultiIndex, ...], ...]
 
 
 def band_radius(dimension: int, band: float) -> float:
-    """Window radius per degree band: the nearest-index rounding bound 2N/b,
-    floored at 0.02 so high bands keep a usable neighborhood."""
+    """Window radius per degree band: the nearest-index rounding bound 2N/b, floored
+    at 0.02 so high bands keep a usable neighborhood, capped at the simplex's l1 diameter 2."""
     if not band > 0.0:
         raise ValueError("band must be > 0")
-    return max(0.02, 2.0 * dimension / band)
+    return min(2.0, max(0.02, 2.0 * dimension / band))
 
 
 def extremal_sequence(series: SeriesSpec, alpha, max_degree: int) -> list[MultiIndex]:

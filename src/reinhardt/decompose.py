@@ -281,7 +281,7 @@ def estimate_domain(
     """H-representation estimate of the log convergence region of a series.
 
     Chains the direction functional over the given directions (window radius
-    band_radius(N, K) = max(0.02, 2N/K): tight enough to separate neighboring
+    band_radius(N, K) = 2N/K in [0.02, 2]: tight enough to separate neighboring
     sample directions, wide enough that the top degrees always hold a lattice
     direction), carves the region of the samples, and reduces it back to
     supporting half-spaces on the same directions.

@@ -124,8 +124,6 @@ def direction_functional(
         raise ValueError("window center dimension does not match the series")
     if not 0.0 < radius <= 2.0:
         raise ValueError("window radius must lie in (0, 2]")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
     table = series.coefficient_table(max_degree)
     inside = l1_within(table.projections[:, table.tail_start:], np.array(center.coords), radius)
     window = table.logs[table.tail_start:][inside]

@@ -639,10 +639,11 @@ class SeriesSpec(JsonFile):
 
         Memoized per max_degree for the lifetime of this series, so the
         estimators, the decomposer and the probe share one scan.  Offsets
-        come from the int64 row sums.
+        come from the int64 row sums; tail_window refuses K < 1 before the scan.
         """
         table = self._tables.get(max_degree)
         if table is None:
+            window = tail_window(max_degree)
             entries, coefficients, logs = self.rule.scan(self.dimension, range(1, max_degree + 1))
             sums = entries.sum(axis=1)
             with np.errstate(over="ignore"):  # Python abs bit for bit, +inf where abs raises
@@ -658,8 +659,7 @@ class SeriesSpec(JsonFile):
                 nonzero,
                 offsets,
                 tuple(np.searchsorted(nonzero, offsets).tolist()),
-                # below degree 1 the table is empty, and so is its tail window
-                offsets[tail_window(max_degree).start] if max_degree >= 1 else 0,
+                offsets[window.start],
             )
             for array in table[:6]:
                 array.flags.writeable = False
@@ -675,8 +675,6 @@ class SeriesSpec(JsonFile):
         a 0.0 + b p) of Python's complex times float, and adds onto 0j in scan order.
         """
         r = self._check_point(point, positive=True)
-        if max_degree < 1:
-            return [self.constant_term()]
         table = self.coefficient_table(max_degree)
         c, p = table.coefficients, table.monomials(r)
         terms, out = np.empty_like(c), np.zeros(max_degree + 1, np.complex128)

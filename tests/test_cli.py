@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from reinhardt import FullGeometric, SeriesSpec
+from reinhardt import FullGeometric, RayGeometric, SeriesSpec
 from reinhardt.cli import main
 from conftest import LN2
 
@@ -84,6 +84,28 @@ def test_cfunc_zero_delta_exits_2(capsys, files):
     assert code == 2
     assert captured.out == ""
     assert "window radius must lie in (0, 2]" in captured.err
+
+
+def test_cfunc_default_radius_is_at_most_2(tmp_path, capsys):
+    # 2N/sqrt(K) = 2.25 for N = 9 at the default K = 64; the default is capped at 2
+    series = tmp_path / "ray9.json"
+    SeriesSpec(9, RayGeometric((1,) * 9, 0.5)).save(series)
+    dirs = tmp_path / "dirs9.json"
+    dirs.write_text(json.dumps({"directions": [[1 / 9] * 9]}))
+    code, out = run(capsys, ["cfunc", str(series), "--directions", str(dirs)])
+    assert code == 0
+    assert json.loads(out)["config"] == {"degree": 64, "delta": 2.0}
+
+
+def test_estimated_domain_radius_at_a_low_truncation_is_at_most_2(tmp_path, capsys):
+    # estimate_domain's radius 2N/K = 3 for N = 3 at K = 2; it is capped at 2
+    code, _ = run(capsys, [
+        "decompose", str(GOLDEN_INPUTS / "g3.json"), "--mode", "simple", "--estimate-domain",
+        "--directions", str(GOLDEN_INPUTS / "dirs_n3_lattice.json"), "-K", "2",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert (tmp_path / "out" / "manifest.json").is_file()
 
 
 def test_support_scalar(capsys, files):

@@ -97,6 +97,14 @@ def test_a_direction_near_an_axis_sees_the_unbounded_ray_at_n3():
     assert support_value(half, (1 - 2e-10, 1e-10, 1e-10)) == INF
 
 
+@pytest.mark.xfail(strict=True, reason="PIVOT_TOL = 1e-9 on reduced costs is absolute, "
+                   "so a direction within 1e-9 of the bounded axis reads bounded")
+def test_the_lp_near_an_axis_sees_the_unbounded_ray_at_n2():
+    # support_value of this pair reads +inf through the N = 2 hull; the simplex, optimal 0.0
+    half = HDomain(2, (HalfSpace((1.0, 0.0), 0.0),))
+    assert lp_maximize((1 - 2e-10, 2e-10), half).value == INF
+
+
 def _envelope_family(rng, caps=True):
     """A random N = 2 domain: axis caps (unless dropped) plus 2-25 interior cuts.
 

@@ -188,8 +188,10 @@ def test_direction_window_validation(f_zero):
         with pytest.raises(ValueError, match="max_degree must be >= 1"):
             tail_window(max_degree)
     assert tail_window(64) == range(32, 65) and tail_window(1) == range(1, 2)
-    # cfunc's default radius, max(0.02, 2N/sqrt(K)), comes from the one radius rule
+    # cfunc's default radius, 2N/sqrt(K) in [0.02, 2], comes from the one radius rule
     assert band_radius(2, math.sqrt(64)) == 0.5
+    # capped at the simplex's l1 diameter, so a derived radius passes the check above
+    assert band_radius(2, 1.0) == 2.0
     for band in (0.0, -4.0, math.nan):
         with pytest.raises(ValueError, match="band must be > 0"):
             band_radius(2, band)

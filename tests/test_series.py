@@ -91,11 +91,17 @@ def test_partial_sum_abs_examples(full_geom, ray_diag):
 
 
 @pytest.mark.parametrize("max_degree", [0, -2])
-def test_a_truncation_below_degree_1_keeps_only_the_constant_term(full_geom, max_degree):
-    # the table is empty, and so is its tail window
-    assert full_geom.coefficient_table(max_degree).tail_start == 0
-    assert block_sums(full_geom, (0.5, 0.5), max_degree) == [1.0]
-    assert full_geom.slice_coefficients((0.5, 0.5), max_degree) == [1 + 0j]
+def test_a_truncation_below_degree_1_is_refused(full_geom, max_degree):
+    # tail_window is the one truncation floor, and every table reader reaches it
+    for call in (
+        lambda: full_geom.coefficient_table(max_degree),
+        lambda: block_sums(full_geom, (0.5, 0.5), max_degree),
+        lambda: full_geom.slice_coefficients((0.5, 0.5), max_degree),
+        lambda: direction_functional(full_geom, (0.5, 0.5), 0.1, max_degree),
+        lambda: decompose_elementary(full_geom, [(0.5, 0.5)], max_degree),
+    ):
+        with pytest.raises(ValueError, match="^max_degree must be >= 1$"):
+            call()
 
 
 def test_partial_sum_monotone(full_geom, f_zero):

@@ -34,7 +34,11 @@ def executable_lines(path: Path, text: str) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
+def traced(run):
+    """Call run() under a line tracer of the frames whose code lives under src/reinhardt.
+
+    Returns run()'s result and the lines that ran, per source path.
+    """
     ran: dict[str, set[int]] = {}
 
     def local(frame, event, arg):
@@ -50,25 +54,40 @@ def main(argv: list[str]) -> int:
         ran.setdefault(name, set()).add(frame.f_lineno)
         return local
 
-    # the sources as the suite imports them, so an edit during the run moves no line
-    sources = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    sys.path.insert(0, str(ROOT / "src"))
-    import pytest  # before the tracer: pytest's own import is not traced
-
     threading.settrace(start)
     sys.settrace(start)
     try:
-        code = pytest.main(["-p", "no:cacheprovider", *(argv or ["-q", str(ROOT / "tests")])])
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    return result, ran
 
-    missing = 0
-    for path, text in sources.items():
+
+def sources() -> dict[Path, str]:
+    """The sources as the run imports them, so an edit during the run moves no line."""
+    return {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
+def unrun_lines(texts: dict[Path, str], ran: dict[str, set[int]]):
+    """(path, line number, stripped source) of every executable line that never ran."""
+    for path, text in texts.items():
         lines = text.splitlines()
         for line in sorted(executable_lines(path, text) - ran.get(str(path), set())):
-            print(f"{path.relative_to(ROOT)}:{line}: {lines[line - 1].strip()}")
-            missing += 1
+            yield path, line, lines[line - 1].strip()
+
+
+def main(argv: list[str]) -> int:
+    texts = sources()
+    sys.path.insert(0, str(ROOT / "src"))
+    import pytest  # before the tracer: pytest's own import is not traced
+
+    args = ["-p", "no:cacheprovider", *(argv or ["-q", str(ROOT / "tests")])]
+    code, ran = traced(lambda: pytest.main(args))
+    missing = 0
+    for path, line, source in unrun_lines(texts, ran):
+        print(f"{path.relative_to(ROOT)}:{line}: {source}")
+        missing += 1
     print(f"{missing} executable lines never ran")
     return int(code)
 
